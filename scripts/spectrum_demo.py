@@ -13,7 +13,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sgis.graph import parse_graph
-from sgis.paths import Letter, Path as GPath, vertex_path
+from sgis.paths import Letter, Path as GPath, path_range, steps, vertex_path
 from sgis.semilattice import lower_closure, render_lower_set
 from sgis.spectrum import (
     branch_extensions,
@@ -36,8 +36,6 @@ def grow_window(graph, v, depth, rng):
         g = frontier.pop()
         if len(g.letters) >= depth:
             continue
-        from sgis.paths import path_range
-
         at = path_range(graph, g)
         last = g.letters[-1] if g.letters else None
         for b in graph.blocks_at[at]:
@@ -48,10 +46,10 @@ def grow_window(graph, v, depth, rng):
             if q not in members:
                 members.add(q)
                 frontier.append(q)
-        for e in graph.in_edges[at]:
-            if last is not None and not last.inverse and last.edge == e:
+        for x, _ in steps(graph, at, last):
+            if not x.inverse:
                 continue
-            q = GPath(v, g.letters + (Letter(e, True),))
+            q = GPath(v, g.letters + (x,))
             if q not in members:
                 members.add(q)
                 frontier.append(q)

@@ -20,16 +20,18 @@ from .paths import (
     compose,
     is_prefix,
     is_separated_path,
-    path_key,
     path_range,
     path_sort_key,
     render_path,
+    sorted_paths,
+    steps,
     vertex_path,
 )
 from .semigroup import (
     ZERO,
     Element,
     Level,
+    from_letter,
     inverse,
     make_element,
     multiply,
@@ -198,15 +200,7 @@ def block_complement(graph: SeparatedGraph, block: Block) -> AlgebraElement:
     """v minus the sum of the range projections of a finite block."""
     if block.infinite:
         raise SgisError(f"block {block.name!r} is infinite; its complement is not an element")
-    v = AlgebraElement.of(
-        graph,
-        Element(
-            LowerSet(block.source, (vertex_path(block.source),)),
-            vertex_path(block.source),
-            Level.SEPARATED,
-        ),
-    )
-    acc = v
+    acc = AlgebraElement.of(graph, from_letter(graph, block.source, Level.SEPARATED))
     for e in block.edges:
         p = Path(block.source, (Letter(e, False),))
         acc = acc - idempotent_of(graph, lower_closure(graph, [p]))
@@ -222,15 +216,6 @@ def or_join(p: AlgebraElement, q: AlgebraElement) -> AlgebraElement:
     if not p.is_idempotent() or not q.is_idempotent():
         raise SgisError("or_join requires idempotent operands")
     return p + q - p * q
-
-
-def or_join_family(terms: Sequence[AlgebraElement]) -> AlgebraElement:
-    if not terms:
-        raise SgisError("empty join")
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = or_join(acc, t)
-    return acc
 
 
 # -- covers --------------------------------------------------------------------
@@ -259,24 +244,10 @@ def separated_paths_upto(graph: SeparatedGraph, v: str, max_len: int, budget: Bu
         for p in frontier:
             if len(p.letters) >= max_len:
                 continue
-            at = path_range(graph, p)
             last = p.letters[-1] if p.letters else None
-            for e in graph.out_edges[at]:
-                if last is not None and last.edge == e and last.inverse:
-                    continue
-                if (
-                    last is not None
-                    and last.inverse
-                    and graph.block_of[last.edge] is graph.block_of[e]
-                ):
-                    continue
+            for x, _ in steps(graph, path_range(graph, p), last):
                 budget.spend()
-                nxt.append(Path(v, p.letters + (Letter(e, False),)))
-            for e in graph.in_edges[at]:
-                if last is not None and last.edge == e and not last.inverse:
-                    continue
-                budget.spend()
-                nxt.append(Path(v, p.letters + (Letter(e, True),)))
+                nxt.append(Path(v, p.letters + (x,)))
         out.extend(nxt)
         frontier = nxt
     return out
@@ -414,7 +385,7 @@ def _positive_tips_upto(graph: SeparatedGraph, v: str, max_len: int, budget: Bud
 def _canonical_trees_upto(graph: SeparatedGraph, v: str, max_len: int, budget: Budget) -> list[LowerSet]:
     """All canonical compatible trees at v whose paths have length <= max_len,
     by depth-first search over compatible antichains of positive tips."""
-    tips = sorted(_positive_tips_upto(graph, v, max_len, budget), key=lambda p: path_key(graph, p))
+    tips = sorted_paths(graph, _positive_tips_upto(graph, v, max_len, budget))
     trees: list[LowerSet] = []
 
     def extend(start: int, chosen: list[Path]) -> None:
@@ -433,7 +404,7 @@ def _canonical_trees_upto(graph: SeparatedGraph, v: str, max_len: int, budget: B
     return trees
 
 
-def _carriers_for(graph: SeparatedGraph, tree: LowerSet, max_len: int, budget: Budget) -> list[Path]:
+def _carriers_for(graph: SeparatedGraph, tree: LowerSet, max_len: int, budget: Budget) -> tuple[Path, ...]:
     """Carriers anchored in the tree: inverse-run extensions of members that
     do not end in an inverse letter."""
     anchors = [p for p in tree.paths if not p.letters or not p.letters[-1].inverse]
@@ -446,13 +417,11 @@ def _carriers_for(graph: SeparatedGraph, tree: LowerSet, max_len: int, budget: B
             out.append(p)
             if len(p.letters) >= max_len:
                 continue
-            at = path_range(graph, p)
             last = p.letters[-1] if p.letters else None
-            for e in graph.in_edges[at]:
-                if last is not None and last.edge == e and not last.inverse:
-                    continue
-                frontier.append(Path(a.base, p.letters + (Letter(e, True),)))
-    return sorted(set(out), key=lambda p: path_key(graph, p))
+            for x, _ in steps(graph, path_range(graph, p), last):
+                if x.inverse:
+                    frontier.append(Path(a.base, p.letters + (x,)))
+    return sorted_paths(graph, set(out))
 
 
 def enumerate_basis(

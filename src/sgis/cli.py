@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 property violation found, 2 input error,
-3 budget exceeded.
+3 budget exceeded.  Input errors include graph files that are not valid
+UTF-8, flags a mode needs but did not get, and numbers out of range.
 """
 
 from __future__ import annotations
@@ -51,7 +52,28 @@ EXIT_BUDGET = 3
 
 
 def _load_graph(path: str, allow_isolated: bool = False) -> SeparatedGraph:
-    return parse_graph(FilePath(path).read_text(encoding="utf-8"), allow_isolated)
+    try:
+        text = FilePath(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SgisError(f"{path}: not valid UTF-8 (byte {exc.start})") from exc
+    return parse_graph(text, allow_isolated)
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-number as "invalid int value"
+    return parse
+
+
+COUNT = _int_at_least(0)
+POSITIVE = _int_at_least(1)
 
 
 def _parse_path(graph: SeparatedGraph, text: str):
@@ -78,10 +100,6 @@ def _parse_lower_set(graph: SeparatedGraph, text: str) -> LowerSet:
     return lower_closure(graph, paths)
 
 
-def _level(name: str) -> Level:
-    return {"free": Level.FREE, "toeplitz": Level.TOEPLITZ, "separated": Level.SEPARATED}[name]
-
-
 def cmd_validate(args) -> int:
     graph = _load_graph(args.graph, allow_isolated=args.allow_isolated)
     print(f"vertices: {len(graph.vertices)}")
@@ -102,14 +120,14 @@ def cmd_validate(args) -> int:
 def cmd_nf(args) -> int:
     graph = _load_graph(args.graph)
     atoms = parse_word_string(graph, args.word)
-    el = evaluate(graph, atoms, _level(args.level))
+    el = evaluate(graph, atoms, Level(args.level))
     print(normal_form(graph, el))
     return EXIT_OK
 
 
 def cmd_eq(args) -> int:
     graph = _load_graph(args.graph)
-    level = _level(args.level)
+    level = Level(args.level)
     a = evaluate(graph, parse_word_string(graph, args.a), level)
     b = evaluate(graph, parse_word_string(graph, args.b), level)
     print("EQUAL" if a == b else "UNEQUAL")
@@ -120,7 +138,7 @@ def cmd_eq(args) -> int:
 
 def cmd_mul(args) -> int:
     graph = _load_graph(args.graph)
-    level = _level(args.level)
+    level = Level(args.level)
     a = evaluate(graph, parse_word_string(graph, args.a), level)
     b = evaluate(graph, parse_word_string(graph, args.b), level)
     print(normal_form(graph, semigroup.multiply(graph, a, b)))
@@ -130,17 +148,10 @@ def cmd_mul(args) -> int:
 def cmd_enumerate(args) -> int:
     graph = _load_graph(args.graph)
     budget = Budget(args.budget, "enumeration")
-    if args.what == "basis":
+    if args.what in ("basis", "idempotents"):
         items = algebra.enumerate_basis(graph, args.max_len, budget)
-        for el in items:
-            print(normal_form(graph, el))
-        print(f"count: {len(items)}")
-    elif args.what == "idempotents":
-        items = [
-            el
-            for el in algebra.enumerate_basis(graph, args.max_len, budget)
-            if semigroup.is_idempotent(el)
-        ]
+        if args.what == "idempotents":
+            items = [el for el in items if semigroup.is_idempotent(el)]
         for el in items:
             print(normal_form(graph, el))
         print(f"count: {len(items)}")
@@ -179,6 +190,11 @@ def _cmd_cylinder(graph: SeparatedGraph, args) -> int:
         excl = _parse_path_set(graph, excl_text) if excl_text else []
         return make_cylinder(graph, tree, excl)
 
+    for flag, value in (("--op", args.op), ("--i1", args.i1)):
+        if value is None:
+            raise SgisError(f"{flag} is required for the cylinder mode")
+    if args.op != "member" and args.i2 is None:
+        raise SgisError(f"--i2 is required for --op {args.op}")
     if args.op == "member":
         if not args.set:
             raise SgisError("--set (the truncation) is required for member")
@@ -262,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help="normal form of a word")
         p.add_argument("graph")
         p.add_argument("-w", "--word", required=True)
-        p.add_argument("--level", choices=["free", "toeplitz", "separated"], default="separated")
+        p.add_argument("--level", choices=[lv.value for lv in Level], default="separated")
         p.set_defaults(func=fn)
 
     helps = {"eq": "decide equality of two words", "mul": "product of two words"}
@@ -271,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("graph")
         p.add_argument("-a", required=True)
         p.add_argument("-b", required=True)
-        p.add_argument("--level", choices=["free", "toeplitz", "separated"], default="separated")
+        p.add_argument("--level", choices=[lv.value for lv in Level], default="separated")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("enumerate", help="bounded enumerations")
     p.add_argument("graph")
-    p.add_argument("--max-len", type=int, default=2)
+    p.add_argument("--max-len", type=COUNT, default=2)
     p.add_argument("--what", choices=["basis", "idempotents", "nc-paths"], default="basis")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=POSITIVE, default=10**6)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("spectrum", help="filter certificates and cylinder algebra")
@@ -286,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", nargs="?", choices=["cylinder"])
     p.add_argument("--check", choices=["ultra", "tight"])
     p.add_argument("--set")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=COUNT, default=4)
     p.add_argument("--op", choices=["member", "intersect", "diff"])
     p.add_argument("--i1")
     p.add_argument("--f1", default="")
@@ -298,21 +314,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--vertex", required=True)
     p.add_argument("--block", required=True)
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--budget", type=int, default=10**6)
-    p.add_argument("--demos", type=int, default=5)
+    p.add_argument("--max-len", type=COUNT, default=4)
+    p.add_argument("--budget", type=POSITIVE, default=10**6)
+    p.add_argument("--demos", type=COUNT, default=5)
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("aut", help="graph automorphisms")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=POSITIVE, default=10**6)
     p.set_defaults(func=cmd_aut)
 
     p = sub.add_parser("oracle", help="independent validators")
     p.add_argument("action", choices=["crosscheck"])
     p.add_argument("graph")
-    p.add_argument("--samples", type=int, default=10**4)
-    p.add_argument("--len", type=int, default=10)
+    p.add_argument("--samples", type=COUNT, default=10**4)
+    p.add_argument("--len", type=POSITIVE, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle)
 

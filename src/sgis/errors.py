@@ -10,10 +10,11 @@ class GraphError(SgisError):
 
 
 class GraphParseError(GraphError):
-    """Syntax or semantic error in a graph file, with a line number."""
+    """Syntax or semantic error in a graph file; `line_no` is None for errors
+    of the whole graph, which no single line causes."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 

@@ -279,6 +279,4 @@ def parse_graph(text: str, allow_isolated: bool = False) -> SeparatedGraph:
             return free_separation(vertices, edges, allow_isolated=allow_isolated)
         return SeparatedGraph(vertices, edges, blocks, allow_isolated=allow_isolated)
     except GraphError as exc:
-        if isinstance(exc, GraphParseError):
-            raise
-        raise GraphParseError(0, str(exc)) from exc
+        raise GraphParseError(None, str(exc)) from exc

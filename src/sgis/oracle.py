@@ -20,10 +20,11 @@ from .paths import (
     compatible,
     is_prefix,
     letter_range,
-    path_key,
     positive_part,
     render_path,
+    sorted_paths,
     star,
+    steps,
     word_from_atoms,
 )
 
@@ -104,7 +105,7 @@ def string_normal_form(graph: SeparatedGraph, atoms: Sequence[Atom]) -> str:
         for q in family[i + 1 :]:
             if not compatible(graph, p, q):
                 return "0"
-    family.sort(key=lambda p: path_key(graph, p))
+    family = sorted_paths(graph, family)
     return "".join(f"({render_path(p)})" for p in family) + " | " + render_path(lam)
 
 
@@ -244,10 +245,8 @@ def _all_composable_words(graph: SeparatedGraph, len_bound: int, budget: Budget)
             for w in frontier:
                 budget.spend()
                 at = w.base if not w.letters else letter_range(graph, w.letters[-1])
-                for e in graph.out_edges[at]:
-                    nxt.append(Path(v, w.letters + (Letter(e, False),)))
-                for e in graph.in_edges[at]:
-                    nxt.append(Path(v, w.letters + (Letter(e, True),)))
+                for x, _ in steps(graph, at):
+                    nxt.append(Path(v, w.letters + (x,)))
             words.extend(nxt)
             frontier = nxt
     return words
@@ -375,14 +374,11 @@ def random_walk_word(graph: SeparatedGraph, rng: random.Random, max_len: int):
     atoms: list = []
     at = v
     for _ in range(rng.randint(1, max_len)):
-        options = [Letter(e, False) for e in graph.out_edges[at]] + [
-            Letter(e, True) for e in graph.in_edges[at]
-        ]
+        options = steps(graph, at)
         if not options:
             break
-        x = rng.choice(options)
+        x, at = rng.choice(options)
         atoms.append(x)
-        at = letter_range(graph, x)
     if not atoms:
         atoms.append(v)
     return atoms

@@ -3,6 +3,11 @@
 A `Path` is a source vertex plus a composable sequence of letters (edges or
 formal inverses).  Length-0 paths at different vertices are distinct values.
 All functions are pure; the graph is passed explicitly.
+
+Two primitives are shared by every layer: `steps` is the one stepping rule on
+the double graph (which letters may follow a given one in a reduced separated
+path), and `sorted_paths` is the one path order (length-lexicographic, as
+fixed by `path_key`) used for trees, tips and enumerations.
 """
 
 from __future__ import annotations
@@ -93,6 +98,32 @@ def is_reduced(p: Path) -> bool:
     )
 
 
+def steps(
+    graph: SeparatedGraph, at: str, last: Letter | None = None
+) -> list[tuple[Letter, str]]:
+    """The letters leaving `at`, out-edges first and then in-edges, each with
+    the vertex it reaches.
+
+    Given the previous letter `last`, the step keeps the path reduced and
+    separated: it drops the letter cancelling `last` and, after an inverse
+    letter, every positive letter of that letter's block (no e^{-1}f inside
+    one block).  With `last=None` every letter is returned.
+    """
+    barred = graph.block_of[last.edge] if last is not None and last.inverse else None
+    cancelled = last.edge if last is not None and not last.inverse else None
+    out = [
+        (Letter(e, False), graph.range_of[e])
+        for e in graph.out_edges[at]
+        if graph.block_of[e] is not barred
+    ]
+    out += [
+        (Letter(e, True), graph.source_of[e])
+        for e in graph.in_edges[at]
+        if e != cancelled
+    ]
+    return out
+
+
 def star(letters: Sequence[Letter]) -> tuple[Letter, ...]:
     """Formal reversal-inverse of a letter sequence."""
     return tuple(~x for x in reversed(letters))
@@ -134,12 +165,6 @@ def common_prefix_length(g: Path, h: Path) -> int:
             break
         n += 1
     return n
-
-
-def longest_common_prefix(g: Path, h: Path) -> Path:
-    if g.base != h.base:
-        raise WordError(f"paths start at {g.base!r} and {h.base!r}")
-    return Path(g.base, g.letters[: common_prefix_length(g, h)])
 
 
 def compatible(graph: SeparatedGraph, g: Path, h: Path) -> bool:
@@ -217,6 +242,11 @@ def letter_key(graph: SeparatedGraph, x: Letter) -> tuple[int, int]:
 def path_key(graph: SeparatedGraph, p: Path):
     """Length-lexicographic order; total on paths from a fixed vertex."""
     return (len(p.letters), tuple(letter_key(graph, x) for x in p.letters))
+
+
+def sorted_paths(graph: SeparatedGraph, paths: Iterable[Path]) -> tuple[Path, ...]:
+    """The paths in length-lexicographic order (duplicates are kept)."""
+    return tuple(sorted(paths, key=lambda p: path_key(graph, p)))
 
 
 def path_sort_key(graph: SeparatedGraph, p: Path):

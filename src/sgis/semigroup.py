@@ -1,15 +1,18 @@
 """The Munn-tree engine: elements, products, inverses, normal forms.
 
-An element is zero or a pair (tree, carrier) at one of three quotient levels:
+An element is zero or a pair (tree, carrier) at one of three quotient levels.
+Every product and inverse builds its tree the same way: translate the
+operands' trees along the carrier, close under prefixes and validate.  Each
+level adds one rule to the one below it:
 
 * FREE       -- plain Munn trees: any finite lower set containing the full
                 carrier path; no separation constraints.
-* TOEPLITZ   -- trees are canonical (maximal members end positively) and the
-                carrier's positive part lies in the tree; still no
-                compatibility requirement.
-* SEPARATED  -- additionally every tree member and the carrier are separated
-                paths and the tree plus carrier closure is compatible; the
-                product is zero when compatibility fails.
+* TOEPLITZ   -- adds canonical trees: maximal members end positively, and only
+                the carrier's positive part lies in the tree, so the
+                carrier's prefixes are put back before translating.
+* SEPARATED  -- adds compatibility: every tree member and the carrier are
+                separated paths and the tree plus carrier closure is
+                compatible; the product is zero when compatibility fails.
 
 Equality of elements is structural equality of (canonical tree, carrier,
 level); normal-form uniqueness makes this semantic equality.
@@ -38,11 +41,11 @@ from .paths import (
     letter_source,
     parse_tokens,
     path_inverse,
-    path_key,
     path_range,
     positive_part,
     prefixes,
     render_path,
+    sorted_paths,
     to_free_word,
     vertex_path,
 )
@@ -50,7 +53,6 @@ from .semilattice import (
     LowerSet,
     canonicalize,
     is_separated_compatible_family,
-    lower_close_paths,
     lower_closure_unchecked,
     max_elements,
 )
@@ -87,26 +89,32 @@ class Element:
         return f"<{render_element(None, self)}>"
 
 
-def is_zero(a) -> bool:
-    return a is ZERO
+def _element(graph: SeparatedGraph, paths: set[Path], carrier: Path, level: Level) -> Element:
+    """Close the tree at the carrier's source, canonicalize above the free
+    level, and validate."""
+    tree = lower_closure_unchecked(graph, paths, base=carrier.base)
+    if level is not Level.FREE:
+        tree = canonicalize(graph, tree)
+    el = Element(tree, carrier, level)
+    _check_element(graph, el)
+    return el
 
 
-def _tree_of(graph: SeparatedGraph, paths: set[Path], base: str, level: Level) -> LowerSet:
-    if level is Level.FREE:
-        return lower_closure_unchecked(graph, paths, base=base)
-    return canonicalize(graph, lower_closure_unchecked(graph, paths, base=base))
+def _full_tree(a: Element) -> set[Path]:
+    """The tree with every prefix of the carrier; a free tree holds them
+    already, a canonical one only the carrier's positive part."""
+    paths = set(a.tree.paths)
+    if a.level is not Level.FREE:
+        paths.update(prefixes(a.carrier))
+    return paths
 
 
 def make_element(graph: SeparatedGraph, tree_paths: Iterable[Path], carrier: Path, level: Level) -> Element:
     """Normalize and validate an element from raw tree data."""
-    paths = lower_close_paths(tree_paths)
-    paths.add(vertex_path(carrier.base))
+    paths = set(tree_paths)
     if level is Level.FREE:
         paths.update(prefixes(carrier))
-    tree = _tree_of(graph, paths, carrier.base, level)
-    el = Element(tree, carrier, level)
-    _check_element(graph, el)
-    return el
+    return _element(graph, paths, carrier, level)
 
 
 def _check_element(graph: SeparatedGraph, a: Element) -> None:
@@ -128,13 +136,10 @@ def from_letter(graph: SeparatedGraph, atom: "str | Letter", level: Level) -> El
         raise WordError(f"unknown edge {atom.edge!r}")
     src = letter_source(graph, atom)
     p = Path(src, (atom,))
-    if not atom.inverse:
-        tree = LowerSet(src, tuple(sorted((vertex_path(src), p), key=lambda q: path_key(graph, q))))
-        return Element(tree, p, level)
-    if level is Level.FREE:
-        tree = LowerSet(src, tuple(sorted((vertex_path(src), p), key=lambda q: path_key(graph, q))))
-        return Element(tree, p, level)
-    return Element(LowerSet(src, (vertex_path(src),)), p, level)
+    # the length-0 vertex path sorts first; a canonical tree drops an inverse tip
+    if atom.inverse and level is not Level.FREE:
+        return Element(LowerSet(src, (vertex_path(src),)), p, level)
+    return Element(LowerSet(src, (vertex_path(src), p)), p, level)
 
 
 def multiply(graph: SeparatedGraph, a, b):
@@ -146,42 +151,20 @@ def multiply(graph: SeparatedGraph, a, b):
         raise LevelMismatchError(f"{a.level} * {b.level}")
     if path_range(graph, a.carrier) != b.carrier.base:
         return ZERO
-    carrier = compose(graph, a.carrier, b.carrier)
-    if a.level is Level.FREE:
-        moved = {compose(graph, a.carrier, t) for t in b.tree.paths}
-        union = set(a.tree.paths) | moved
-        tree = lower_closure_unchecked(graph, union, base=a.tree.base)
-        return Element(tree, carrier, Level.FREE)
-
-    left = set(a.tree.paths) | set(prefixes(a.carrier))
-    right = set(b.tree.paths) | set(prefixes(b.carrier))
-    union = left | {compose(graph, a.carrier, t) for t in right}
+    union = _full_tree(a) | {compose(graph, a.carrier, t) for t in _full_tree(b)}
     if a.level is Level.SEPARATED and not is_separated_compatible_family(
         graph, tuple(union)
     ):
         return ZERO
-    tree = canonicalize(graph, lower_closure_unchecked(graph, union, base=a.tree.base))
-    el = Element(tree, carrier, a.level)
-    _check_element(graph, el)
-    return el
+    return _element(graph, union, compose(graph, a.carrier, b.carrier), a.level)
 
 
 def inverse(graph: SeparatedGraph, a):
     if a is ZERO:
         return ZERO
-    carrier_inv = path_inverse(graph, a.carrier)
-    if a.level is Level.FREE:
-        moved = {compose(graph, carrier_inv, t) for t in a.tree.paths}
-        tree = lower_closure_unchecked(graph, moved, base=carrier_inv.base)
-        return Element(tree, carrier_inv, Level.FREE)
-    full = set(a.tree.paths) | set(prefixes(a.carrier))
-    moved = {compose(graph, carrier_inv, t) for t in full}
-    tree = canonicalize(
-        graph, lower_closure_unchecked(graph, moved, base=carrier_inv.base)
-    )
-    el = Element(tree, carrier_inv, a.level)
-    _check_element(graph, el)
-    return el
+    carrier = path_inverse(graph, a.carrier)
+    moved = {compose(graph, carrier, t) for t in _full_tree(a)}
+    return _element(graph, moved, carrier, a.level)
 
 
 def is_idempotent(a) -> bool:
@@ -212,7 +195,7 @@ def render_element(graph: SeparatedGraph | None, a) -> str:
         return "0"
     tips = max_elements(a.tree)
     if graph is not None:
-        tips = tuple(sorted(tips, key=lambda p: path_key(graph, p)))
+        tips = sorted_paths(graph, tips)
     factors = "".join(f"({render_path(p)})" for p in tips)
     return f"{factors} | {render_path(a.carrier)}"
 
@@ -360,9 +343,4 @@ def apply_automorphism(graph: SeparatedGraph, phi: GraphAutomorphism, a):
     def move(p: Path) -> Path:
         return Path(vmap[p.base], tuple(Letter(emap[x.edge], x.inverse) for x in p.letters))
 
-    tree = lower_closure_unchecked(
-        graph, {move(p) for p in a.tree.paths}, base=vmap[a.tree.base]
-    )
-    el = Element(tree, move(a.carrier), a.level)
-    _check_element(graph, el)
-    return el
+    return _element(graph, {move(p) for p in a.tree.paths}, move(a.carrier), a.level)

@@ -15,16 +15,16 @@ from typing import Iterable, Sequence
 from .errors import IncompatiblePathsError, WordError
 from .graph import SeparatedGraph
 from .paths import (
-    Letter,
     Path,
     compatible,
     is_prefix,
     is_separated_path,
-    letter_range,
-    path_key,
+    path_range,
     positive_part,
     prefixes,
     render_path,
+    sorted_paths,
+    steps,
     vertex_path,
 )
 
@@ -48,10 +48,6 @@ def render_lower_set(I: LowerSet) -> str:
     return "{" + ", ".join(render_path(p) for p in I.paths) + "}"
 
 
-def _sorted_set(graph: SeparatedGraph, paths: Iterable[Path]) -> tuple[Path, ...]:
-    return tuple(sorted(set(paths), key=lambda p: path_key(graph, p)))
-
-
 def lower_close_paths(paths: Iterable[Path]) -> set[Path]:
     closed: set[Path] = set()
     for p in paths:
@@ -71,7 +67,7 @@ def lower_closure_unchecked(
     bases = {p.base for p in closed}
     if len(bases) != 1:
         raise WordError(f"paths from several vertices: {sorted(bases)}")
-    return LowerSet(next(iter(bases)), _sorted_set(graph, closed))
+    return LowerSet(next(iter(bases)), sorted_paths(graph, closed))
 
 
 def lower_closure(
@@ -92,15 +88,6 @@ def lower_closure(
             if not compatible(graph, p, q):
                 raise IncompatiblePathsError(p, q)
     return closed
-
-
-def try_lower_closure(
-    graph: SeparatedGraph, paths: Iterable[Path], base: str | None = None
-) -> LowerSet | None:
-    try:
-        return lower_closure(graph, paths, base=base)
-    except IncompatiblePathsError:
-        return None
 
 
 def is_separated_compatible_family(
@@ -149,7 +136,7 @@ def canonicalize_by_stripping(graph: SeparatedGraph, I: LowerSet) -> LowerSet:
             and not any(q != p and is_prefix(p, q) for q in current)
         ]
         if not removable:
-            return LowerSet(I.base, _sorted_set(graph, current))
+            return LowerSet(I.base, sorted_paths(graph, current))
         current.difference_update(removable)
 
 
@@ -161,7 +148,7 @@ def meet(graph: SeparatedGraph, I: LowerSet, J: LowerSet) -> LowerSet | None:
         for q in J.paths:
             if not compatible(graph, p, q):
                 return None
-    return LowerSet(I.base, _sorted_set(graph, set(I.paths) | set(J.paths)))
+    return LowerSet(I.base, sorted_paths(graph, set(I.paths) | set(J.paths)))
 
 
 def class_eq(graph: SeparatedGraph, I: LowerSet, J: LowerSet) -> bool:
@@ -179,32 +166,19 @@ def class_leq(graph: SeparatedGraph, I: LowerSet, J: LowerSet) -> bool:
 
 def config_letters_at(graph: SeparatedGraph, members: set[Path], g: Path):
     """Letters x with red(g x) inside the set; the local picture at g."""
-    at = g.base if not g.letters else letter_range(graph, g.letters[-1])
-    found = []
-    last = g.letters[-1] if g.letters else None
-    for e in graph.out_edges[at]:
-        x = Letter(e, False)
-        if last is not None and last.edge == e and last.inverse:
-            found.append(x)  # cancels back into the set
-        elif Path(g.base, g.letters + (x,)) in members:
-            found.append(x)
-    for e in graph.in_edges[at]:
-        x = Letter(e, True)
-        if last is not None and last.edge == e and not last.inverse:
-            found.append(x)
-        elif Path(g.base, g.letters + (x,)) in members:
-            found.append(x)
-    return found
-
-
-def is_compatible_set(graph: SeparatedGraph, paths: Sequence[Path]) -> bool:
-    """Pairwise-compatibility route (implementation A)."""
-    return is_separated_compatible_family(graph, paths)
+    back = ~g.letters[-1] if g.letters else None
+    return [
+        x
+        for x, _ in steps(graph, path_range(graph, g))
+        # the letter cancelling g's last one leads back into the set
+        if x == back or Path(g.base, g.letters + (x,)) in members
+    ]
 
 
 def is_compatible_set_by_configs(graph: SeparatedGraph, paths: Sequence[Path]) -> bool:
-    """Local-configuration route (implementation B): every member's extension
-    letters inside the set must use at most one edge per block."""
+    """Local-configuration route, cross-checked against the pairwise route
+    `is_separated_compatible_family`: every member's extension letters inside
+    the set must use at most one edge per block."""
     if not all(is_separated_path(graph, p) for p in paths):
         return False
     members = set(paths)

@@ -22,9 +22,11 @@ from .paths import (
     compatible,
     is_prefix,
     is_separated_path,
-    path_key,
     path_range,
+    prefixes,
     render_path,
+    sorted_paths,
+    steps,
 )
 from .semilattice import (
     LowerSet,
@@ -33,6 +35,7 @@ from .semilattice import (
     is_canonical,
     lower_closure,
     max_elements,
+    meet,
 )
 
 
@@ -136,26 +139,16 @@ def is_finite_maximal_config(graph: SeparatedGraph, config: LocalConfig) -> bool
 
 def _certify(graph: SeparatedGraph, Z: Truncation, kind: str) -> Certificate:
     """Shared body of the two certificates, on the untrimmed picture."""
-    finite_only = kind == "tight"
+    is_complete = is_finite_maximal_config if kind == "tight" else is_maximal_config
     caveats = []
     if any(b.infinite for b in graph.blocks):
         caveats.append("infinite blocks quantified over named edges only")
     for g in Z.paths.paths:
         if len(g.letters) >= Z.depth:
             continue
-        at = path_range(graph, g)
-        blocks = graph.blocks_at[at]
-        if finite_only:
-            blocks = [b for b in blocks if not b.infinite]
         cfg = local_configuration(graph, Z.paths, g)
         letters = cfg.letters if cfg is not None else frozenset()
-        probe = LocalConfig(at=at, letters=letters, tail=None)
-        ok = (
-            is_admissible(graph, probe)
-            and _covers_blocks(graph, letters, blocks)
-            and _has_all_inverse(graph, at, letters)
-        )
-        if not ok:
+        if not is_complete(graph, LocalConfig(at=path_range(graph, g), letters=letters)):
             return Certificate(kind, False, Z.depth, witness=g, caveats=tuple(caveats))
     return Certificate(kind, True, Z.depth, caveats=tuple(caveats))
 
@@ -186,8 +179,7 @@ def trim_inverse_tails(graph: SeparatedGraph, Z: Truncation) -> Truncation:
             for h in members
         ):
             keep.add(g)
-    pruned = sorted(keep, key=lambda p: path_key(graph, p))
-    return Truncation(LowerSet(Z.base, tuple(pruned)), Z.depth)
+    return Truncation(LowerSet(Z.base, sorted_paths(graph, keep)), Z.depth)
 
 
 def extend_inverse_tails(graph: SeparatedGraph, Z: Truncation, depth: int) -> Truncation:
@@ -203,12 +195,11 @@ def extend_inverse_tails(graph: SeparatedGraph, Z: Truncation, depth: int) -> Tr
             for p in frontier:
                 if len(p.letters) >= depth:
                     continue
-                at = path_range(graph, p)
                 last = p.letters[-1] if p.letters else None
-                for e in graph.in_edges[at]:
-                    if last is not None and last.edge == e and not last.inverse:
-                        continue  # would cancel
-                    q = Path(p.base, p.letters + (Letter(e, True),))
+                for x, _ in steps(graph, path_range(graph, p), last):
+                    if not x.inverse:
+                        continue
+                    q = Path(p.base, p.letters + (x,))
                     if first and q in members:
                         continue
                     if q in new:
@@ -217,8 +208,7 @@ def extend_inverse_tails(graph: SeparatedGraph, Z: Truncation, depth: int) -> Tr
                     nxt.append(q)
             frontier = nxt
             first = False
-    merged = sorted(members | new, key=lambda p: path_key(graph, p))
-    return Truncation(LowerSet(Z.base, tuple(merged)), depth)
+    return Truncation(LowerSet(Z.base, sorted_paths(graph, members | new)), depth)
 
 
 # -- the basic open sets Z(I \ F) ---------------------------------------------
@@ -276,13 +266,13 @@ def is_branch_extension(graph: SeparatedGraph, I: LowerSet, f: Path) -> bool:
 def make_cylinder(graph: SeparatedGraph, I: LowerSet, excluded: Iterable[Path]) -> Cylinder:
     if not is_canonical(I):
         raise CylinderError(f"tree {I!r} is not canonical")
-    exc = sorted(set(excluded), key=lambda p: path_key(graph, p))
+    exc = sorted_paths(graph, set(excluded))
     for f in exc:
         if not is_branch_extension(graph, I, f):
             raise CylinderError(
                 f"{render_path(f)!r} is not a one-step branch extension of {I!r}"
             )
-    return Cylinder(I, tuple(exc))
+    return Cylinder(I, exc)
 
 
 def branch_extensions(
@@ -297,35 +287,23 @@ def branch_extensions(
         while runs:
             p = runs.pop()
             budget.spend()
-            at = path_range(graph, p)
             last = p.letters[-1] if p.letters else None
-            # close the run with a positive edge
-            if len(p.letters) < max_len:
-                for e in graph.out_edges[at]:
-                    if last is not None and last.edge == e and last.inverse:
-                        continue  # cancels
-                    if (
-                        last is not None
-                        and last.inverse
-                        and graph.block_of[last.edge] is graph.block_of[e]
+            for x, _ in steps(graph, path_range(graph, p), last):
+                q = Path(g.base, p.letters + (x,))
+                if x.inverse:
+                    # grow the inverse run; its first step must leave I
+                    if len(q.letters) < max_len and not (
+                        len(q.letters) == len(g.letters) + 1 and q in I.paths
                     ):
-                        continue  # not separated
-                    w = Path(g.base, p.letters + (Letter(e, False),))
-                    first_new = Path(g.base, w.letters[: len(g.letters) + 1])
-                    if first_new in I.paths:
-                        continue
-                    if all(compatible(graph, w, m) for m in tips):
-                        found.append(w)
-            # grow the inverse run
-            if len(p.letters) + 1 < max_len:
-                for e in graph.in_edges[at]:
-                    if last is not None and last.edge == e and not last.inverse:
-                        continue  # cancels
-                    q = Path(g.base, p.letters + (Letter(e, True),))
-                    if len(q.letters) == len(g.letters) + 1 and q in I.paths:
-                        continue  # first step must leave I
-                    runs.append(q)
-    uniq = sorted(set(found), key=lambda p: path_key(graph, p))
+                        runs.append(q)
+                # close the run with a positive edge
+                elif len(q.letters) <= max_len:
+                    first_new = Path(g.base, q.letters[: len(g.letters) + 1])
+                    if first_new not in I.paths and all(
+                        compatible(graph, q, m) for m in tips
+                    ):
+                        found.append(q)
+    uniq = sorted_paths(graph, set(found))
     return [f for f in uniq if is_branch_extension(graph, I, f)]
 
 
@@ -348,17 +326,12 @@ def cylinder_intersect(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> Cyl
     """Z(I1\\F1) n Z(I2\\F2) = Z(I1 u I2 \\ F1 u F2), with the early exits:
     incompatible union, or an excluded path forced inside.  Constraints made
     vacuous by incompatibility with the union are dropped."""
-    if B1.tree.base != B2.tree.base:
+    J = meet(graph, B1.tree, B2.tree)
+    if J is None:
         return None
-    union = set(B1.tree.paths) | set(B2.tree.paths)
-    for p in B1.tree.paths:
-        for q in B2.tree.paths:
-            if not compatible(graph, p, q):
-                return None
-    J = LowerSet(B1.tree.base, tuple(sorted(union, key=lambda p: path_key(graph, p))))
     kept = []
     for f in set(B1.excluded) | set(B2.excluded):
-        if f in union:
+        if f in J.paths:
             return None
         if is_branch_extension(graph, J, f):
             kept.append(f)
@@ -392,8 +365,7 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
     I2, F2 = B2.tree, set(B2.excluded)
     out: list[Cylinder] = []
 
-    missing = [h for h in max_elements(I2) if h not in I1.paths]
-    missing.sort(key=lambda p: path_key(graph, p))
+    missing = sorted_paths(graph, [h for h in max_elements(I2) if h not in I1.paths])
     ladders: list[list[Path]] = []
     for h in missing:
         k = branch_decompose(I1, h)
@@ -409,19 +381,10 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
             forced_next: list[Path] = []
             for i, rungs in zip(choice, ladders):
                 if i > 0:
-                    tree_paths.update(
-                        Path(rungs[i - 1].base, rungs[i - 1].letters[:j])
-                        for j in range(len(rungs[i - 1].letters) + 1)
-                    )
+                    tree_paths.update(prefixes(rungs[i - 1]))
                 if i < len(rungs):
                     forced_next.append(rungs[i])
-            In = canonicalize(
-                graph,
-                LowerSet(
-                    I1.base,
-                    tuple(sorted(tree_paths, key=lambda p: path_key(graph, p))),
-                ),
-            )
+            In = canonicalize(graph, LowerSet(I1.base, sorted_paths(graph, tree_paths)))
             if any(f in In.paths for f in forced_next):
                 # ladders sharing a rung: the exclusion is forced inside the
                 # tree, so this index tuple names the empty set
@@ -430,24 +393,18 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
             Fn += [f for f in forced_next if is_branch_extension(graph, In, f)]
             out.append(make_cylinder(graph, In, Fn))
 
-    candidates = sorted(F2 - F1, key=lambda p: path_key(graph, p))
+    candidates = sorted_paths(graph, F2 - F1)
     for r in range(1, len(candidates) + 1):
         for H in itertools.combinations(candidates, r):
             pool = set(I1.paths) | set(I2.paths)
             for h in H:
-                pool.update(Path(h.base, h.letters[:j]) for j in range(len(h.letters) + 1))
-            ok = True
-            listed = sorted(pool, key=lambda p: path_key(graph, p))
-            for i, p in enumerate(listed):
-                for q in listed[i + 1 :]:
-                    if not compatible(graph, p, q):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+                pool.update(prefixes(h))
+            listed = sorted_paths(graph, pool)
+            if not all(
+                compatible(graph, p, q) for p, q in itertools.combinations(listed, 2)
+            ):
                 continue
-            JH = LowerSet(I1.base, tuple(listed))
+            JH = LowerSet(I1.base, listed)
             if not is_canonical(JH):
                 continue
             FH = [f for f in (F1 | F2) if is_branch_extension(graph, JH, f)]

@@ -10,6 +10,7 @@ from sgis.paths import (
     Path,
     compatible,
     path_range,
+    steps,
     vertex_path,
 )
 from sgis.semilattice import LowerSet, lower_close_paths, lower_closure
@@ -23,14 +24,10 @@ def composable_letter_words(graph: SeparatedGraph, max_len: int) -> list[list[Le
         for _ in range(max_len):
             nxt = []
             for at, word in frontier:
-                for e in graph.out_edges[at]:
-                    w = word + [Letter(e, False)]
+                for x, to in steps(graph, at):
+                    w = word + [x]
                     out.append(w)
-                    nxt.append((graph.range_of[e], w))
-                for e in graph.in_edges[at]:
-                    w = word + [Letter(e, True)]
-                    out.append(w)
-                    nxt.append((graph.source_of[e], w))
+                    nxt.append((to, w))
             frontier = nxt
     return out
 
@@ -44,22 +41,9 @@ def separated_paths(graph: SeparatedGraph, v: str, max_len: int) -> list[Path]:
         for p in frontier:
             if len(p.letters) >= max_len:
                 continue
-            at = path_range(graph, p)
             last = p.letters[-1] if p.letters else None
-            for e in graph.out_edges[at]:
-                if last is not None and last.edge == e and last.inverse:
-                    continue
-                if (
-                    last is not None
-                    and last.inverse
-                    and graph.block_of[last.edge] is graph.block_of[e]
-                ):
-                    continue
-                nxt.append(Path(v, p.letters + (Letter(e, False),)))
-            for e in graph.in_edges[at]:
-                if last is not None and last.edge == e and not last.inverse:
-                    continue
-                nxt.append(Path(v, p.letters + (Letter(e, True),)))
+            for x, _ in steps(graph, path_range(graph, p), last):
+                nxt.append(Path(v, p.letters + (x,)))
         out.extend(nxt)
         frontier = nxt
     return out
@@ -70,23 +54,8 @@ def random_separated_path(
 ) -> Path:
     p = vertex_path(v)
     for _ in range(rng.randint(0, max_len)):
-        at = path_range(graph, p)
         last = p.letters[-1] if p.letters else None
-        options = []
-        for e in graph.out_edges[at]:
-            if last is not None and last.edge == e and last.inverse:
-                continue
-            if (
-                last is not None
-                and last.inverse
-                and graph.block_of[last.edge] is graph.block_of[e]
-            ):
-                continue
-            options.append(Letter(e, False))
-        for e in graph.in_edges[at]:
-            if last is not None and last.edge == e and not last.inverse:
-                continue
-            options.append(Letter(e, True))
+        options = [x for x, _ in steps(graph, path_range(graph, p), last)]
         if not options:
             break
         p = Path(v, p.letters + (rng.choice(options),))
@@ -131,10 +100,10 @@ def grow_maximal_truncation(
             if q not in members:
                 members.add(q)
                 frontier.append(q)
-        for e in graph.in_edges[at]:
-            if last is not None and not last.inverse and last.edge == e:
-                continue  # would cancel back
-            q = Path(v, g.letters + (Letter(e, True),))
+        for x, _ in steps(graph, at, last):
+            if not x.inverse:
+                continue
+            q = Path(v, g.letters + (x,))
             if q not in members:
                 members.add(q)
                 frontier.append(q)
@@ -164,12 +133,10 @@ def random_filter_truncation(
             if q not in members:
                 members.add(q)
                 frontier.append(q)
-        for e in graph.in_edges[at]:
-            if last is not None and not last.inverse and last.edge == e:
+        for x, _ in steps(graph, at, last):
+            if not x.inverse or rng.random() < 0.4:
                 continue
-            if rng.random() < 0.4:
-                continue
-            q = Path(v, g.letters + (Letter(e, True),))
+            q = Path(v, g.letters + (x,))
             if q not in members:
                 members.add(q)
                 frontier.append(q)

@@ -15,7 +15,6 @@ from sgis.algebra import (
     enumerate_basis,
     idempotent_of,
     or_join,
-    or_join_family,
     path_element,
     render_algebra_element,
 )
@@ -181,7 +180,7 @@ def test_or_join(rose2t):
     assert or_join(ee, AlgebraElement.zero(rose2t)) == ee
     assert or_join(ee, ee) == ee
     assert or_join(ee, ff) == ee + ff
-    assert or_join_family([ee, ff, ee]) == ee + ff
+    assert or_join(or_join(ee, ff), ee) == ee + ff
     with pytest.raises(SgisError):
         or_join(e, ee)  # e is not idempotent
 

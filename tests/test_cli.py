@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import GRAPH_DIR
 from sgis.cli import main
 
@@ -70,6 +72,13 @@ def test_validate_error_exit_code(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_undecodable_graph_file_exit_code(tmp_path, capsys):
+    bad = tmp_path / "latin1.sg"
+    bad.write_bytes("vertex v\nvertex caf\xe9\n".encode("latin-1"))
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 2 and err.startswith("error:") and "UTF-8" in err
+
+
 def test_word_error_exit_code(capsys):
     code, _, err = run(capsys, "nf", ROSE2F, "-w", "ghost")
     assert code == 2 and "ghost" in err
@@ -128,6 +137,43 @@ def test_spectrum_cylinder_ops(capsys):
         "--i1", "e", "--set", "e e, f", "--depth", "4",
     )
     assert code == 0 and out == "true\n"
+
+
+@pytest.mark.parametrize(
+    "flags, missing",
+    [
+        (["--i1", "v", "--i2", "e"], "--op"),
+        (["--op", "diff", "--i2", "e"], "--i1"),
+        (["--op", "diff", "--i1", "v"], "--i2"),
+        (["--op", "intersect", "--i1", "v"], "--i2"),
+        (["--op", "member", "--set", "v"], "--i1"),
+    ],
+)
+def test_spectrum_cylinder_missing_flag_exit_code(capsys, flags, missing):
+    code, out, err = run(capsys, "spectrum", ROSE2F, "cylinder", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {missing} is required")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", FIM2INF, "--check", "tight", "--set", "v", "--depth", "-3"],
+        ["enumerate", ROSE1T, "--max-len", "-1"],
+        ["enumerate", ROSE1T, "--budget", "0"],
+        ["cover", ROSE2T, "--vertex", "v", "--block", "B1", "--max-len", "-1"],
+        ["cover", ROSE2T, "--vertex", "v", "--block", "B1", "--demos", "-1"],
+        ["cover", ROSE2T, "--vertex", "v", "--block", "B1", "--budget", "0"],
+        ["aut", FIM2, "--budget", "0"],
+        ["oracle", "crosscheck", ROSE2T, "--samples", "-1"],
+        ["oracle", "crosscheck", ROSE2T, "--len", "0"],
+    ],
+)
+def test_numeric_flag_out_of_range_exit_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
 
 
 def test_cover(capsys):

@@ -39,6 +39,13 @@ def test_duplicate_identifier_rejected():
     assert err.value.line_no == 2
 
 
+def test_semantic_error_has_no_line_prefix():
+    with pytest.raises(GraphParseError) as err:
+        parse_graph("vertex v\nedge e v w\n")
+    assert err.value.line_no is None
+    assert str(err.value) == "edge 'e': unknown range vertex 'w'"
+
+
 def test_vertex_edge_name_clash_rejected():
     with pytest.raises(GraphParseError):
         parse_graph("vertex v\nedge v v v\n")

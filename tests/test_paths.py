@@ -15,7 +15,8 @@ from sgis.paths import (
     is_reduced,
     is_separated_path,
     is_separated_string,
-    longest_common_prefix,
+    letter_range,
+    letter_source,
     make_word,
     parse_word_string,
     path_inverse,
@@ -25,6 +26,7 @@ from sgis.paths import (
     reduce_path,
     render_free_word,
     render_path,
+    steps,
     to_free_word,
     vertex_path,
     word_from_atoms,
@@ -96,6 +98,31 @@ def test_free_separation_all_reduced_are_separated(rose2f):
         p = Path("v", tuple(word))
         if is_reduced(p):
             assert is_separated_path(rose2f, p)
+
+
+def test_steps_matches_definition(rose1t, rose2t, rose2f, fim2, fim2inf, mixed):
+    """`steps` is the stepping rule of reduced separated paths: after `last`
+    it offers exactly the letters x with `last x` reduced and separated, out-
+    edges before in-edges, each with the vertex it reaches."""
+    for graph in (rose1t, rose2t, rose2f, fim2, fim2inf, mixed):
+        every = [Letter(e, False) for e, _, _ in graph.edges]
+        every += [Letter(e, True) for e, _, _ in graph.edges]
+        for at in graph.vertices:
+            # declaration order: out-edges first, then in-edges
+            leaving = [
+                (x, letter_range(graph, x))
+                for x in every
+                if letter_source(graph, x) == at
+            ]
+            assert steps(graph, at) == leaving
+            for last in (y for y in every if letter_range(graph, y) == at):
+                two = {x: Path(letter_source(graph, last), (last, x)) for x, _ in leaving}
+                expected = [
+                    (x, to)
+                    for x, to in leaving
+                    if is_reduced(two[x]) and is_separated_path(graph, two[x])
+                ]
+                assert steps(graph, at, last) == expected
 
 
 def test_compatibility_examples(rose2t, rose2f):
@@ -172,7 +199,7 @@ def test_compatibility_symmetry_depth_six(rose2t):
 def test_longest_common_prefix(rose2f):
     a = w(rose2f, E, E, Fi)
     b = w(rose2f, E, F)
-    assert longest_common_prefix(a, b) == w(rose2f, E)
+    assert common_prefix_length(a, b) == 1
     assert common_prefix_length(a, a) == 3
 
 

@@ -12,13 +12,12 @@ from sgis.semilattice import (
     class_eq,
     class_leq,
     is_canonical,
-    is_compatible_set,
     is_compatible_set_by_configs,
+    is_separated_compatible_family,
     lower_closure,
     max_elements,
     meet,
     render_lower_set,
-    try_lower_closure,
 )
 
 E = Letter("e", False)
@@ -62,8 +61,9 @@ def test_max_lower_bijection_random(rose2f, fim2, mixed):
     rng = random.Random(4)
     for _ in range(300):
         fam = [rng.choice(ps) for _ in range(3)]
-        closed = try_lower_closure(rose2f, fam)
-        if closed is None:
+        try:
+            closed = lower_closure(rose2f, fam)
+        except IncompatiblePathsError:
             continue
         incomparable = [
             p for p in fam if not any(q != p and is_prefix(p, q) for q in fam)
@@ -189,18 +189,22 @@ def test_compatible_set_implementations_agree(fim2, rose2t):
     assert len(sets) == 10000
     for s in sets:
         paths = tuple(s)
-        assert is_compatible_set(fim2, paths) == is_compatible_set_by_configs(fim2, paths)
+        assert is_separated_compatible_family(fim2, paths) == is_compatible_set_by_configs(
+            fim2, paths
+        )
     # rose2t has genuine incompatibilities at depth 2
     for s in _all_lower_sets(rose2t, "v", 2):
         paths = tuple(s)
-        assert is_compatible_set(rose2t, paths) == is_compatible_set_by_configs(rose2t, paths)
+        assert is_separated_compatible_family(
+            rose2t, paths
+        ) == is_compatible_set_by_configs(rose2t, paths)
 
 
 def test_compatible_set_examples(rose2t, rose2f):
     tri = (vertex_path("v"), Path("v", (E,)), Path("v", (F,)))
-    assert not is_compatible_set(rose2t, tri)
+    assert not is_separated_compatible_family(rose2t, tri)
     assert not is_compatible_set_by_configs(rose2t, tri)
-    assert is_compatible_set(rose2f, tri)
+    assert is_separated_compatible_family(rose2f, tri)
     assert is_compatible_set_by_configs(rose2f, tri)
 
 

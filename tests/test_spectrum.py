@@ -15,7 +15,8 @@ from sgis.paths import Letter, Path, make_word, vertex_path
 from sgis.semilattice import (
     LowerSet,
     canonicalize,
-    is_compatible_set,
+    is_compatible_set_by_configs,
+    is_separated_compatible_family,
     lower_closure,
 )
 from sgis.spectrum import (
@@ -313,8 +314,6 @@ def test_compatibility_config_equivalence_on_truncations(rose2t, fim2):
         for _ in range(60):
             members = random_filter_truncation(graph, "v", 3, rng)
             paths = tuple(members)
-            from sgis.semilattice import is_compatible_set_by_configs
-
-            assert is_compatible_set(graph, paths) == is_compatible_set_by_configs(
+            assert is_separated_compatible_family(
                 graph, paths
-            )
+            ) == is_compatible_set_by_configs(graph, paths)
