@@ -146,7 +146,7 @@ def render_algebra_element(graph: SeparatedGraph, a: AlgebraElement) -> str:
         return "0"
     parts = []
     for el in sorted(a.terms, key=lambda e: element_sort_key(graph, e)):
-        parts.append(f"{a.terms[el]}·[{render_element(graph, el)}]")
+        parts.append(f"{a.terms[el]}·[{render_element(el)}]")
     return " + ".join(parts)
 
 

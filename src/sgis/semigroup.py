@@ -1,9 +1,12 @@
 """The Munn-tree engine: elements, products, inverses, normal forms.
 
 An element is zero or a pair (tree, carrier) at one of three quotient levels.
-Every product and inverse builds its tree the same way: translate the
-operands' trees along the carrier, close under prefixes and validate.  Each
-level adds one rule to the one below it:
+`evaluate` builds the element of a word in one pass, as in Munn's
+construction: it walks the word over a trie of its reduced prefixes, so the
+tree is the set of nodes visited and the carrier the node where the walk
+ends.  Products and inverses of elements build their tree the other way:
+translate the operands' trees along the carrier, close under prefixes,
+canonicalize and validate.  Each level adds one rule to the one below it:
 
 * FREE       -- plain Munn trees: any finite lower set containing the full
                 carrier path; no separation constraints.
@@ -38,6 +41,7 @@ from .paths import (
     Letter,
     Path,
     compose,
+    letter_key,
     letter_source,
     parse_tokens,
     path_inverse,
@@ -45,9 +49,9 @@ from .paths import (
     positive_part,
     prefixes,
     render_path,
-    sorted_paths,
     to_free_word,
     vertex_path,
+    word_from_atoms,
 )
 from .semilattice import (
     LowerSet,
@@ -86,7 +90,7 @@ class Element:
     level: Level
 
     def __repr__(self) -> str:
-        return f"<{render_element(None, self)}>"
+        return f"<{render_element(self)}>"
 
 
 def _element(graph: SeparatedGraph, paths: set[Path], carrier: Path, level: Level) -> Element:
@@ -125,15 +129,20 @@ def _check_element(graph: SeparatedGraph, a: Element) -> None:
         raise SgisError("tree and carrier disagree on the source vertex")
 
 
-def from_letter(graph: SeparatedGraph, atom: "str | Letter", level: Level) -> Element:
-    """Generator images: a vertex, an edge, or an inverse edge."""
+def _check_atom(graph: SeparatedGraph, atom: "str | Letter") -> None:
     if isinstance(atom, str):
         if atom not in graph.vertex_index:
             raise WordError(f"unknown vertex {atom!r}")
+    elif atom.edge not in graph.edge_index:
+        raise WordError(f"unknown edge {atom.edge!r}")
+
+
+def from_letter(graph: SeparatedGraph, atom: "str | Letter", level: Level) -> Element:
+    """Generator images: a vertex, an edge, or an inverse edge."""
+    _check_atom(graph, atom)
+    if isinstance(atom, str):
         v = vertex_path(atom)
         return Element(LowerSet(atom, (v,)), v, level)
-    if atom.edge not in graph.edge_index:
-        raise WordError(f"unknown edge {atom.edge!r}")
     src = letter_source(graph, atom)
     p = Path(src, (atom,))
     # the length-0 vertex path sorts first; a canonical tree drops an inverse tip
@@ -174,34 +183,109 @@ def is_idempotent(a) -> bool:
 
 
 def evaluate(graph: SeparatedGraph, atoms: Sequence["str | Letter"], level: Level = Level.SEPARATED):
-    """Left fold of the product over generator images."""
+    """The element of a word, built in one walk over its reduced prefixes.
+
+    Every atom is checked first: an unknown vertex or edge raises WordError
+    wherever it stands, also after a part of the word that is already zero.
+    A word whose letters do not compose is zero; at the separated level so is
+    a word whose tree breaks the local rule of `_munn_tree`.
+    """
     if not atoms:
         raise WordError("empty word")
-    acc = from_letter(graph, atoms[0], level)
-    for atom in atoms[1:]:
-        acc = multiply(graph, acc, from_letter(graph, atom, level))
-        if acc is ZERO:
-            return ZERO
-    return acc
+    for atom in atoms:
+        _check_atom(graph, atom)
+    word = word_from_atoms(graph, atoms)
+    if word is None:
+        return ZERO
+    walked = _munn_tree(graph, word, level)
+    if walked is None:
+        return ZERO
+    el = Element(*walked, level)
+    _check_element(graph, el)
+    return el
+
+
+def _munn_tree(graph: SeparatedGraph, word: Path, level: Level) -> tuple[LowerSet, Path] | None:
+    """(tree, carrier) of a composable word; None when the separated level's
+    rule fails.
+
+    Nodes of the trie are ints; node 0 is the empty path at the word's base.
+    A letter cancelling the one that entered the current node moves to its
+    parent, any other letter to a child.  The visited nodes are the free Munn
+    tree.  At the separated level the positive letters leaving a node, plus
+    e for a node entered by ~e, may use at most one edge per block: this is
+    the local form of "every member separated and all pairwise compatible"
+    (`is_compatible_set_by_configs`), checked as each node is added.  Above
+    the free level only the root and the ancestors-or-self of nodes entered
+    by a positive letter are kept, which is what `canonicalize` keeps.
+    """
+    separated = level is Level.SEPARATED
+    parent = [0]
+    entered: list[Letter | None] = [None]
+    children: list[dict[tuple[str, bool], int]] = [{}]
+    blocks: list[dict[int, str]] = [{}]  # block id -> the one edge it uses
+    at = 0
+    for x in word.letters:
+        y = entered[at]
+        if y is not None and y.edge == x.edge and y.inverse != x.inverse:
+            at = parent[at]
+            continue
+        child = children[at].get((x.edge, x.inverse))
+        if child is None:
+            child = len(parent)
+            if separated:
+                block = id(graph.block_of[x.edge])
+                if not x.inverse and blocks[at].setdefault(block, x.edge) != x.edge:
+                    return None
+                blocks.append({block: x.edge} if x.inverse else {})
+            parent.append(at)
+            entered.append(x)
+            children.append({})
+            children[at][x.edge, x.inverse] = child
+        at = child
+
+    keep = [level is Level.FREE] * len(parent)
+    keep[0] = True
+    if level is not Level.FREE:
+        for n, x in enumerate(entered):
+            if x is not None and not x.inverse:
+                up = n
+                while not keep[up]:
+                    keep[up] = True
+                    up = parent[up]
+
+    # breadth first, children in letter order: the length-lexicographic order
+    letters: list[tuple[Letter, ...]] = [()] * len(parent)
+    order = [0]
+    for n in order:
+        for c in sorted(children[n].values(), key=lambda c: letter_key(graph, entered[c])):
+            if keep[c]:
+                letters[c] = letters[n] + (entered[c],)
+                order.append(c)
+    tree = LowerSet(word.base, tuple(Path(word.base, letters[n]) for n in order))
+
+    carrier: list[Letter] = []
+    while at:
+        carrier.append(entered[at])
+        at = parent[at]
+    return tree, Path(word.base, tuple(reversed(carrier)))
 
 
 def evaluate_tokens(graph: SeparatedGraph, text: str, level: Level = Level.SEPARATED):
     return evaluate(graph, parse_tokens(graph, text.split()), level)
 
 
-def render_element(graph: SeparatedGraph | None, a) -> str:
-    """`(p1)(p2)...(pn) | carrier` with tips sorted lexicographically."""
+def render_element(a) -> str:
+    """`(p1)(p2)...(pn) | carrier`: the tips in the tree's
+    length-lexicographic order, which `max_elements` keeps."""
     if a is ZERO:
         return "0"
-    tips = max_elements(a.tree)
-    if graph is not None:
-        tips = sorted_paths(graph, tips)
-    factors = "".join(f"({render_path(p)})" for p in tips)
+    factors = "".join(f"({render_path(p)})" for p in max_elements(a.tree))
     return f"{factors} | {render_path(a.carrier)}"
 
 
 def normal_form(graph: SeparatedGraph, a) -> str:
-    return render_element(graph, a)
+    return render_element(a)
 
 
 def natural_leq(graph: SeparatedGraph, a, b) -> bool:

@@ -21,7 +21,6 @@ from .paths import (
     is_separated_path,
     path_range,
     positive_part,
-    prefixes,
     render_path,
     sorted_paths,
     steps,
@@ -49,9 +48,15 @@ def render_lower_set(I: LowerSet) -> str:
 
 
 def lower_close_paths(paths: Iterable[Path]) -> set[Path]:
+    """Every prefix of every member.  The set stays prefix-closed, so each
+    member's prefixes are added from the longest down until one is there."""
     closed: set[Path] = set()
     for p in paths:
-        closed.update(prefixes(p))
+        for n in range(len(p.letters), -1, -1):
+            q = Path(p.base, p.letters[:n])
+            if q in closed:
+                break
+            closed.add(q)
     return closed
 
 

@@ -152,3 +152,14 @@ def distinct_elements(graph: SeparatedGraph, max_len: int, level):
         el = evaluate(graph, word, level)
         seen.setdefault(el, word)
     return seen
+
+
+def fold_evaluate(graph: SeparatedGraph, atoms, level):
+    """Second route to `evaluate`, kept for cross-checks: the left fold of
+    `multiply` over the generator images."""
+    from sgis.semigroup import from_letter, multiply
+
+    acc = from_letter(graph, atoms[0], level)
+    for atom in atoms[1:]:
+        acc = multiply(graph, acc, from_letter(graph, atom, level))
+    return acc

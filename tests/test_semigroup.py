@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from helpers import composable_letter_words, distinct_elements, random_lower_set
-from sgis.errors import ActionDomainError, LevelMismatchError
+from helpers import composable_letter_words, distinct_elements, fold_evaluate, random_lower_set
+from sgis.errors import ActionDomainError, LevelMismatchError, WordError
+from sgis.oracle import random_letter_word, random_walk_word, string_normal_form
 from sgis.paths import (
     Letter,
     Path,
@@ -11,6 +12,7 @@ from sgis.paths import (
     parse_word_string,
     path_inverse,
     render_free_word,
+    sorted_paths,
     vertex_path,
 )
 from sgis.semigroup import (
@@ -41,6 +43,7 @@ Fi = Letter("f", True)
 
 GOLDEN_WORD = "e e ~e f ~f e f f ~f e ~e ~f ~f"
 GOLDEN_NF = "(e f)(e e f f)(e e f e) | e e ~f"
+ALL_GRAPHS = ("rose1t", "rose2t", "rose2f", "fim2", "fim2inf", "mixed")
 
 
 def test_from_letter_vertex_idempotent(rose2f):
@@ -355,3 +358,45 @@ def test_associativity_random(rose2t, rose2f, fim2):
             left = multiply(graph, multiply(graph, a, b), c)
             right = multiply(graph, a, multiply(graph, b, c))
             assert left == right
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_evaluate_matches_multiply_fold(name, request):
+    """The one-pass walk and the fold of `multiply` give equal elements:
+    same tree paths in the same order, same carrier, same zeros."""
+    graph = request.getfixturevalue(name)
+    rng = random.Random(f"fold:{name}")
+    for i in range(150):
+        sample = random_walk_word if i % 2 else random_letter_word
+        word = sample(graph, rng, 20)
+        for level in Level:
+            assert evaluate(graph, word, level) == fold_evaluate(graph, word, level), (word, level)
+
+
+def test_long_chain_matches_string_oracle(rose2f):
+    chain = [E] * 1000
+    assert normal_form(rose2f, evaluate(rose2f, chain)) == string_normal_form(rose2f, chain)
+
+
+def test_unknown_atom_raises_after_a_zero(rose2t, mixed):
+    A = Letter("a", False)
+    for bad in (Letter("nope", False), "nowhere"):
+        # ~e f is zero on rose2t, and a a does not compose on mixed
+        for graph, word in ((rose2t, [Ei, F, bad]), (mixed, [A, A, bad])):
+            with pytest.raises(WordError):
+                evaluate(graph, word)
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_tips_come_in_path_order(name, request):
+    """`render_element` prints the tips as `max_elements` returns them."""
+    graph = request.getfixturevalue(name)
+    rng = random.Random(f"tips:{name}")
+    for level in Level:
+        els = [evaluate(graph, random_walk_word(graph, rng, 16), level) for _ in range(40)]
+        els += [inverse(graph, a) for a in els[:10]]
+        els += [multiply(graph, a, b) for a, b in zip(els, els[1:])]
+        for a in els:
+            if a is not ZERO:
+                tips = max_elements(a.tree)
+                assert tips == sorted_paths(graph, tips)
