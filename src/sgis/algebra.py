@@ -124,10 +124,14 @@ class AlgebraElement:
         for s, c in self.terms.items():
             for t, d in other.terms.items():
                 st = multiply(self.graph, s, t)
-                if st is ZERO:
-                    continue
-                acc[st] = acc.get(st, Fraction(0)) + c * d
-        return AlgebraElement(self.graph, acc)
+                if st is not ZERO:
+                    prev = acc.get(st)
+                    acc[st] = c * d if prev is None else prev + c * d
+        # the terms are clean already, so `__init__` is bypassed
+        out = AlgebraElement.__new__(AlgebraElement)
+        out.graph = self.graph
+        out.terms = {el: c for el, c in acc.items() if c}
+        return out
 
     def star(self) -> "AlgebraElement":
         return AlgebraElement(

@@ -1,21 +1,25 @@
 """The Munn-tree engine: elements, products, inverses, normal forms.
 
 An element is zero or a pair (tree, carrier) at one of three quotient levels.
-`evaluate` builds the element of a word in one pass, as in Munn's
-construction: it walks the word over a trie of its reduced prefixes, so the
-tree is the set of nodes visited and the carrier the node where the walk
-ends.  Products and inverses of elements build their tree the other way:
-translate the operands' trees along the carrier, close under prefixes,
-canonicalize and validate.  Each level adds one rule to the one below it:
+Values of words, products and inverses are built by one walk, as in Munn's
+construction: `_munn_tree` walks a word over a trie of its reduced prefixes,
+so the tree is the set of nodes visited and the carrier the node where the
+walk ends.  `evaluate` walks the word it is given.  An element is itself the
+word of its normal form, each tip followed by its inverse and the carrier
+last, so a product walks the two normal forms one after the other and an
+inverse walks the formal inverse of one.  Only elements made from raw tree
+data (`make_element`, `apply_automorphism`) are closed and canonicalized as
+sets of paths.  Each level adds one rule to the one below it:
 
 * FREE       -- plain Munn trees: any finite lower set containing the full
                 carrier path; no separation constraints.
 * TOEPLITZ   -- adds canonical trees: maximal members end positively, and only
-                the carrier's positive part lies in the tree, so the
-                carrier's prefixes are put back before translating.
+                the carrier's positive part lies in the tree; the walk keeps
+                the root and the ancestors of positively entered nodes.
 * SEPARATED  -- adds compatibility: every tree member and the carrier are
                 separated paths and the tree plus carrier closure is
-                compatible; the product is zero when compatibility fails.
+                compatible; the walk checks this node by node and the
+                element is zero when it fails.
 
 Equality of elements is structural equality of (canonical tree, carrier,
 level); normal-form uniqueness makes this semantic equality.
@@ -49,6 +53,7 @@ from .paths import (
     positive_part,
     prefixes,
     render_path,
+    star,
     to_free_word,
     vertex_path,
     word_from_atoms,
@@ -56,7 +61,6 @@ from .paths import (
 from .semilattice import (
     LowerSet,
     canonicalize,
-    is_separated_compatible_family,
     lower_closure_unchecked,
     max_elements,
 )
@@ -89,6 +93,14 @@ class Element:
     carrier: Path
     level: Level
 
+    def __hash__(self) -> int:
+        # elements key the algebra's term dicts, so the deep hash is cached
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.tree, self.carrier, self.level))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def __repr__(self) -> str:
         return f"<{render_element(self)}>"
 
@@ -102,15 +114,6 @@ def _element(graph: SeparatedGraph, paths: set[Path], carrier: Path, level: Leve
     el = Element(tree, carrier, level)
     _check_element(graph, el)
     return el
-
-
-def _full_tree(a: Element) -> set[Path]:
-    """The tree with every prefix of the carrier; a free tree holds them
-    already, a canonical one only the carrier's positive part."""
-    paths = set(a.tree.paths)
-    if a.level is not Level.FREE:
-        paths.update(prefixes(a.carrier))
-    return paths
 
 
 def make_element(graph: SeparatedGraph, tree_paths: Iterable[Path], carrier: Path, level: Level) -> Element:
@@ -151,29 +154,38 @@ def from_letter(graph: SeparatedGraph, atom: "str | Letter", level: Level) -> El
     return Element(LowerSet(src, (vertex_path(src), p)), p, level)
 
 
+def _word(a: Element) -> list[Letter]:
+    """The normal form `(p1)...(pn) | c` read as letters: each tip followed
+    by its inverse, and the carrier last.  Its walk is a again."""
+    letters: list[Letter] = []
+    for t in max_elements(a.tree):
+        letters += t.letters
+        letters += star(t.letters)
+    letters += a.carrier.letters
+    return letters
+
+
 def multiply(graph: SeparatedGraph, a, b):
-    """Product of Munn trees; zero on range mismatch or (separated level)
-    compatibility failure of the merged tree."""
+    """Product of Munn trees: the walk of a's word followed by b's; zero on
+    range mismatch or when the walk breaks the separated level's rule."""
     if a is ZERO or b is ZERO:
         return ZERO
     if a.level is not b.level:
         raise LevelMismatchError(f"{a.level} * {b.level}")
     if path_range(graph, a.carrier) != b.carrier.base:
         return ZERO
-    union = _full_tree(a) | {compose(graph, a.carrier, t) for t in _full_tree(b)}
-    if a.level is Level.SEPARATED and not is_separated_compatible_family(
-        graph, tuple(union)
-    ):
-        return ZERO
-    return _element(graph, union, compose(graph, a.carrier, b.carrier), a.level)
+    el = _munn_tree(graph, a.carrier.base, _word(a) + _word(b), a.level)
+    return ZERO if el is None else el
 
 
 def inverse(graph: SeparatedGraph, a):
+    """The walk of the formal inverse of a's word, from the carrier's range."""
     if a is ZERO:
         return ZERO
-    carrier = path_inverse(graph, a.carrier)
-    moved = {compose(graph, carrier, t) for t in _full_tree(a)}
-    return _element(graph, moved, carrier, a.level)
+    el = _munn_tree(graph, path_range(graph, a.carrier), star(_word(a)), a.level)
+    if el is None:
+        raise SgisError(f"the inverse of {a!r} broke the separated rule")
+    return el
 
 
 def is_idempotent(a) -> bool:
@@ -197,19 +209,17 @@ def evaluate(graph: SeparatedGraph, atoms: Sequence["str | Letter"], level: Leve
     word = word_from_atoms(graph, atoms)
     if word is None:
         return ZERO
-    walked = _munn_tree(graph, word, level)
-    if walked is None:
-        return ZERO
-    el = Element(*walked, level)
-    _check_element(graph, el)
-    return el
+    el = _munn_tree(graph, word.base, word.letters, level)
+    return ZERO if el is None else el
 
 
-def _munn_tree(graph: SeparatedGraph, word: Path, level: Level) -> tuple[LowerSet, Path] | None:
-    """(tree, carrier) of a composable word; None when the separated level's
-    rule fails.
+def _munn_tree(
+    graph: SeparatedGraph, base: str, word: Sequence[Letter], level: Level
+) -> Element | None:
+    """The element of a composable word from `base`; None when the separated
+    level's rule fails.
 
-    Nodes of the trie are ints; node 0 is the empty path at the word's base.
+    Nodes of the trie are ints; node 0 is the empty path at `base`.
     A letter cancelling the one that entered the current node moves to its
     parent, any other letter to a child.  The visited nodes are the free Munn
     tree.  At the separated level the positive letters leaving a node, plus
@@ -225,7 +235,7 @@ def _munn_tree(graph: SeparatedGraph, word: Path, level: Level) -> tuple[LowerSe
     children: list[dict[tuple[str, bool], int]] = [{}]
     blocks: list[dict[int, str]] = [{}]  # block id -> the one edge it uses
     at = 0
-    for x in word.letters:
+    for x in word:
         y = entered[at]
         if y is not None and y.edge == x.edge and y.inverse != x.inverse:
             at = parent[at]
@@ -262,13 +272,15 @@ def _munn_tree(graph: SeparatedGraph, word: Path, level: Level) -> tuple[LowerSe
             if keep[c]:
                 letters[c] = letters[n] + (entered[c],)
                 order.append(c)
-    tree = LowerSet(word.base, tuple(Path(word.base, letters[n]) for n in order))
+    tree = LowerSet(base, tuple(Path(base, letters[n]) for n in order))
 
     carrier: list[Letter] = []
     while at:
         carrier.append(entered[at])
         at = parent[at]
-    return tree, Path(word.base, tuple(reversed(carrier)))
+    el = Element(tree, Path(base, tuple(reversed(carrier))), level)
+    _check_element(graph, el)
+    return el
 
 
 def evaluate_tokens(graph: SeparatedGraph, text: str, level: Level = Level.SEPARATED):

@@ -109,12 +109,11 @@ def is_separated_compatible_family(
 
 
 def max_elements(I: LowerSet) -> tuple[Path, ...]:
-    """Maximal members under the prefix order; inverse to lower closure."""
-    out = []
-    for p in I.paths:
-        if not any(q is not p and is_prefix(p, q) for q in I.paths):
-            out.append(p)
-    return tuple(out)
+    """Maximal members under the prefix order, in tree order; inverse to
+    lower closure.  In a lower set a member is maximal iff it is no
+    member's parent."""
+    parents = {p.letters[:-1] for p in I.paths if p.letters}
+    return tuple(p for p in I.paths if p.letters not in parents)
 
 
 def canonicalize(graph: SeparatedGraph, I: LowerSet) -> LowerSet:

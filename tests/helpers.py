@@ -4,16 +4,26 @@ from __future__ import annotations
 
 import random
 
+from sgis.errors import LevelMismatchError
 from sgis.graph import SeparatedGraph
 from sgis.paths import (
     Letter,
     Path,
     compatible,
+    compose,
+    path_inverse,
     path_range,
+    prefixes,
     steps,
     vertex_path,
 )
-from sgis.semilattice import LowerSet, lower_close_paths, lower_closure
+from sgis.semigroup import ZERO, Level, evaluate, from_letter, make_element
+from sgis.semilattice import (
+    LowerSet,
+    is_separated_compatible_family,
+    lower_close_paths,
+    lower_closure,
+)
 
 
 def composable_letter_words(graph: SeparatedGraph, max_len: int) -> list[list[Letter]]:
@@ -145,8 +155,6 @@ def random_filter_truncation(
 
 def distinct_elements(graph: SeparatedGraph, max_len: int, level):
     """Deduplicated engine values of every composable word up to max_len."""
-    from sgis.semigroup import evaluate
-
     seen = {}
     for word in composable_letter_words(graph, max_len):
         el = evaluate(graph, word, level)
@@ -154,12 +162,44 @@ def distinct_elements(graph: SeparatedGraph, max_len: int, level):
     return seen
 
 
+def _full_tree(a) -> set[Path]:
+    """The tree with every prefix of the carrier; a free tree holds them
+    already, a canonical one only the carrier's positive part."""
+    return set(a.tree.paths) | set(prefixes(a.carrier))
+
+
+def closure_multiply(graph: SeparatedGraph, a, b):
+    """Second route to `multiply`, kept for cross-checks: translate b's full
+    tree along a's carrier, join it to a's, check the union pairwise at the
+    separated level, then close and canonicalize it as a set of paths."""
+    if a is ZERO or b is ZERO:
+        return ZERO
+    if a.level is not b.level:
+        raise LevelMismatchError(f"{a.level} * {b.level}")
+    if path_range(graph, a.carrier) != b.carrier.base:
+        return ZERO
+    union = _full_tree(a) | {compose(graph, a.carrier, t) for t in _full_tree(b)}
+    if a.level is Level.SEPARATED and not is_separated_compatible_family(
+        graph, tuple(union)
+    ):
+        return ZERO
+    return make_element(graph, union, compose(graph, a.carrier, b.carrier), a.level)
+
+
+def closure_inverse(graph: SeparatedGraph, a):
+    """Second route to `inverse`: translate the full tree along the inverse
+    carrier, then close and canonicalize."""
+    if a is ZERO:
+        return ZERO
+    carrier = path_inverse(graph, a.carrier)
+    moved = {compose(graph, carrier, t) for t in _full_tree(a)}
+    return make_element(graph, moved, carrier, a.level)
+
+
 def fold_evaluate(graph: SeparatedGraph, atoms, level):
     """Second route to `evaluate`, kept for cross-checks: the left fold of
-    `multiply` over the generator images."""
-    from sgis.semigroup import from_letter, multiply
-
+    `closure_multiply` over the generator images."""
     acc = from_letter(graph, atoms[0], level)
     for atom in atoms[1:]:
-        acc = multiply(graph, acc, from_letter(graph, atom, level))
+        acc = closure_multiply(graph, acc, from_letter(graph, atom, level))
     return acc

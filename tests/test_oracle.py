@@ -1,9 +1,12 @@
+import ast
 import itertools
 import random
+from pathlib import Path as FilePath
 
 import pytest
 
 from helpers import composable_letter_words
+import sgis.oracle
 from sgis.errors import Budget, BudgetExceededError, SgisError
 from sgis.oracle import (
     CONNECTED,
@@ -178,3 +181,33 @@ def test_crosscheck_report(rose2f):
     assert report["samples"] == 200
     assert report["agreements"] == 200
     assert report["disagreements"] == []
+
+
+def _sgis_modules(node) -> set[str]:
+    """The sgis modules an import statement names."""
+    if isinstance(node, ast.ImportFrom):
+        full = [("sgis." if node.level else "") + (node.module or "")]
+    elif isinstance(node, ast.Import):
+        full = [a.name for a in node.names]
+    else:
+        return set()
+    return {m.split(".")[1] for m in full if m.startswith("sgis.")}
+
+
+def test_oracle_imports_no_engine_module():
+    """The oracles stay independent of the Munn-tree engine: the module
+    imports only errors, graph and paths, and only the two functions that
+    compare the engine with an oracle reach into the engine."""
+    engine = {"semigroup", "semilattice", "spectrum", "algebra"}
+    tree = ast.parse(FilePath(sgis.oracle.__file__).read_text())
+    top_level = set()
+    engine_users = set()
+    for node in tree.body:
+        for inner in ast.walk(node):
+            names = _sgis_modules(inner)
+            if node is inner:
+                top_level |= names
+            elif names & engine:
+                engine_users.add(node.name)
+    assert top_level == {"errors", "graph", "paths"}
+    assert engine_users == {"fim_embed", "crosscheck"}

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from helpers import composable_letter_words, distinct_elements, fold_evaluate, random_lower_set
+from helpers import (
+    closure_inverse,
+    closure_multiply,
+    composable_letter_words,
+    distinct_elements,
+    fold_evaluate,
+    random_lower_set,
+)
 from sgis.errors import ActionDomainError, LevelMismatchError, WordError
 from sgis.oracle import random_letter_word, random_walk_word, string_normal_form
 from sgis.paths import (
@@ -11,6 +18,7 @@ from sgis.paths import (
     make_word,
     parse_word_string,
     path_inverse,
+    path_range,
     render_free_word,
     sorted_paths,
     vertex_path,
@@ -362,8 +370,8 @@ def test_associativity_random(rose2t, rose2f, fim2):
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
 def test_evaluate_matches_multiply_fold(name, request):
-    """The one-pass walk and the fold of `multiply` give equal elements:
-    same tree paths in the same order, same carrier, same zeros."""
+    """The one-pass walk and the fold of the closure product give equal
+    elements: same tree paths in the same order, same carrier, same zeros."""
     graph = request.getfixturevalue(name)
     rng = random.Random(f"fold:{name}")
     for i in range(150):
@@ -371,6 +379,39 @@ def test_evaluate_matches_multiply_fold(name, request):
         word = sample(graph, rng, 20)
         for level in Level:
             assert evaluate(graph, word, level) == fold_evaluate(graph, word, level), (word, level)
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_multiply_and_inverse_match_closure_route(name, request):
+    """Products and inverses by the walk equal the closure route, tree order
+    and zeros included, on random pairs, on pairs whose ranges meet, and on
+    pairs of idempotents a a^-1, b b^-1 over one vertex."""
+    graph = request.getfixturevalue(name)
+    rng = random.Random(f"closure:{name}")
+    for level in Level:
+        els = [
+            evaluate(graph, (random_walk_word if i % 2 else random_letter_word)(graph, rng, 10), level)
+            for i in range(80)
+        ]
+        nonzero = [a for a in els if a is not ZERO]
+        els += [multiply(graph, a, inverse(graph, a)) for a in nonzero[:30]]
+        at_base: dict[str, list] = {}
+        for a in els:
+            if a is not ZERO:
+                at_base.setdefault(a.carrier.base, []).append(a)
+        pairs = [(rng.choice(els), rng.choice(els)) for _ in range(150)]
+        for a in nonzero:
+            meeting = at_base.get(path_range(graph, a.carrier))
+            if meeting:
+                pairs += [(a, rng.choice(meeting)) for _ in range(3)]
+        for group in at_base.values():
+            idempotents = [a for a in group if is_idempotent(a)]
+            if idempotents:
+                pairs += [(rng.choice(idempotents), rng.choice(idempotents)) for _ in range(20)]
+        for a in els:
+            assert inverse(graph, a) == closure_inverse(graph, a), (a, level)
+        for a, b in pairs:
+            assert multiply(graph, a, b) == closure_multiply(graph, a, b), (a, b, level)
 
 
 def test_long_chain_matches_string_oracle(rose2f):
