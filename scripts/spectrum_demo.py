@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sgis.graph import parse_graph
 from sgis.paths import Letter, Path as GPath, path_range, steps, vertex_path
-from sgis.semilattice import lower_closure, render_lower_set
+from sgis.semilattice import lower_closure
 from sgis.spectrum import (
     branch_extensions,
     certify_finite_maximal,

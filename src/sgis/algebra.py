@@ -64,26 +64,29 @@ class AlgebraElement:
 
     def __init__(self, graph: SeparatedGraph, terms: Mapping[Element, Fraction] | None = None):
         self.graph = graph
-        clean: dict[Element, Fraction] = {}
-        for el, c in (terms or {}).items():
-            if el is ZERO:
-                continue
-            c = Fraction(c)
-            if c != 0:
-                clean[el] = clean.get(el, Fraction(0)) + c
-        self.terms = {el: c for el, c in clean.items() if c != 0}
+        terms = {el: Fraction(c) for el, c in (terms or {}).items() if el is not ZERO}
+        self.terms = {el: c for el, c in terms.items() if c}
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
+    def _clean(cls, graph: SeparatedGraph, terms: dict[Element, Fraction]) -> "AlgebraElement":
+        """From terms whose keys are nonzero elements and whose values are
+        Fractions: only the zero coefficients are dropped."""
+        out = cls.__new__(cls)
+        out.graph = graph
+        out.terms = {el: c for el, c in terms.items() if c}
+        return out
+
+    @classmethod
     def zero(cls, graph: SeparatedGraph) -> "AlgebraElement":
-        return cls(graph, {})
+        return cls._clean(graph, {})
 
     @classmethod
     def of(cls, graph: SeparatedGraph, el, coeff: "Fraction | int" = 1) -> "AlgebraElement":
         if el is ZERO:
             return cls.zero(graph)
-        return cls(graph, {el: Fraction(coeff)})
+        return cls._clean(graph, {el: Fraction(coeff)})
 
     # -- structure ------------------------------------------------------------
 
@@ -99,18 +102,19 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         acc = dict(self.terms)
         for el, c in other.terms.items():
-            acc[el] = acc.get(el, Fraction(0)) + c
-        return AlgebraElement(self.graph, acc)
+            prev = acc.get(el)
+            acc[el] = c if prev is None else prev + c
+        return AlgebraElement._clean(self.graph, acc)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.graph, {el: -c for el, c in self.terms.items()})
+        return AlgebraElement._clean(self.graph, {el: -c for el, c in self.terms.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def scale(self, c: "Fraction | int") -> "AlgebraElement":
         c = Fraction(c)
-        return AlgebraElement(self.graph, {el: c * d for el, d in self.terms.items()})
+        return AlgebraElement._clean(self.graph, {el: c * d for el, d in self.terms.items()})
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -127,14 +131,10 @@ class AlgebraElement:
                 if st is not ZERO:
                     prev = acc.get(st)
                     acc[st] = c * d if prev is None else prev + c * d
-        # the terms are clean already, so `__init__` is bypassed
-        out = AlgebraElement.__new__(AlgebraElement)
-        out.graph = self.graph
-        out.terms = {el: c for el, c in acc.items() if c}
-        return out
+        return AlgebraElement._clean(self.graph, acc)
 
     def star(self) -> "AlgebraElement":
-        return AlgebraElement(
+        return AlgebraElement._clean(
             self.graph, {inverse(self.graph, el): c for el, c in self.terms.items()}
         )
 

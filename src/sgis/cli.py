@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path as FilePath
 
-from . import algebra, oracle, semigroup, spectrum
+from . import algebra, oracle, semigroup
 from .errors import Budget, BudgetExceededError, SgisError
 from .graph import (
     SeparatedGraph,

@@ -1,15 +1,16 @@
 """The Munn-tree engine: elements, products, inverses, normal forms.
 
 An element is zero or a pair (tree, carrier) at one of three quotient levels.
-Values of words, products and inverses are built by one walk, as in Munn's
-construction: `_munn_tree` walks a word over a trie of its reduced prefixes,
-so the tree is the set of nodes visited and the carrier the node where the
-walk ends.  `evaluate` walks the word it is given.  An element is itself the
-word of its normal form, each tip followed by its inverse and the carrier
-last, so a product walks the two normal forms one after the other and an
-inverse walks the formal inverse of one.  Only elements made from raw tree
-data (`make_element`, `apply_automorphism`) are closed and canonicalized as
-sets of paths.  Each level adds one rule to the one below it:
+Every element is built by one walk, `semilattice.munn_tree`, as in Munn's
+construction: a word is walked over a trie of its reduced prefixes, so the
+tree is the set of nodes visited and the carrier the node where the walk
+ends.  `evaluate` walks the word it is given and `from_letter` a word of one
+letter.  An element is itself the word of its normal form, each tip followed
+by its inverse and the carrier last, so a product walks the two normal forms
+one after the other and an inverse walks the formal inverse of one.  Raw tree
+data (`make_element`, `apply_automorphism`) is walked as `tree_word` reads
+it, and a translated tree (`act_on_tree`) as the translation followed by the
+tree's word.  Each level adds one rule to the one below it:
 
 * FREE       -- plain Munn trees: any finite lower set containing the full
                 carrier path; no separation constraints.
@@ -35,6 +36,7 @@ from typing import Iterable, Sequence
 from .errors import (
     ActionDomainError,
     BudgetExceededError,
+    IncompatiblePathsError,
     LevelMismatchError,
     SgisError,
     WordError,
@@ -44,26 +46,17 @@ from .paths import (
     FreeGroupWord,
     Letter,
     Path,
-    compose,
-    letter_key,
     letter_source,
     parse_tokens,
     path_inverse,
     path_range,
     positive_part,
-    prefixes,
     render_path,
     star,
     to_free_word,
-    vertex_path,
     word_from_atoms,
 )
-from .semilattice import (
-    LowerSet,
-    canonicalize,
-    lower_closure_unchecked,
-    max_elements,
-)
+from .semilattice import LowerSet, max_elements, munn_tree, tree_word
 
 
 class Level(Enum):
@@ -105,31 +98,28 @@ class Element:
         return f"<{render_element(self)}>"
 
 
-def _element(graph: SeparatedGraph, paths: set[Path], carrier: Path, level: Level) -> Element:
-    """Close the tree at the carrier's source, canonicalize above the free
-    level, and validate."""
-    tree = lower_closure_unchecked(graph, paths, base=carrier.base)
-    if level is not Level.FREE:
-        tree = canonicalize(graph, tree)
-    el = Element(tree, carrier, level)
-    _check_element(graph, el)
-    return el
-
-
 def make_element(graph: SeparatedGraph, tree_paths: Iterable[Path], carrier: Path, level: Level) -> Element:
-    """Normalize and validate an element from raw tree data."""
-    paths = set(tree_paths)
+    """Normalize and validate an element from raw tree data: walk the paths
+    (and the carrier at the free level) from the carrier's source under the
+    level's rules.  At the separated level an incompatible family raises
+    IncompatiblePathsError."""
+    paths = list(tree_paths)
+    if any(p.base != carrier.base for p in paths):
+        raise WordError("tree and carrier disagree on the source vertex")
+    word = tree_word(paths)
     if level is Level.FREE:
-        paths.update(prefixes(carrier))
-    return _element(graph, paths, carrier, level)
+        word += carrier.letters
+    tree, pair = _walk(graph, carrier.base, word, level)
+    if tree is None:
+        raise IncompatiblePathsError(*pair())
+    return _checked(graph, Element(tree, carrier, level))
 
 
-def _check_element(graph: SeparatedGraph, a: Element) -> None:
+def _checked(graph: SeparatedGraph, a: Element) -> Element:
     anchor = a.carrier if a.level is Level.FREE else positive_part(a.carrier)
     if anchor not in a.tree.paths:
         raise SgisError(f"carrier anchor {anchor!r} missing from tree {a.tree!r}")
-    if a.tree.base != a.carrier.base:
-        raise SgisError("tree and carrier disagree on the source vertex")
+    return a
 
 
 def _check_atom(graph: SeparatedGraph, atom: "str | Letter") -> None:
@@ -143,26 +133,22 @@ def _check_atom(graph: SeparatedGraph, atom: "str | Letter") -> None:
 def from_letter(graph: SeparatedGraph, atom: "str | Letter", level: Level) -> Element:
     """Generator images: a vertex, an edge, or an inverse edge."""
     _check_atom(graph, atom)
-    if isinstance(atom, str):
-        v = vertex_path(atom)
-        return Element(LowerSet(atom, (v,)), v, level)
-    src = letter_source(graph, atom)
-    p = Path(src, (atom,))
-    # the length-0 vertex path sorts first; a canonical tree drops an inverse tip
-    if atom.inverse and level is not Level.FREE:
-        return Element(LowerSet(src, (vertex_path(src),)), p, level)
-    return Element(LowerSet(src, (vertex_path(src), p)), p, level)
+    base, word = (atom, ()) if isinstance(atom, str) else (letter_source(graph, atom), (atom,))
+    return Element(*_walk(graph, base, word, level), level)
 
 
 def _word(a: Element) -> list[Letter]:
     """The normal form `(p1)...(pn) | c` read as letters: each tip followed
     by its inverse, and the carrier last.  Its walk is a again."""
-    letters: list[Letter] = []
-    for t in max_elements(a.tree):
-        letters += t.letters
-        letters += star(t.letters)
-    letters += a.carrier.letters
-    return letters
+    return tree_word(max_elements(a.tree)) + list(a.carrier.letters)
+
+
+def _walk(graph: SeparatedGraph, base: str, word: Sequence[Letter], level: Level):
+    """`munn_tree` under the level's rules: the block rule at the separated
+    level, the canonical pruning above the free level."""
+    return munn_tree(
+        graph, base, word, separated=level is Level.SEPARATED, canonical=level is not Level.FREE
+    )
 
 
 def multiply(graph: SeparatedGraph, a, b):
@@ -174,18 +160,18 @@ def multiply(graph: SeparatedGraph, a, b):
         raise LevelMismatchError(f"{a.level} * {b.level}")
     if path_range(graph, a.carrier) != b.carrier.base:
         return ZERO
-    el = _munn_tree(graph, a.carrier.base, _word(a) + _word(b), a.level)
-    return ZERO if el is None else el
+    tree, end = _walk(graph, a.carrier.base, _word(a) + _word(b), a.level)
+    return ZERO if tree is None else _checked(graph, Element(tree, end, a.level))
 
 
 def inverse(graph: SeparatedGraph, a):
     """The walk of the formal inverse of a's word, from the carrier's range."""
     if a is ZERO:
         return ZERO
-    el = _munn_tree(graph, path_range(graph, a.carrier), star(_word(a)), a.level)
-    if el is None:
+    tree, end = _walk(graph, path_range(graph, a.carrier), star(_word(a)), a.level)
+    if tree is None:
         raise SgisError(f"the inverse of {a!r} broke the separated rule")
-    return el
+    return _checked(graph, Element(tree, end, a.level))
 
 
 def is_idempotent(a) -> bool:
@@ -200,7 +186,7 @@ def evaluate(graph: SeparatedGraph, atoms: Sequence["str | Letter"], level: Leve
     Every atom is checked first: an unknown vertex or edge raises WordError
     wherever it stands, also after a part of the word that is already zero.
     A word whose letters do not compose is zero; at the separated level so is
-    a word whose tree breaks the local rule of `_munn_tree`.
+    a word whose tree breaks the block rule of `semilattice.munn_tree`.
     """
     if not atoms:
         raise WordError("empty word")
@@ -209,78 +195,8 @@ def evaluate(graph: SeparatedGraph, atoms: Sequence["str | Letter"], level: Leve
     word = word_from_atoms(graph, atoms)
     if word is None:
         return ZERO
-    el = _munn_tree(graph, word.base, word.letters, level)
-    return ZERO if el is None else el
-
-
-def _munn_tree(
-    graph: SeparatedGraph, base: str, word: Sequence[Letter], level: Level
-) -> Element | None:
-    """The element of a composable word from `base`; None when the separated
-    level's rule fails.
-
-    Nodes of the trie are ints; node 0 is the empty path at `base`.
-    A letter cancelling the one that entered the current node moves to its
-    parent, any other letter to a child.  The visited nodes are the free Munn
-    tree.  At the separated level the positive letters leaving a node, plus
-    e for a node entered by ~e, may use at most one edge per block: this is
-    the local form of "every member separated and all pairwise compatible"
-    (`is_compatible_set_by_configs`), checked as each node is added.  Above
-    the free level only the root and the ancestors-or-self of nodes entered
-    by a positive letter are kept, which is what `canonicalize` keeps.
-    """
-    separated = level is Level.SEPARATED
-    parent = [0]
-    entered: list[Letter | None] = [None]
-    children: list[dict[tuple[str, bool], int]] = [{}]
-    blocks: list[dict[int, str]] = [{}]  # block id -> the one edge it uses
-    at = 0
-    for x in word:
-        y = entered[at]
-        if y is not None and y.edge == x.edge and y.inverse != x.inverse:
-            at = parent[at]
-            continue
-        child = children[at].get((x.edge, x.inverse))
-        if child is None:
-            child = len(parent)
-            if separated:
-                block = id(graph.block_of[x.edge])
-                if not x.inverse and blocks[at].setdefault(block, x.edge) != x.edge:
-                    return None
-                blocks.append({block: x.edge} if x.inverse else {})
-            parent.append(at)
-            entered.append(x)
-            children.append({})
-            children[at][x.edge, x.inverse] = child
-        at = child
-
-    keep = [level is Level.FREE] * len(parent)
-    keep[0] = True
-    if level is not Level.FREE:
-        for n, x in enumerate(entered):
-            if x is not None and not x.inverse:
-                up = n
-                while not keep[up]:
-                    keep[up] = True
-                    up = parent[up]
-
-    # breadth first, children in letter order: the length-lexicographic order
-    letters: list[tuple[Letter, ...]] = [()] * len(parent)
-    order = [0]
-    for n in order:
-        for c in sorted(children[n].values(), key=lambda c: letter_key(graph, entered[c])):
-            if keep[c]:
-                letters[c] = letters[n] + (entered[c],)
-                order.append(c)
-    tree = LowerSet(base, tuple(Path(base, letters[n]) for n in order))
-
-    carrier: list[Letter] = []
-    while at:
-        carrier.append(entered[at])
-        at = parent[at]
-    el = Element(tree, Path(base, tuple(reversed(carrier))), level)
-    _check_element(graph, el)
-    return el
+    tree, end = _walk(graph, word.base, word.letters, level)
+    return ZERO if tree is None else _checked(graph, Element(tree, end, level))
 
 
 def evaluate_tokens(graph: SeparatedGraph, text: str, level: Level = Level.SEPARATED):
@@ -335,9 +251,8 @@ def act_on_tree(graph: SeparatedGraph, g: Path, tree: LowerSet) -> LowerSet:
         raise ActionDomainError(
             f"tree {tree!r} is outside the domain of translation by {g!r}"
         )
-    full = set(tree.paths) | set(prefixes(g_inv))
-    moved = {compose(graph, g, t) for t in full}
-    return canonicalize(graph, lower_closure_unchecked(graph, moved, base=g.base))
+    word = list(g.letters) + tree_word(max_elements(tree))
+    return munn_tree(graph, g.base, word, canonical=True)[0]
 
 
 # -- automorphisms ------------------------------------------------------------
@@ -439,4 +354,4 @@ def apply_automorphism(graph: SeparatedGraph, phi: GraphAutomorphism, a):
     def move(p: Path) -> Path:
         return Path(vmap[p.base], tuple(Letter(emap[x.edge], x.inverse) for x in p.letters))
 
-    return _element(graph, {move(p) for p in a.tree.paths}, move(a.carrier), a.level)
+    return make_element(graph, [move(p) for p in max_elements(a.tree)], move(a.carrier), a.level)

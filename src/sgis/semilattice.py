@@ -2,29 +2,35 @@
 
 A `LowerSet` stores a prefix-closed family of paths from one vertex, sorted
 under the global length-lexicographic order, so equality is structural and
-values are hashable.  Compatibility is enforced by the checked constructor
-`lower_closure`; the unchecked variant exists for trees that deliberately
-ignore the separation (the free quotient level).
+values are hashable.  Every tree is built by one walk, `munn_tree`, over a
+trie of a word's reduced prefixes; a family of paths is walked as the word
+`tree_word` reads it, so closure, canonical form and meet are walks too.
+Compatibility is the walk's per-node block rule: `lower_closure` raises on a
+violation, `meet` gives None, and the unchecked variant exists for trees that
+deliberately ignore the separation (the free quotient level).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .errors import IncompatiblePathsError, WordError
 from .graph import SeparatedGraph
 from .paths import (
+    Letter,
     Path,
     compatible,
     is_prefix,
+    is_reduced,
     is_separated_path,
+    letter_key,
     path_range,
-    positive_part,
     render_path,
     sorted_paths,
+    star,
     steps,
-    vertex_path,
 )
 
 
@@ -60,19 +66,118 @@ def lower_close_paths(paths: Iterable[Path]) -> set[Path]:
     return closed
 
 
+def tree_word(paths: Iterable[Path]) -> list[Letter]:
+    """Each path followed by its inverse: a word whose Munn tree is the
+    prefix closure of the (reduced) paths and whose walk ends where it began."""
+    return [x for p in paths for x in p.letters + star(p.letters)]
+
+
+def munn_tree(
+    graph: SeparatedGraph,
+    base: str,
+    word: Sequence[Letter],
+    *,
+    separated: bool = False,
+    canonical: bool = False,
+):
+    """The Munn tree of a composable word from `base` and the path where its
+    walk ends, as `(LowerSet, Path)`.
+
+    Nodes of the trie are ints; node 0 is the empty path at `base`.  A letter
+    cancelling the one that entered the current node moves to its parent, any
+    other letter to a child.  The visited nodes are the tree.  With
+    `separated`, the positive letters leaving a node, plus e for a node
+    entered by ~e, use at most one edge per block: the local form of "every
+    member separated and all pairwise compatible", checked as each node is
+    added.  A violation gives `(None, conflict)`: `conflict()` returns the two
+    members that use one block at the failing node, in `sorted_paths` order,
+    and builds them only when asked, so a zero costs no paths.  With
+    `canonical`, only the root and the ancestors-or-self of positively
+    entered nodes are kept: the canonical form of the tree.
+    """
+    parent = [0]
+    entered: list[Letter | None] = [None]
+    children: list[dict[tuple[str, bool], int]] = [{}]
+    blocks: list[dict[int, str]] = [{}]  # block id -> the one edge it uses
+    at = 0
+    for x in word:
+        y = entered[at]
+        if y is not None and y.edge == x.edge and y.inverse != x.inverse:
+            at = parent[at]
+            continue
+        child = children[at].get((x.edge, x.inverse))
+        if child is None:
+            if separated:
+                block = id(graph.block_of[x.edge])
+                if not x.inverse and (e := blocks[at].setdefault(block, x.edge)) != x.edge:
+                    return None, partial(_conflict, graph, base, parent, entered, at, x, e)
+                blocks.append({block: x.edge} if x.inverse else {})
+            child = len(parent)
+            parent.append(at)
+            entered.append(x)
+            children.append({})
+            children[at][x.edge, x.inverse] = child
+        at = child
+
+    keep = [not canonical] * len(parent)
+    keep[0] = True
+    if canonical:
+        for n, x in enumerate(entered):
+            if x is not None and not x.inverse:
+                up = n
+                while not keep[up]:
+                    keep[up] = True
+                    up = parent[up]
+
+    # breadth first, children in letter order: the length-lexicographic order
+    letters: list[tuple[Letter, ...]] = [()] * len(parent)
+    order = [0]
+    for n in order:
+        for c in sorted(children[n].values(), key=lambda c: letter_key(graph, entered[c])):
+            if keep[c]:
+                letters[c] = letters[n] + (entered[c],)
+                order.append(c)
+    tree = LowerSet(base, tuple(Path(base, letters[n]) for n in order))
+    return tree, _trie_path(base, parent, entered, at)
+
+
+def _trie_path(base: str, parent: list[int], entered: list, n: int) -> Path:
+    """The path from the root of the trie to node n."""
+    letters: list[Letter] = []
+    while n:
+        letters.append(entered[n])
+        n = parent[n]
+    return Path(base, tuple(reversed(letters)))
+
+
+def _conflict(graph: SeparatedGraph, base: str, parent, entered, at: int, x: Letter, e: str):
+    """The two members that use one block at node `at` when x is added there:
+    the child by x and the child by e, or `at` itself when it was entered by ~e."""
+    here = _trie_path(base, parent, entered, at)
+    new = Path(base, here.letters + (x,))
+    if entered[at] == Letter(e, True):
+        return here, new
+    return sorted_paths(graph, [Path(base, here.letters + (Letter(e, False),)), new])
+
+
+def _one_base(paths: Sequence[Path], base: str | None) -> str:
+    bases = {p.base for p in paths}
+    if base is not None:
+        bases.add(base)
+    if not bases:
+        raise WordError("a lower set needs at least its base vertex")
+    if len(bases) != 1:
+        raise WordError(f"paths from several vertices: {sorted(bases)}")
+    return next(iter(bases))
+
+
 def lower_closure_unchecked(
     graph: SeparatedGraph, paths: Iterable[Path], base: str | None = None
 ) -> LowerSet:
-    """Prefix closure without separation or compatibility checks."""
-    closed = lower_close_paths(paths)
-    if base is not None:
-        closed.add(vertex_path(base))
-    if not closed:
-        raise WordError("a lower set needs at least its base vertex")
-    bases = {p.base for p in closed}
-    if len(bases) != 1:
-        raise WordError(f"paths from several vertices: {sorted(bases)}")
-    return LowerSet(next(iter(bases)), sorted_paths(graph, closed))
+    """Prefix closure of reduced paths from one vertex, without separation or
+    compatibility checks."""
+    paths = list(paths)
+    return munn_tree(graph, _one_base(paths, base), tree_word(paths))[0]
 
 
 def lower_closure(
@@ -80,19 +185,21 @@ def lower_closure(
 ) -> LowerSet:
     """Prefix closure of a compatible family of separated paths.
 
-    Raises IncompatiblePathsError naming a violating pair, or WordError for a
-    non-separated member / mixed sources.
+    Raises WordError for a member that is not reduced or not separated, or
+    for mixed sources, and IncompatiblePathsError naming the two members
+    that diverge at the node where the walk breaks the block rule.
     """
-    closed = lower_closure_unchecked(graph, paths, base=base)
-    for p in closed.paths:
+    paths = list(paths)
+    base = _one_base(paths, base)
+    for p in paths:
+        if not is_reduced(p):
+            raise WordError(f"path {render_path(p)!r} is not reduced")
         if not is_separated_path(graph, p):
             raise WordError(f"path {render_path(p)!r} is not separated")
-    members = closed.paths
-    for i, p in enumerate(members):
-        for q in members[i + 1 :]:
-            if not compatible(graph, p, q):
-                raise IncompatiblePathsError(p, q)
-    return closed
+    tree, end = munn_tree(graph, base, tree_word(paths), separated=True)
+    if tree is None:
+        raise IncompatiblePathsError(*end())
+    return tree
 
 
 def is_separated_compatible_family(
@@ -117,10 +224,9 @@ def max_elements(I: LowerSet) -> tuple[Path, ...]:
 
 
 def canonicalize(graph: SeparatedGraph, I: LowerSet) -> LowerSet:
-    """Largest member of the congruence class: strip every maximal element
-    down to its positive part and re-close."""
-    tips = {positive_part(m) for m in max_elements(I)}
-    return lower_closure_unchecked(graph, tips, base=I.base)
+    """Largest member of the congruence class: the walk of the tips that
+    keeps only the prefixes of their positive parts."""
+    return munn_tree(graph, I.base, tree_word(max_elements(I)), canonical=True)[0]
 
 
 def is_canonical(I: LowerSet) -> bool:
@@ -145,14 +251,12 @@ def canonicalize_by_stripping(graph: SeparatedGraph, I: LowerSet) -> LowerSet:
 
 
 def meet(graph: SeparatedGraph, I: LowerSet, J: LowerSet) -> LowerSet | None:
-    """Union when compatible over one vertex, else None (the zero)."""
+    """Union when compatible over one vertex, else None (the zero): the walk
+    of both tip words under the block rule."""
     if I.base != J.base:
         return None
-    for p in I.paths:
-        for q in J.paths:
-            if not compatible(graph, p, q):
-                return None
-    return LowerSet(I.base, sorted_paths(graph, set(I.paths) | set(J.paths)))
+    word = tree_word(max_elements(I)) + tree_word(max_elements(J))
+    return munn_tree(graph, I.base, word, separated=True)[0]
 
 
 def class_eq(graph: SeparatedGraph, I: LowerSet, J: LowerSet) -> bool:

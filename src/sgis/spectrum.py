@@ -14,16 +14,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import Budget, CylinderError, SgisError
+from .errors import Budget, CylinderError, IncompatiblePathsError, SgisError
 from .graph import Block, SeparatedGraph
 from .paths import (
     Letter,
     Path,
     compatible,
-    is_prefix,
     is_separated_path,
     path_range,
-    prefixes,
     render_path,
     sorted_paths,
     steps,
@@ -36,6 +34,8 @@ from .semilattice import (
     lower_closure,
     max_elements,
     meet,
+    munn_tree,
+    tree_word,
 )
 
 
@@ -167,19 +167,8 @@ def certify_finite_maximal(graph: SeparatedGraph, Z: Truncation) -> Certificate:
 def trim_inverse_tails(graph: SeparatedGraph, Z: Truncation) -> Truncation:
     """Drop members ending in an inverse letter with no positively-ending
     extension inside the truncation (the passage from the untrimmed picture
-    to the filter itself)."""
-    members = set(Z.paths.paths)
-    keep = set()
-    for g in members:
-        if not g.letters or not g.letters[-1].inverse:
-            keep.add(g)
-            continue
-        if any(
-            h != g and is_prefix(g, h) and h.letters and not h.letters[-1].inverse
-            for h in members
-        ):
-            keep.add(g)
-    return Truncation(LowerSet(Z.base, sorted_paths(graph, keep)), Z.depth)
+    to the filter itself): the canonical form of the window."""
+    return Truncation(canonicalize(graph, Z.paths), Z.depth)
 
 
 def extend_inverse_tails(graph: SeparatedGraph, Z: Truncation, depth: int) -> Truncation:
@@ -377,14 +366,9 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
         for choice in itertools.product(*index_ranges):
             if all(i == len(r) for i, r in zip(choice, ladders)):
                 continue  # the all-top tuple reproduces B1 n Z(I2)
-            tree_paths = set(I1.paths)
-            forced_next: list[Path] = []
-            for i, rungs in zip(choice, ladders):
-                if i > 0:
-                    tree_paths.update(prefixes(rungs[i - 1]))
-                if i < len(rungs):
-                    forced_next.append(rungs[i])
-            In = canonicalize(graph, LowerSet(I1.base, sorted_paths(graph, tree_paths)))
+            grown = [rungs[i - 1] for i, rungs in zip(choice, ladders) if i > 0]
+            forced_next = [rungs[i] for i, rungs in zip(choice, ladders) if i < len(rungs)]
+            In = munn_tree(graph, I1.base, tree_word(I1.paths + tuple(grown)), canonical=True)[0]
             if any(f in In.paths for f in forced_next):
                 # ladders sharing a rung: the exclusion is forced inside the
                 # tree, so this index tuple names the empty set
@@ -396,15 +380,10 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
     candidates = sorted_paths(graph, F2 - F1)
     for r in range(1, len(candidates) + 1):
         for H in itertools.combinations(candidates, r):
-            pool = set(I1.paths) | set(I2.paths)
-            for h in H:
-                pool.update(prefixes(h))
-            listed = sorted_paths(graph, pool)
-            if not all(
-                compatible(graph, p, q) for p, q in itertools.combinations(listed, 2)
-            ):
+            try:
+                JH = lower_closure(graph, I1.paths + I2.paths + H)
+            except IncompatiblePathsError:
                 continue
-            JH = LowerSet(I1.base, listed)
             if not is_canonical(JH):
                 continue
             FH = [f for f in (F1 | F2) if is_branch_extension(graph, JH, f)]

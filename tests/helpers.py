@@ -2,24 +2,30 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
-from sgis.errors import LevelMismatchError
+from sgis.errors import IncompatiblePathsError, LevelMismatchError, SgisError, WordError
 from sgis.graph import SeparatedGraph
 from sgis.paths import (
     Letter,
     Path,
     compatible,
     compose,
+    is_reduced,
+    is_separated_path,
     path_inverse,
     path_range,
+    positive_part,
     prefixes,
+    sorted_paths,
     steps,
     vertex_path,
 )
-from sgis.semigroup import ZERO, Level, evaluate, from_letter, make_element
+from sgis.semigroup import ZERO, Element, Level, evaluate, from_letter
 from sgis.semilattice import (
     LowerSet,
+    canonicalize_by_stripping,
     is_separated_compatible_family,
     lower_close_paths,
     lower_closure,
@@ -162,6 +168,61 @@ def distinct_elements(graph: SeparatedGraph, max_len: int, level):
     return seen
 
 
+# -- the set route: trees closed, sorted and checked as sets of paths ----------
+#
+# Second routes to the constructors that walk a Munn tree, kept for
+# cross-checks; they use no walk.
+
+
+def closure_tree(graph: SeparatedGraph, paths, base=None) -> LowerSet:
+    """Set route to `lower_closure_unchecked`."""
+    closed = lower_close_paths(paths)
+    if base is not None:
+        closed.add(vertex_path(base))
+    bases = {p.base for p in closed}
+    if len(bases) != 1:
+        raise WordError(f"paths from several vertices: {sorted(bases)}")
+    return LowerSet(bases.pop(), sorted_paths(graph, closed))
+
+
+def checked_closure_tree(graph: SeparatedGraph, paths) -> LowerSet:
+    """Set route to `lower_closure`: a pairwise check of the sorted closure,
+    naming the first pair that fails `compatible`."""
+    paths = list(paths)
+    tree = closure_tree(graph, paths)
+    if not all(is_reduced(p) and is_separated_path(graph, p) for p in paths):
+        raise WordError("a member is not a reduced separated path")
+    for p, q in itertools.combinations(tree.paths, 2):
+        if not compatible(graph, p, q):
+            raise IncompatiblePathsError(p, q)
+    return tree
+
+
+def union_meet(graph: SeparatedGraph, I: LowerSet, J: LowerSet):
+    """Set route to `meet`: the sorted union when every pair is compatible."""
+    if I.base != J.base or not is_separated_compatible_family(graph, I.paths + J.paths):
+        return None
+    return LowerSet(I.base, sorted_paths(graph, set(I.paths) | set(J.paths)))
+
+
+def closure_element(graph: SeparatedGraph, tree_paths, carrier: Path, level: Level) -> Element:
+    """Set route to `make_element`: close the paths (and the carrier at the
+    free level) as a set, check them pairwise at the separated level, strip
+    them to the canonical form above the free level, then check the anchor."""
+    paths = set(tree_paths)
+    if level is Level.FREE:
+        paths.update(prefixes(carrier))
+    tree = closure_tree(graph, paths, base=carrier.base)
+    if level is Level.SEPARATED and not is_separated_compatible_family(graph, tree.paths):
+        raise IncompatiblePathsError(None, None)  # callers compare error types only
+    if level is not Level.FREE:
+        tree = canonicalize_by_stripping(graph, tree)
+    anchor = carrier if level is Level.FREE else positive_part(carrier)
+    if anchor not in tree.paths:
+        raise SgisError(f"carrier anchor {anchor!r} missing from tree {tree!r}")
+    return Element(tree, carrier, level)
+
+
 def _full_tree(a) -> set[Path]:
     """The tree with every prefix of the carrier; a free tree holds them
     already, a canonical one only the carrier's positive part."""
@@ -183,7 +244,7 @@ def closure_multiply(graph: SeparatedGraph, a, b):
         graph, tuple(union)
     ):
         return ZERO
-    return make_element(graph, union, compose(graph, a.carrier, b.carrier), a.level)
+    return closure_element(graph, union, compose(graph, a.carrier, b.carrier), a.level)
 
 
 def closure_inverse(graph: SeparatedGraph, a):
@@ -193,7 +254,7 @@ def closure_inverse(graph: SeparatedGraph, a):
         return ZERO
     carrier = path_inverse(graph, a.carrier)
     moved = {compose(graph, carrier, t) for t in _full_tree(a)}
-    return make_element(graph, moved, carrier, a.level)
+    return closure_element(graph, moved, carrier, a.level)
 
 
 def fold_evaluate(graph: SeparatedGraph, atoms, level):

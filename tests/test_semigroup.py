@@ -10,7 +10,7 @@ from helpers import (
     fold_evaluate,
     random_lower_set,
 )
-from sgis.errors import ActionDomainError, LevelMismatchError, WordError
+from sgis.errors import ActionDomainError, IncompatiblePathsError, LevelMismatchError, WordError
 from sgis.oracle import random_letter_word, random_walk_word, string_normal_form
 from sgis.paths import (
     Letter,
@@ -441,3 +441,16 @@ def test_tips_come_in_path_order(name, request):
             if a is not ZERO:
                 tips = max_elements(a.tree)
                 assert tips == sorted_paths(graph, tips)
+
+
+def test_make_element_validates_at_the_separated_level(rose2t):
+    """e and f share block B1, so the tree {v, e, f} is zero at the
+    separated level, as the word e ~e f ~f is; the levels below accept it."""
+    family = [Path("v", (E,)), Path("v", (F,))]
+    with pytest.raises(IncompatiblePathsError) as err:
+        make_element(rose2t, family, vertex_path("v"), Level.SEPARATED)
+    assert set(err.value.pair) == set(family)
+    assert evaluate(rose2t, [E, Ei, F, Fi]) is ZERO
+    for level in (Level.FREE, Level.TOEPLITZ):
+        el = make_element(rose2t, family, vertex_path("v"), level)
+        assert el == evaluate(rose2t, [E, Ei, F, Fi], level)

@@ -3,10 +3,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_lower_set, separated_paths
-from sgis.errors import IncompatiblePathsError, WordError
-from sgis.paths import Letter, Path, is_prefix, make_word, vertex_path
+from helpers import (
+    checked_closure_tree,
+    closure_element,
+    closure_tree,
+    grow_maximal_truncation,
+    random_filter_truncation,
+    random_lower_set,
+    random_separated_path,
+    separated_paths,
+    union_meet,
+)
+from sgis.errors import IncompatiblePathsError, SgisError, WordError
+from sgis.paths import Letter, Path, compatible, is_prefix, make_word, sorted_paths, vertex_path
+from sgis.semigroup import Level, make_element
 from sgis.semilattice import (
+    LowerSet,
     canonicalize,
     canonicalize_by_stripping,
     class_eq,
@@ -15,10 +27,14 @@ from sgis.semilattice import (
     is_compatible_set_by_configs,
     is_separated_compatible_family,
     lower_closure,
+    lower_closure_unchecked,
     max_elements,
     meet,
     render_lower_set,
 )
+from sgis.spectrum import Truncation, extend_inverse_tails, trim_inverse_tails
+
+ALL_GRAPHS = ("rose1t", "rose2t", "rose2f", "fim2", "fim2inf", "mixed")
 
 E = Letter("e", False)
 Ei = Letter("e", True)
@@ -36,6 +52,11 @@ def test_lower_closure_examples(rose2t, rose2f):
     assert bad == {(E,), (F,)}
     J = lower_closure(rose2f, [make_word(rose2f, "v", (E, E, Fi))])
     assert {p.letters for p in J.paths} == {(), (E,), (E, E), (E, E, Fi)}
+
+
+def test_lower_closure_rejects_unreduced_member(rose2f):
+    with pytest.raises(WordError, match="not reduced"):
+        lower_closure(rose2f, [Path("v", (E, Ei))])
 
 
 def test_lower_closure_mixed_sources(fim2):
@@ -212,3 +233,66 @@ def test_render(rose2f):
     I = lower_closure(rose2f, [make_word(rose2f, "v", (E,))])
     assert render_lower_set(I) == "{v, e}"
     assert is_canonical(I)
+
+
+def _outcome(fn, *args):
+    """The value of a call, or the type of the SgisError it raises."""
+    try:
+        return fn(*args)
+    except SgisError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_walk_matches_set_route(name, request):
+    """The constructors that walk a Munn tree equal the set route of
+    `helpers` (closed, sorted and pairwise-checked sets of paths), tree order
+    and error type included, on seeded families of separated paths,
+    incompatible ones included.  Every pair an IncompatiblePathsError names
+    fails `compatible`; for two paths it is the pair the set route names."""
+    graph = request.getfixturevalue(name)
+    rng = random.Random(f"walk:{name}")
+    conflicts = 0
+    closed: dict[str, list[LowerSet]] = {}
+    for _ in range(500):
+        v = rng.choice(graph.vertices)
+        fam = [random_separated_path(graph, v, rng, 4) for _ in range(rng.randint(1, 4))]
+        T = closure_tree(graph, fam)
+        assert lower_closure_unchecked(graph, fam) == T
+        assert canonicalize(graph, T) == canonicalize_by_stripping(graph, T)
+        assert _outcome(lower_closure, graph, fam) == _outcome(checked_closure_tree, graph, fam)
+        try:
+            closed.setdefault(v, []).append(lower_closure(graph, fam))
+        except IncompatiblePathsError as exc:
+            conflicts += 1
+            assert not compatible(graph, *exc.pair)
+            if len(set(fam)) == 2:
+                with pytest.raises(IncompatiblePathsError) as ref:
+                    checked_closure_tree(graph, fam)
+                assert exc.pair == ref.value.pair
+        carrier = rng.choice(T.paths)
+        if rng.random() < 0.2:  # a carrier whose anchor may be missing
+            carrier = random_separated_path(graph, v, rng, 3)
+        for level in Level:
+            try:
+                got = make_element(graph, fam, carrier, level)
+            except IncompatiblePathsError as exc:
+                assert not compatible(graph, *exc.pair)
+                got = IncompatiblePathsError
+            except SgisError as exc:
+                got = type(exc)
+            want = _outcome(closure_element, graph, fam, carrier, level)
+            assert got == want, (fam, carrier, level)
+    if name in ("rose2t", "mixed"):  # the graphs with a block of two edges
+        assert conflicts > 0
+    trees = [I for group in closed.values() for I in group]
+    for _ in range(600):
+        I, J = rng.choice(trees), rng.choice(closed[rng.choice(trees).base])
+        assert meet(graph, I, J) == union_meet(graph, I, J)
+    for _ in range(20):
+        depth = rng.randint(1, 3)
+        grow = rng.choice((grow_maximal_truncation, random_filter_truncation))
+        members = grow(graph, rng.choice(graph.vertices), depth, rng)
+        Z = Truncation(LowerSet(next(iter(members)).base, sorted_paths(graph, members)), depth)
+        for W in (Z, extend_inverse_tails(graph, Z, depth + 1)):
+            assert trim_inverse_tails(graph, W).paths == canonicalize_by_stripping(graph, W.paths)
