@@ -40,6 +40,7 @@ from .semigroup import (
 from .semilattice import (
     LowerSet,
     canonicalize,
+    compatible_with,
     lower_closure,
     lower_closure_unchecked,
     max_elements,
@@ -273,32 +274,26 @@ def bounded_cover_check(
     """
     budget = budget or Budget(context="cover counterexample search")
     for Z in covering:
-        if not set(I.paths) <= set(Z.paths):
+        if not all(p in Z for p in I.paths):
             raise SgisError("covering trees must extend the covered tree")
     if not covering:
         raise SgisError("empty covering family")
 
-    paths = separated_paths_upto(graph, I.base, max_len, budget)
-    tips = max_elements(I)
-
-    def kills(p: Path, Z: LowerSet) -> bool:
-        return any(not compatible(graph, p, q) for q in Z.paths)
-
     candidates = [
         p
-        for p in paths
-        if all(compatible(graph, p, t) for t in tips)
-        and any(kills(p, Z) for Z in covering)
+        for p in separated_paths_upto(graph, I.base, max_len, budget)
+        if compatible_with(graph, I, p)
+        and not all(compatible_with(graph, Z, p) for Z in covering)
     ]
 
     def search(chosen: list[Path]) -> list[Path] | None:
         budget.spend()
-        pending = [Z for Z in covering if not any(kills(p, Z) for p in chosen)]
+        pending = [Z for Z in covering if all(compatible_with(graph, Z, p) for p in chosen)]
         if not pending:
             return list(chosen)
         target = pending[0]
         for p in candidates:
-            if not kills(p, target):
+            if compatible_with(graph, target, p):
                 continue
             if all(compatible(graph, p, q) for q in chosen):
                 hit = search(chosen + [p])
@@ -326,7 +321,7 @@ def cover_witness(graph: SeparatedGraph, J: LowerSet, block: Block) -> str:
     if pick is None:
         pick = block.edges[0]
     probe = Path(J.base, (Letter(pick, False),))
-    if not all(compatible(graph, probe, q) for q in max_elements(J)):
+    if not compatible_with(graph, J, probe):
         raise SgisError(f"witness {pick!r} fails compatibility with {J!r}")
     return pick
 
@@ -346,7 +341,7 @@ def cover_refinement_check(
     """
     if block.infinite:
         raise SgisError("refinement requires a finite block")
-    if head not in I.paths:
+    if head not in I:
         raise SgisError("head must be a member of the tree")
     if any(not x.inverse for x in run):
         raise SgisError("run must consist of inverse letters")
@@ -358,9 +353,9 @@ def cover_refinement_check(
             raise SgisError("run does not extend the head reducedly")
         if not is_separated_path(graph, whole):
             raise SgisError(f"extension {render_path(whole)!r} is not separated")
-        if whole in I.paths:
+        if whole in I:
             raise SgisError(f"extension {render_path(whole)!r} already lies in the tree")
-        if not all(compatible(graph, whole, m) for m in max_elements(I)):
+        if not compatible_with(graph, I, whole):
             raise SgisError(f"extension {render_path(whole)!r} is incompatible with the tree")
         extended.append(whole)
 

@@ -117,6 +117,8 @@ def make_element(graph: SeparatedGraph, tree_paths: Iterable[Path], carrier: Pat
 
 def _checked(graph: SeparatedGraph, a: Element) -> Element:
     anchor = a.carrier if a.level is Level.FREE else positive_part(a.carrier)
+    # a scan, not `in a.tree`: one lookup per product, and a member set would
+    # hash every path (the tree of e^50 holds 1,275 letters)
     if anchor not in a.tree.paths:
         raise SgisError(f"carrier anchor {anchor!r} missing from tree {a.tree!r}")
     return a
@@ -224,7 +226,7 @@ def natural_leq(graph: SeparatedGraph, a, b) -> bool:
         return False
     if a.level is not b.level:
         raise LevelMismatchError(f"{a.level} <= {b.level}")
-    return a.carrier == b.carrier and set(b.tree.paths) <= set(a.tree.paths)
+    return a.carrier == b.carrier and all(p in a.tree for p in b.tree.paths)
 
 
 def grading(a) -> FreeGroupWord:
@@ -240,7 +242,7 @@ def grading(a) -> FreeGroupWord:
 def action_domain_contains(graph: SeparatedGraph, g: Path, tree: LowerSet) -> bool:
     """Membership in the domain ideal indexed by g: the tree sits at the
     source of g and contains g's positive part."""
-    return tree.base == g.base and positive_part(g) in tree.paths
+    return tree.base == g.base and positive_part(g) in tree
 
 
 def act_on_tree(graph: SeparatedGraph, g: Path, tree: LowerSet) -> LowerSet:

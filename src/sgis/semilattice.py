@@ -2,19 +2,22 @@
 
 A `LowerSet` stores a prefix-closed family of paths from one vertex, sorted
 under the global length-lexicographic order, so equality is structural and
-values are hashable.  Every tree is built by one walk, `munn_tree`, over a
-trie of a word's reduced prefixes; a family of paths is walked as the word
-`tree_word` reads it, so closure, canonical form and meet are walks too.
-Compatibility is the walk's per-node block rule: `lower_closure` raises on a
-violation, `meet` gives None, and the unchecked variant exists for trees that
-deliberately ignore the separation (the free quotient level).
+values are hashable.  Its member set (`p in I`) and its tips
+(`max_elements`) are built on first use and kept on the value, outside the
+fields; `compatible_with` is the one test of a path against a tree.  Every
+tree is built by one walk, `munn_tree`, over a trie of a word's reduced
+prefixes; a family of paths is walked as the word `tree_word` reads it, so
+closure, canonical form and meet are walks too.  Compatibility is the walk's
+per-node block rule: `lower_closure` raises on a violation, `meet` gives
+None, and the unchecked variant exists for trees that deliberately ignore
+the separation (the free quotient level).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .errors import IncompatiblePathsError, WordError
 from .graph import SeparatedGraph
@@ -40,7 +43,11 @@ class LowerSet:
     paths: tuple[Path, ...]
 
     def __contains__(self, p: Path) -> bool:
-        return p in self.paths
+        cache = self.__dict__
+        members = cache.get("_members")
+        if members is None:
+            members = cache["_members"] = frozenset(self.paths)
+        return p in members
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -218,9 +225,20 @@ def is_separated_compatible_family(
 def max_elements(I: LowerSet) -> tuple[Path, ...]:
     """Maximal members under the prefix order, in tree order; inverse to
     lower closure.  In a lower set a member is maximal iff it is no
-    member's parent."""
-    parents = {p.letters[:-1] for p in I.paths if p.letters}
-    return tuple(p for p in I.paths if p.letters not in parents)
+    member's parent.  The tips are kept on I, as its member set is."""
+    cache = I.__dict__
+    tips = cache.get("_tips")
+    if tips is None:
+        parents = {p.letters[:-1] for p in I.paths if p.letters}
+        tips = cache["_tips"] = tuple(p for p in I.paths if p.letters not in parents)
+    return tips
+
+
+def compatible_with(graph: SeparatedGraph, I: LowerSet, p: Path) -> bool:
+    """p is compatible with every member of I.  The tips suffice: a member
+    that diverges from p lies below a tip that diverges from p at the same
+    place."""
+    return all(compatible(graph, p, m) for m in max_elements(I))
 
 
 def canonicalize(graph: SeparatedGraph, I: LowerSet) -> LowerSet:
@@ -269,10 +287,10 @@ def class_leq(graph: SeparatedGraph, I: LowerSet, J: LowerSet) -> bool:
         return False
     I0 = canonicalize(graph, I)
     J0 = canonicalize(graph, J)
-    return set(J0.paths) <= set(I0.paths)
+    return all(p in I0 for p in J0.paths)
 
 
-def config_letters_at(graph: SeparatedGraph, members: set[Path], g: Path):
+def config_letters_at(graph: SeparatedGraph, members: Container[Path], g: Path):
     """Letters x with red(g x) inside the set; the local picture at g."""
     back = ~g.letters[-1] if g.letters else None
     return [

@@ -19,7 +19,6 @@ from .graph import Block, SeparatedGraph
 from .paths import (
     Letter,
     Path,
-    compatible,
     is_separated_path,
     path_range,
     render_path,
@@ -29,6 +28,7 @@ from .paths import (
 from .semilattice import (
     LowerSet,
     canonicalize,
+    compatible_with,
     config_letters_at,
     is_canonical,
     lower_closure,
@@ -84,9 +84,9 @@ def make_truncation(graph: SeparatedGraph, paths: Iterable[Path], depth: int) ->
 
 def local_configuration(graph: SeparatedGraph, Z: LowerSet, g: Path) -> LocalConfig | None:
     """Extension letters of g inside Z; None marks the empty configuration."""
-    if g not in Z.paths:
+    if g not in Z:
         raise SgisError(f"{render_path(g)!r} is not a member of the set")
-    letters = config_letters_at(graph, set(Z.paths), g)
+    letters = config_letters_at(graph, Z, g)
     if not letters:
         return None
     at = path_range(graph, g)
@@ -146,8 +146,7 @@ def _certify(graph: SeparatedGraph, Z: Truncation, kind: str) -> Certificate:
     for g in Z.paths.paths:
         if len(g.letters) >= Z.depth:
             continue
-        cfg = local_configuration(graph, Z.paths, g)
-        letters = cfg.letters if cfg is not None else frozenset()
+        letters = frozenset(config_letters_at(graph, Z.paths, g))
         if not is_complete(graph, LocalConfig(at=path_range(graph, g), letters=letters)):
             return Certificate(kind, False, Z.depth, witness=g, caveats=tuple(caveats))
     return Certificate(kind, True, Z.depth, caveats=tuple(caveats))
@@ -174,9 +173,8 @@ def trim_inverse_tails(graph: SeparatedGraph, Z: Truncation) -> Truncation:
 def extend_inverse_tails(graph: SeparatedGraph, Z: Truncation, depth: int) -> Truncation:
     """Adjoin every inverse-letter extension g x1^-1...xn^-1 (first step
     leaving the set) up to the depth bound; inverse to trimming below depth."""
-    members = set(Z.paths.paths)
     new: set[Path] = set()
-    for g in members:
+    for g in Z.paths.paths:
         frontier = [g]
         first = True
         while frontier:
@@ -189,7 +187,7 @@ def extend_inverse_tails(graph: SeparatedGraph, Z: Truncation, depth: int) -> Tr
                     if not x.inverse:
                         continue
                     q = Path(p.base, p.letters + (x,))
-                    if first and q in members:
+                    if first and q in Z.paths:
                         continue
                     if q in new:
                         continue
@@ -197,7 +195,7 @@ def extend_inverse_tails(graph: SeparatedGraph, Z: Truncation, depth: int) -> Tr
                     nxt.append(q)
             frontier = nxt
             first = False
-    return Truncation(LowerSet(Z.base, sorted_paths(graph, members | new)), depth)
+    return Truncation(LowerSet(Z.base, sorted_paths(graph, Z.paths.paths + tuple(new))), depth)
 
 
 # -- the basic open sets Z(I \ F) ---------------------------------------------
@@ -231,25 +229,19 @@ def branch_decompose(I: LowerSet, f: Path) -> int | None:
     elsewhere."""
     if f.base != I.base:
         return None
-    best = None
-    for k in range(len(f.letters) + 1):
-        if Path(f.base, f.letters[: k]) in I.paths:
-            best = k
-    return best
+    k = 0  # a lower set holds every prefix of a member: stop at the first miss
+    while k < len(f.letters) and Path(f.base, f.letters[: k + 1]) in I:
+        k += 1
+    return k
 
 
 def is_branch_extension(graph: SeparatedGraph, I: LowerSet, f: Path) -> bool:
     """Membership in the one-step extension family of I: the part of f after
     its longest prefix in I is an inverse run ending in a single positive
     edge, and adjoining f keeps the tree canonical and compatible."""
-    if f.base != I.base or f in I.paths or not is_separated_path(graph, f):
+    if f.base != I.base or f in I or not is_separated_path(graph, f):
         return False
-    k = branch_decompose(I, f)
-    if k is None:
-        return False
-    if not branch_shape(f, k):
-        return False
-    return all(compatible(graph, f, m) for m in max_elements(I))
+    return branch_shape(f, branch_decompose(I, f)) and compatible_with(graph, I, f)
 
 
 def make_cylinder(graph: SeparatedGraph, I: LowerSet, excluded: Iterable[Path]) -> Cylinder:
@@ -269,8 +261,7 @@ def branch_extensions(
 ) -> list[Path]:
     """All one-step extensions of I with length <= max_len."""
     budget = budget or Budget(context="branch extension enumeration")
-    found: list[Path] = []
-    tips = max_elements(I)
+    found: set[Path] = set()
     for g in I.paths:
         runs = [g]
         while runs:
@@ -282,18 +273,13 @@ def branch_extensions(
                 if x.inverse:
                     # grow the inverse run; its first step must leave I
                     if len(q.letters) < max_len and not (
-                        len(q.letters) == len(g.letters) + 1 and q in I.paths
+                        len(q.letters) == len(g.letters) + 1 and q in I
                     ):
                         runs.append(q)
                 # close the run with a positive edge
                 elif len(q.letters) <= max_len:
-                    first_new = Path(g.base, q.letters[: len(g.letters) + 1])
-                    if first_new not in I.paths and all(
-                        compatible(graph, q, m) for m in tips
-                    ):
-                        found.append(q)
-    uniq = sorted_paths(graph, set(found))
-    return [f for f in uniq if is_branch_extension(graph, I, f)]
+                    found.add(q)
+    return [f for f in sorted_paths(graph, found) if is_branch_extension(graph, I, f)]
 
 
 def cylinder_member(graph: SeparatedGraph, Z: Truncation, B: Cylinder) -> bool:
@@ -307,8 +293,7 @@ def cylinder_member(graph: SeparatedGraph, Z: Truncation, B: Cylinder) -> bool:
         )
     if Z.base != B.tree.base:
         return False
-    members = set(Z.paths.paths)
-    return set(B.tree.paths) <= members and not members.intersection(B.excluded)
+    return all(p in Z.paths for p in B.tree.paths) and not any(f in Z.paths for f in B.excluded)
 
 
 def cylinder_intersect(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> Cylinder | None:
@@ -320,7 +305,7 @@ def cylinder_intersect(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> Cyl
         return None
     kept = []
     for f in set(B1.excluded) | set(B2.excluded):
-        if f in J.paths:
+        if f in J:
             return None
         if is_branch_extension(graph, J, f):
             kept.append(f)
@@ -354,7 +339,7 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
     I2, F2 = B2.tree, set(B2.excluded)
     out: list[Cylinder] = []
 
-    missing = sorted_paths(graph, [h for h in max_elements(I2) if h not in I1.paths])
+    missing = sorted_paths(graph, [h for h in max_elements(I2) if h not in I1])
     ladders: list[list[Path]] = []
     for h in missing:
         k = branch_decompose(I1, h)
@@ -369,7 +354,7 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
             grown = [rungs[i - 1] for i, rungs in zip(choice, ladders) if i > 0]
             forced_next = [rungs[i] for i, rungs in zip(choice, ladders) if i < len(rungs)]
             In = munn_tree(graph, I1.base, tree_word(I1.paths + tuple(grown)), canonical=True)[0]
-            if any(f in In.paths for f in forced_next):
+            if any(f in In for f in forced_next):
                 # ladders sharing a rung: the exclusion is forced inside the
                 # tree, so this index tuple names the empty set
                 continue

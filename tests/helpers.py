@@ -205,6 +205,12 @@ def union_meet(graph: SeparatedGraph, I: LowerSet, J: LowerSet):
     return LowerSet(I.base, sorted_paths(graph, set(I.paths) | set(J.paths)))
 
 
+def compatible_with_every_member(graph: SeparatedGraph, I: LowerSet, p: Path) -> bool:
+    """Definition route to `compatible_with`: p against every member of I,
+    not only against the tips."""
+    return all(compatible(graph, p, m) for m in I.paths)
+
+
 def closure_element(graph: SeparatedGraph, tree_paths, carrier: Path, level: Level) -> Element:
     """Set route to `make_element`: close the paths (and the carrier at the
     free level) as a set, check them pairwise at the separated level, strip

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from helpers import (
     checked_closure_tree,
     closure_element,
     closure_tree,
+    compatible_with_every_member,
     grow_maximal_truncation,
     random_filter_truncation,
     random_lower_set,
@@ -15,7 +17,17 @@ from helpers import (
     union_meet,
 )
 from sgis.errors import IncompatiblePathsError, SgisError, WordError
-from sgis.paths import Letter, Path, compatible, is_prefix, make_word, sorted_paths, vertex_path
+from sgis.paths import (
+    Letter,
+    Path,
+    compatible,
+    is_prefix,
+    make_word,
+    path_range,
+    sorted_paths,
+    steps,
+    vertex_path,
+)
 from sgis.semigroup import Level, make_element
 from sgis.semilattice import (
     LowerSet,
@@ -23,6 +35,7 @@ from sgis.semilattice import (
     canonicalize_by_stripping,
     class_eq,
     class_leq,
+    compatible_with,
     is_canonical,
     is_compatible_set_by_configs,
     is_separated_compatible_family,
@@ -90,6 +103,50 @@ def test_max_lower_bijection_random(rose2f, fim2, mixed):
             p for p in fam if not any(q != p and is_prefix(p, q) for q in fam)
         ]
         assert set(max_elements(closed)) == set(incomparable)
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_lower_set_caches_stay_out_of_the_value(name, request):
+    """A tree keeps its member set and its tips once asked for them, yet its
+    value is still its two fields: equality, hash and repr are unchanged."""
+    graph = request.getfixturevalue(name)
+    rng = random.Random(f"caches:{name}")
+    for _ in range(20):
+        I = random_lower_set(graph, "v", rng)
+        extensions = [
+            Path(p.base, p.letters + (x,))
+            for p in I.paths
+            for x, _ in steps(graph, path_range(graph, p))
+        ]
+        for p in I.paths + tuple(extensions):
+            assert (p in I) == (p in I.paths)
+        assert max_elements(I) is max_elements(I)
+        fresh = LowerSet(I.base, I.paths)
+        assert I == fresh and fresh == I
+        assert hash(I) == hash(fresh) and repr(I) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(LowerSet)] == ["base", "paths"]
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_compatible_with_matches_every_member(name, request):
+    """`compatible_with` tests only the tips; it agrees with the test against
+    every member on seeded canonical and non-canonical trees, paired with
+    every separated path of length <= 3 from the base."""
+    graph = request.getfixturevalue(name)
+    rng = random.Random(f"compatible_with:{name}")
+    probes = separated_paths(graph, "v", 3)
+    canonical, outcomes = set(), set()
+    for _ in range(30):
+        I = random_lower_set(graph, "v", rng, max_len=3)
+        for J in (I, canonicalize(graph, I)):
+            canonical.add(is_canonical(J))
+            for p in probes:
+                got = compatible_with(graph, J, p)
+                assert got == compatible_with_every_member(graph, J, p), (J, p)
+                outcomes.add(got)
+    assert canonical == {True, False}
+    if name in ("rose2t", "mixed"):  # the graphs with a block of two edges
+        assert outcomes == {True, False}
 
 
 def test_canonicalize_examples(rose2f):

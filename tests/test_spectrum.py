@@ -155,9 +155,9 @@ def test_branch_extensions_examples(rose2t, rose2f):
     assert got == {(F,), (E, E), (E, F), (Ei, F), (Fi, E)}
 
 
-def test_branch_extensions_against_definition(rose2f, rose2t, fim2, mixed):
+def test_branch_extensions_against_definition(rose2f, rose2t, fim2, mixed, rose1t, fim2inf):
     rng = random.Random(2)
-    for graph in (rose2f, rose2t, fim2, mixed):
+    for graph in (rose2f, rose2t, fim2, mixed, rose1t, fim2inf):
         for _ in range(40):
             I = canonicalize(graph, random_lower_set(graph, "v", rng, max_len=2))
             got = set(branch_extensions(graph, I, 3))
