@@ -18,6 +18,7 @@ from .paths import (
     Path,
     compatible,
     compose,
+    inverse_runs,
     is_prefix,
     is_separated_path,
     path_range,
@@ -404,23 +405,10 @@ def _canonical_trees_upto(graph: SeparatedGraph, v: str, max_len: int, budget: B
 
 
 def _carriers_for(graph: SeparatedGraph, tree: LowerSet, max_len: int, budget: Budget) -> tuple[Path, ...]:
-    """Carriers anchored in the tree: inverse-run extensions of members that
-    do not end in an inverse letter."""
+    """Carriers anchored in the tree: the inverse runs from members that do
+    not end in an inverse letter."""
     anchors = [p for p in tree.paths if not p.letters or not p.letters[-1].inverse]
-    out: list[Path] = []
-    for a in anchors:
-        frontier = [a]
-        while frontier:
-            p = frontier.pop()
-            budget.spend()
-            out.append(p)
-            if len(p.letters) >= max_len:
-                continue
-            last = p.letters[-1] if p.letters else None
-            for x, _ in steps(graph, path_range(graph, p), last):
-                if x.inverse:
-                    frontier.append(Path(a.base, p.letters + (x,)))
-    return sorted_paths(graph, set(out))
+    return sorted_paths(graph, [p for a in anchors for p in inverse_runs(graph, a, max_len, budget)])
 
 
 def enumerate_basis(

@@ -136,9 +136,6 @@ class SeparatedGraph:
                     "to keep them; they are excluded from spectrum operations)"
                 )
 
-    def is_sink(self, v: str) -> bool:
-        return not self.out_edges[v]
-
     def __repr__(self) -> str:
         return (
             f"SeparatedGraph({len(self.vertices)} vertices, "

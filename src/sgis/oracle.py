@@ -389,7 +389,6 @@ def crosscheck(
     samples: int,
     max_len: int,
     seed: int = 0,
-    include_walks: bool = True,
 ):
     """Engine vs string-algorithm normal forms on sampled words; the report
     counts agreements and collects any disagreeing words (must stay empty)."""
@@ -404,7 +403,7 @@ def crosscheck(
         "budgets_hit": 0,
     }
     for i in range(samples):
-        if include_walks and i % 2 == 1:
+        if i % 2 == 1:
             atoms = random_walk_word(graph, rng, max_len)
         else:
             atoms = random_letter_word(graph, rng, max_len)

@@ -4,10 +4,12 @@ A `Path` is a source vertex plus a composable sequence of letters (edges or
 formal inverses).  Length-0 paths at different vertices are distinct values.
 All functions are pure; the graph is passed explicitly.
 
-Two primitives are shared by every layer: `steps` is the one stepping rule on
-the double graph (which letters may follow a given one in a reduced separated
-path), and `sorted_paths` is the one path order (length-lexicographic, as
-fixed by `path_key`) used for trees, tips and enumerations.
+Three primitives are shared across the layers.  `steps` is the one stepping
+rule on the double graph: which letters may follow a given one in a reduced
+separated path.  `sorted_paths` is the one path order (length-lexicographic,
+as fixed by `path_key`) used for trees, tips and enumerations.  `inverse_runs`
+is the one walk by inverse letters: the spectrum's inverse tails and branch
+extensions and the algebra's carriers are built on it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import WordError
+from .errors import Budget, WordError
 from .graph import SeparatedGraph
 
 
@@ -124,6 +126,27 @@ def steps(
     return out
 
 
+def inverse_runs(
+    graph: SeparatedGraph, p: Path, max_len: int, budget: Budget | None = None
+) -> list[Path]:
+    """p and then every reduced separated path that extends p by inverse
+    letters only, up to `max_len` letters, breadth first in `steps` order.
+
+    A given budget is charged once per path, as the walk reaches it.
+    """
+    runs = [p]
+    for q in runs:
+        if budget is not None:
+            budget.spend()
+        if len(q.letters) >= max_len:
+            continue
+        last = q.letters[-1] if q.letters else None
+        for x, _ in steps(graph, path_range(graph, q), last):
+            if x.inverse:
+                runs.append(Path(q.base, q.letters + (x,)))
+    return runs
+
+
 def star(letters: Sequence[Letter]) -> tuple[Letter, ...]:
     """Formal reversal-inverse of a letter sequence."""
     return tuple(~x for x in reversed(letters))
@@ -140,18 +163,6 @@ def is_separated_path(graph: SeparatedGraph, p: Path) -> bool:
             a.inverse
             and not b.inverse
             and a.edge != b.edge
-            and graph.block_of[a.edge] is graph.block_of[b.edge]
-        ):
-            return False
-    return True
-
-
-def is_separated_string(graph: SeparatedGraph, p: Path) -> bool:
-    """No factor e^{-1}f for ANY e, f in one block (e = f included)."""
-    for a, b in zip(p.letters, p.letters[1:]):
-        if (
-            a.inverse
-            and not b.inverse
             and graph.block_of[a.edge] is graph.block_of[b.edge]
         ):
             return False

@@ -112,10 +112,10 @@ def make_element(graph: SeparatedGraph, tree_paths: Iterable[Path], carrier: Pat
     tree, pair = _walk(graph, carrier.base, word, level)
     if tree is None:
         raise IncompatiblePathsError(*pair())
-    return _checked(graph, Element(tree, carrier, level))
+    return _checked(Element(tree, carrier, level))
 
 
-def _checked(graph: SeparatedGraph, a: Element) -> Element:
+def _checked(a: Element) -> Element:
     anchor = a.carrier if a.level is Level.FREE else positive_part(a.carrier)
     # a scan, not `in a.tree`: one lookup per product, and a member set would
     # hash every path (the tree of e^50 holds 1,275 letters)
@@ -163,7 +163,7 @@ def multiply(graph: SeparatedGraph, a, b):
     if path_range(graph, a.carrier) != b.carrier.base:
         return ZERO
     tree, end = _walk(graph, a.carrier.base, _word(a) + _word(b), a.level)
-    return ZERO if tree is None else _checked(graph, Element(tree, end, a.level))
+    return ZERO if tree is None else _checked(Element(tree, end, a.level))
 
 
 def inverse(graph: SeparatedGraph, a):
@@ -173,7 +173,7 @@ def inverse(graph: SeparatedGraph, a):
     tree, end = _walk(graph, path_range(graph, a.carrier), star(_word(a)), a.level)
     if tree is None:
         raise SgisError(f"the inverse of {a!r} broke the separated rule")
-    return _checked(graph, Element(tree, end, a.level))
+    return _checked(Element(tree, end, a.level))
 
 
 def is_idempotent(a) -> bool:
@@ -198,7 +198,7 @@ def evaluate(graph: SeparatedGraph, atoms: Sequence["str | Letter"], level: Leve
     if word is None:
         return ZERO
     tree, end = _walk(graph, word.base, word.letters, level)
-    return ZERO if tree is None else _checked(graph, Element(tree, end, level))
+    return ZERO if tree is None else _checked(Element(tree, end, level))
 
 
 def evaluate_tokens(graph: SeparatedGraph, text: str, level: Level = Level.SEPARATED):
@@ -264,12 +264,6 @@ def act_on_tree(graph: SeparatedGraph, g: Path, tree: LowerSet) -> LowerSet:
 class GraphAutomorphism:
     vertex_map: tuple[tuple[str, str], ...]
     edge_map: tuple[tuple[str, str], ...]
-
-    def vertex(self, v: str) -> str:
-        return dict(self.vertex_map)[v]
-
-    def edge(self, e: str) -> str:
-        return dict(self.edge_map)[e]
 
 
 def graph_automorphisms(

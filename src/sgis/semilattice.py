@@ -187,9 +187,7 @@ def lower_closure_unchecked(
     return munn_tree(graph, _one_base(paths, base), tree_word(paths))[0]
 
 
-def lower_closure(
-    graph: SeparatedGraph, paths: Iterable[Path], base: str | None = None
-) -> LowerSet:
+def lower_closure(graph: SeparatedGraph, paths: Iterable[Path]) -> LowerSet:
     """Prefix closure of a compatible family of separated paths.
 
     Raises WordError for a member that is not reduced or not separated, or
@@ -197,7 +195,7 @@ def lower_closure(
     that diverge at the node where the walk breaks the block rule.
     """
     paths = list(paths)
-    base = _one_base(paths, base)
+    base = _one_base(paths, None)
     for p in paths:
         if not is_reduced(p):
             raise WordError(f"path {render_path(p)!r} is not reduced")

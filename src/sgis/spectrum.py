@@ -19,6 +19,7 @@ from .graph import Block, SeparatedGraph
 from .paths import (
     Letter,
     Path,
+    inverse_runs,
     is_separated_path,
     path_range,
     render_path,
@@ -107,34 +108,27 @@ def is_admissible(graph: SeparatedGraph, config: LocalConfig) -> bool:
     return True
 
 
-def _covers_blocks(graph: SeparatedGraph, config_letters: frozenset[Letter], blocks: Sequence[Block]) -> bool:
-    present = {graph.block_of[x.edge].name for x in config_letters if not x.inverse}
-    return all(b.name in present for b in blocks)
-
-
-def _has_all_inverse(graph: SeparatedGraph, at: str, config_letters: frozenset[Letter]) -> bool:
-    return all(Letter(e, True) in config_letters for e in graph.in_edges[at])
+def _is_complete(graph: SeparatedGraph, config: LocalConfig, blocks: Sequence[Block]) -> bool:
+    """Admissible, a positive letter in each of `blocks` and every incoming
+    inverse letter."""
+    present = {graph.block_of[x.edge].name for x in config.letters if not x.inverse}
+    return (
+        is_admissible(graph, config)
+        and all(b.name in present for b in blocks)
+        and all(Letter(e, True) in config.letters for e in graph.in_edges[config.at])
+    )
 
 
 def is_maximal_config(graph: SeparatedGraph, config: LocalConfig) -> bool:
     """Admissible, one positive letter per block (named edges; infinite
     blocks included) and every incoming inverse letter."""
-    return (
-        is_admissible(graph, config)
-        and _covers_blocks(graph, config.letters, graph.blocks_at[config.at])
-        and _has_all_inverse(graph, config.at, config.letters)
-    )
+    return _is_complete(graph, config, graph.blocks_at[config.at])
 
 
 def is_finite_maximal_config(graph: SeparatedGraph, config: LocalConfig) -> bool:
     """Admissible, one positive letter per finite block, every incoming
     inverse letter; infinite blocks are exempt."""
-    finite_blocks = [b for b in graph.blocks_at[config.at] if not b.infinite]
-    return (
-        is_admissible(graph, config)
-        and _covers_blocks(graph, config.letters, finite_blocks)
-        and _has_all_inverse(graph, config.at, config.letters)
-    )
+    return _is_complete(graph, config, [b for b in graph.blocks_at[config.at] if not b.infinite])
 
 
 def _certify(graph: SeparatedGraph, Z: Truncation, kind: str) -> Certificate:
@@ -171,31 +165,11 @@ def trim_inverse_tails(graph: SeparatedGraph, Z: Truncation) -> Truncation:
 
 
 def extend_inverse_tails(graph: SeparatedGraph, Z: Truncation, depth: int) -> Truncation:
-    """Adjoin every inverse-letter extension g x1^-1...xn^-1 (first step
-    leaving the set) up to the depth bound; inverse to trimming below depth."""
-    new: set[Path] = set()
-    for g in Z.paths.paths:
-        frontier = [g]
-        first = True
-        while frontier:
-            nxt = []
-            for p in frontier:
-                if len(p.letters) >= depth:
-                    continue
-                last = p.letters[-1] if p.letters else None
-                for x, _ in steps(graph, path_range(graph, p), last):
-                    if not x.inverse:
-                        continue
-                    q = Path(p.base, p.letters + (x,))
-                    if first and q in Z.paths:
-                        continue
-                    if q in new:
-                        continue
-                    new.add(q)
-                    nxt.append(q)
-            frontier = nxt
-            first = False
-    return Truncation(LowerSet(Z.base, sorted_paths(graph, Z.paths.paths + tuple(new))), depth)
+    """Adjoin every inverse-letter extension g x1^-1...xn^-1 of a member g up
+    to the depth bound: the `inverse_runs` of the members, merged.  Inverse to
+    trimming below depth."""
+    tails = {q for g in Z.paths.paths for q in inverse_runs(graph, g, depth)}
+    return Truncation(LowerSet(Z.base, sorted_paths(graph, tails)), depth)
 
 
 # -- the basic open sets Z(I \ F) ---------------------------------------------
@@ -259,26 +233,20 @@ def make_cylinder(graph: SeparatedGraph, I: LowerSet, excluded: Iterable[Path]) 
 def branch_extensions(
     graph: SeparatedGraph, I: LowerSet, max_len: int, budget: Budget | None = None
 ) -> list[Path]:
-    """All one-step extensions of I with length <= max_len."""
+    """All one-step extensions of I with length <= max_len: each inverse run
+    from a member, closed by one positive edge, kept when it passes
+    `is_branch_extension`.  The budget is charged once per run."""
     budget = budget or Budget(context="branch extension enumeration")
     found: set[Path] = set()
     for g in I.paths:
-        runs = [g]
-        while runs:
-            p = runs.pop()
-            budget.spend()
-            last = p.letters[-1] if p.letters else None
-            for x, _ in steps(graph, path_range(graph, p), last):
-                q = Path(g.base, p.letters + (x,))
-                if x.inverse:
-                    # grow the inverse run; its first step must leave I
-                    if len(q.letters) < max_len and not (
-                        len(q.letters) == len(g.letters) + 1 and q in I
-                    ):
-                        runs.append(q)
-                # close the run with a positive edge
-                elif len(q.letters) <= max_len:
-                    found.add(q)
+        for p in inverse_runs(graph, g, max_len - 1, budget):
+            if len(p.letters) < max_len:
+                last = p.letters[-1] if p.letters else None
+                found.update(
+                    Path(p.base, p.letters + (x,))
+                    for x, _ in steps(graph, path_range(graph, p), last)
+                    if not x.inverse
+                )
     return [f for f in sorted_paths(graph, found) if is_branch_extension(graph, I, f)]
 
 
@@ -368,8 +336,6 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
             try:
                 JH = lower_closure(graph, I1.paths + I2.paths + H)
             except IncompatiblePathsError:
-                continue
-            if not is_canonical(JH):
                 continue
             FH = [f for f in (F1 | F2) if is_branch_extension(graph, JH, f)]
             out.append(make_cylinder(graph, JH, FH))

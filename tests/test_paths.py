@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import composable_letter_words, separated_paths
-from sgis.errors import WordError
+from sgis.errors import Budget, WordError
 from sgis.paths import (
     Letter,
     Path,
@@ -12,9 +12,10 @@ from sgis.paths import (
     compatible,
     compatible_by_reduction,
     compose,
+    inverse_runs,
+    is_prefix,
     is_reduced,
     is_separated_path,
-    is_separated_string,
     letter_range,
     letter_source,
     make_word,
@@ -82,15 +83,7 @@ def test_reduce_confluence(rose2f):
 def test_separated_path_examples(rose2t, rose2f):
     assert not is_separated_path(rose2t, w(rose2t, Ei, F))
     assert is_separated_path(rose2f, w(rose2f, Ei, F))
-    s = w(rose2f, E, Ei)
-    assert is_separated_string(rose2f, s)
-    assert not is_reduced(s)
-
-
-def test_separated_string_rejects_same_edge(rose2t, rose2f):
-    # the inverse-then-positive factor is barred even for equal edges
-    assert not is_separated_string(rose2t, w(rose2t, Ei, E))
-    assert not is_separated_string(rose2f, w(rose2f, Ei, E))
+    assert not is_reduced(w(rose2f, E, Ei))
 
 
 def test_free_separation_all_reduced_are_separated(rose2f):
@@ -123,6 +116,26 @@ def test_steps_matches_definition(rose1t, rose2t, rose2f, fim2, fim2inf, mixed):
                     if is_reduced(two[x]) and is_separated_path(graph, two[x])
                 ]
                 assert steps(graph, at, last) == expected
+
+
+def test_inverse_runs_matches_definition(rose1t, rose2t, rose2f, fim2, fim2inf, mixed):
+    """`inverse_runs` is p followed by the reduced separated paths that extend
+    p by inverse letters only, up to max_len letters, in the breadth-first
+    order of the engine-free enumeration; the budget pays once per run."""
+    for graph in (rose1t, rose2t, rose2f, fim2, fim2inf, mixed):
+        every = separated_paths(graph, "v", 4)
+        for p in separated_paths(graph, "v", 2):
+            for max_len in range(5):
+                expected = [p] + [
+                    q
+                    for q in every
+                    if len(p.letters) < len(q.letters) <= max_len
+                    and is_prefix(p, q)
+                    and all(x.inverse for x in q.letters[len(p.letters):])
+                ]
+                budget = Budget()
+                assert inverse_runs(graph, p, max_len, budget) == expected
+                assert budget.used == len(expected)
 
 
 def test_compatibility_examples(rose2t, rose2f):

@@ -11,7 +11,7 @@ from helpers import (
 )
 from sgis.errors import CylinderError, SgisError
 from sgis.graph import is_finitely_separated
-from sgis.paths import Letter, Path, make_word, vertex_path
+from sgis.paths import Letter, Path, make_word, sorted_paths, vertex_path
 from sgis.semilattice import (
     LowerSet,
     canonicalize,
@@ -123,6 +123,31 @@ def test_trim_extend_inverse_tails(rose2f, fim2):
             lhs = {p for p in back.paths.paths if len(p.letters) < 3}
             rhs = {p for p in Z.paths.paths if len(p.letters) < 3}
             assert lhs == rhs
+
+
+def test_extend_inverse_tails_matches_definition(rose1t, rose2t, rose2f, fim2, fim2inf, mixed):
+    """The extension is the members plus every separated path of length <=
+    depth that is a member followed by inverse letters only."""
+    rng = random.Random(4)
+    for graph in (rose1t, rose2t, rose2f, fim2, fim2inf, mixed):
+        for depth in (1, 2, 3, 4):
+            every = separated_paths(graph, "v", depth)
+            for _ in range(10):
+                Z = make_truncation(graph, random_filter_truncation(graph, "v", 3, rng), 3)
+                for W in (Z, trim_inverse_tails(graph, Z)):
+                    members = set(W.paths.paths)
+                    tails = {
+                        q
+                        for q in every
+                        if any(
+                            Path("v", q.letters[:k]) in members
+                            and all(x.inverse for x in q.letters[k:])
+                            for k in range(len(q.letters) + 1)
+                        )
+                    }
+                    ext = extend_inverse_tails(graph, W, depth)
+                    assert ext.depth == depth
+                    assert ext.paths.paths == sorted_paths(graph, members | tails)
 
 
 def test_extend_no_incoming_edges(fim2):
