@@ -389,8 +389,8 @@ def _canonical_trees_upto(graph: SeparatedGraph, v: str, max_len: int, budget: B
     trees: list[LowerSet] = []
 
     def extend(start: int, chosen: list[Path]) -> None:
-        budget.spend()
         trees.append(lower_closure_unchecked(graph, chosen, base=v))
+        budget.spend(len(trees[-1].paths))  # a unit per path kept bounds the memory
         for j in range(start, len(tips)):
             p = tips[j]
             ok = all(

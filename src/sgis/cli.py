@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 property violation found, 2 input error,
-3 budget exceeded.  Input errors include graph files that are not valid
-UTF-8, flags a mode needs but did not get, and numbers out of range.
+3 budget exceeded, 4 internal error (a bug; one line on stderr, no
+traceback).  Input errors include graph files that are not valid UTF-8,
+flags a mode needs but did not get, and numbers out of range.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _load_graph(path: str, allow_isolated: bool = False) -> SeparatedGraph:
@@ -345,6 +347,9 @@ def main(argv=None) -> int:
     except (SgisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a bug, not a verdict: keep exit 1 for violations
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

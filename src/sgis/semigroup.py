@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     ActionDomainError,
-    BudgetExceededError,
+    Budget,
     IncompatiblePathsError,
     LevelMismatchError,
     SgisError,
@@ -269,75 +269,60 @@ class GraphAutomorphism:
 def graph_automorphisms(
     graph: SeparatedGraph, budget: int = 10**6
 ) -> list[GraphAutomorphism]:
-    """All pairs of bijections preserving source, range and the separation
-    (blocks to blocks, cardinality flags included); brute force with a
-    work budget."""
+    """All pairs of bijections of the vertices and of the edges that preserve
+    source, range and the blocks (sizes and `infinite` flags included), sorted.
+
+    One depth-first search, on its own stack rather than by recursion, maps
+    the edges in declaration order: an edge goes to an unused edge, among the
+    out-edges of its source's image once that is fixed, whose block matches
+    and whose source, range and block extend the maps so far injectively.
+    The vertices no edge touches are then permuted among themselves.  The
+    budget pays one unit per candidate edge tried and one per map emitted."""
+    spend = Budget(budget, "automorphism search").spend
+    edges = graph.edges
+    image: dict = {}  # vertex -> vertex, edge -> edge, Block -> Block; keys in the order set
+    preimage: dict = {}
+    stack: list = []  # (edge index, its candidates, len(image) before it)
     results: list[GraphAutomorphism] = []
-    n_checked = 0
-    for perm in itertools.permutations(graph.vertices):
-        vmap = dict(zip(graph.vertices, perm))
-        n_checked += 1
-        if n_checked > budget:
-            raise BudgetExceededError(budget, "automorphism search")
-        assignments = _edge_assignments(graph, vmap, budget)
-        if assignments is None:
+
+    def take(x, y) -> bool:
+        ok = image.get(x, y) == y and preimage.get(y, x) == x
+        if ok:
+            image[x], preimage[y] = y, x
+        return ok
+
+    def descend(i: int) -> None:
+        if i < len(edges):
+            s = edges[i][1]
+            todo = graph.out_edges[image[s]] if s in image else graph.edge_index
+            stack.append((i, iter(todo), len(image)))
+            return
+        rest = [v for v in graph.vertices if v not in image]
+        fixed = [(v, image[v]) for v in graph.vertices if v in image]
+        emap = tuple(sorted((e, image[e]) for e, _, _ in edges))
+        for perm in itertools.permutations(rest):
+            spend()
+            results.append(GraphAutomorphism(tuple(sorted(fixed + list(zip(rest, perm)))), emap))
+
+    descend(0)
+    while stack:
+        i, todo, mark = stack[-1]
+        while len(image) > mark:
+            del preimage[image.popitem()[1]]
+        f = next(todo, None)
+        if f is None:
+            stack.pop()
             continue
-        for emap in assignments:
-            results.append(
-                GraphAutomorphism(
-                    vertex_map=tuple(sorted(vmap.items())),
-                    edge_map=tuple(sorted(emap.items())),
-                )
-            )
+        spend()
+        e, s, r = edges[i]
+        b, c = graph.block_of[e], graph.block_of[f]
+        pairs = ((e, f), (s, graph.source_of[f]), (r, graph.range_of[f]), (b, c))
+        if (len(b.edges), b.infinite) == (len(c.edges), c.infinite) and all(
+            take(x, y) for x, y in pairs
+        ):
+            descend(i + 1)
     results.sort(key=lambda a: (a.vertex_map, a.edge_map))
     return results
-
-
-def _edge_assignments(graph, vmap, budget):
-    """Per-block edge bijections consistent with a fixed vertex bijection."""
-    block_choices: list[list[dict[str, str]]] = []
-    for b in graph.blocks:
-        targets = [
-            c
-            for c in graph.blocks_at[vmap[b.source]]
-            if len(c.edges) == len(b.edges) and c.infinite == b.infinite
-        ]
-        maps_for_b: list[dict[str, str]] = []
-        for c in targets:
-            for image in itertools.permutations(c.edges):
-                ok = all(
-                    vmap[graph.range_of[e]] == graph.range_of[f]
-                    for e, f in zip(b.edges, image)
-                )
-                if ok:
-                    maps_for_b.append(dict(zip(b.edges, image)))
-        if not maps_for_b:
-            return None
-        block_choices.append(maps_for_b)
-
-    total = 1
-    for choice in block_choices:
-        total *= len(choice)
-        if total > budget:
-            raise BudgetExceededError(budget, "automorphism search")
-
-    found: list[dict[str, str]] = []
-    for combo in itertools.product(*block_choices):
-        emap: dict[str, str] = {}
-        clash = False
-        used: set[str] = set()
-        for part in combo:
-            for e, f in part.items():
-                if f in used:
-                    clash = True
-                    break
-                used.add(f)
-                emap[e] = f
-            if clash:
-                break
-        if not clash and len(emap) == len(graph.edges):
-            found.append(emap)
-    return found
 
 
 def apply_automorphism(graph: SeparatedGraph, phi: GraphAutomorphism, a):

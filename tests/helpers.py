@@ -6,7 +6,7 @@ import itertools
 import random
 
 from sgis.errors import IncompatiblePathsError, LevelMismatchError, SgisError, WordError
-from sgis.graph import SeparatedGraph
+from sgis.graph import Block, SeparatedGraph
 from sgis.paths import (
     Letter,
     Path,
@@ -22,7 +22,7 @@ from sgis.paths import (
     steps,
     vertex_path,
 )
-from sgis.semigroup import ZERO, Element, Level, evaluate, from_letter
+from sgis.semigroup import ZERO, Element, GraphAutomorphism, Level, evaluate, from_letter
 from sgis.semilattice import (
     LowerSet,
     canonicalize_by_stripping,
@@ -30,6 +30,78 @@ from sgis.semilattice import (
     lower_close_paths,
     lower_closure,
 )
+
+
+def random_separated_graph(
+    rng: random.Random, max_vertices: int, isolated: bool = False
+) -> SeparatedGraph:
+    """A seeded random separated graph on 1..max_vertices vertices with at
+    most max_vertices + 2 edges: loops and parallel edges are likely, and
+    the separation is trivial, free or a random partition of each vertex's
+    out-edges, with each block flagged infinite at random.  Unless
+    `isolated`, every vertex meets an edge."""
+    n = rng.randint(1, max_vertices)
+    vertices = [f"v{i}" for i in range(n)]
+    ends: list[tuple[str, str]] = []
+    if not isolated:
+        for v in rng.sample(vertices, n):
+            if not any(v in pair for pair in ends):
+                w = rng.choice(vertices)
+                ends.append((v, w) if rng.random() < 0.5 else (w, v))
+    for _ in range(rng.randint(0, min(max_vertices, 2 * n) + 2) - len(ends)):
+        shape = rng.random()
+        if shape < 0.2:
+            v = rng.choice(vertices)
+            ends.append((v, v))
+        elif shape < 0.4 and ends:
+            ends.append(rng.choice(ends))
+        elif shape < 0.6 and ends:
+            ends.append((rng.choice(ends)[0], rng.choice(vertices)))
+        else:
+            ends.append((rng.choice(vertices), rng.choice(vertices)))
+    rng.shuffle(ends)
+    edges = [(f"e{i}", s, r) for i, (s, r) in enumerate(ends)]
+    mode = rng.choice(["trivial", "free", "mixed"])
+    blocks: list[Block] = []
+    for v in vertices:
+        out = [e for e, s, _ in edges if s == v]
+        parts: list[list[str]] = []
+        for e in out:
+            if mode == "free" or not parts or (mode == "mixed" and rng.random() < 0.5):
+                parts.append([e])
+            else:
+                rng.choice(parts).append(e)
+        for part in parts:
+            name = f"B{len(blocks)}"
+            blocks.append(Block(name, v, tuple(part), rng.random() < 0.25))
+    return SeparatedGraph(vertices, edges, blocks, allow_isolated=isolated)
+
+
+def brute_force_automorphisms(graph: SeparatedGraph) -> list[GraphAutomorphism]:
+    """Reference route to `graph_automorphisms`: every vertex permutation,
+    then every clash-free product of per-block edge bijections onto blocks
+    of the same size and flag at the image vertex."""
+    results: list[GraphAutomorphism] = []
+    for perm in itertools.permutations(graph.vertices):
+        vmap = dict(zip(graph.vertices, perm))
+        block_choices: list[list[dict[str, str]]] = []
+        for b in graph.blocks:
+            maps_for_b = [
+                dict(zip(b.edges, image))
+                for c in graph.blocks_at[vmap[b.source]]
+                if len(c.edges) == len(b.edges) and c.infinite == b.infinite
+                for image in itertools.permutations(c.edges)
+                if all(vmap[graph.range_of[e]] == graph.range_of[f] for e, f in zip(b.edges, image))
+            ]
+            block_choices.append(maps_for_b)
+        for combo in itertools.product(*block_choices):
+            emap = {e: f for part in combo for e, f in part.items()}
+            if len(set(emap.values())) == len(graph.edges):
+                results.append(
+                    GraphAutomorphism(tuple(sorted(vmap.items())), tuple(sorted(emap.items())))
+                )
+    results.sort(key=lambda a: (a.vertex_map, a.edge_map))
+    return results
 
 
 def composable_letter_words(graph: SeparatedGraph, max_len: int) -> list[list[Letter]]:

@@ -18,7 +18,8 @@ from sgis.algebra import (
     path_element,
     render_algebra_element,
 )
-from sgis.errors import SgisError
+from conftest import load
+from sgis.errors import Budget, SgisError
 from sgis.paths import Letter, Path, make_word, vertex_path
 from sgis.semigroup import ZERO, Element, Level, evaluate, is_idempotent, multiply
 from sgis.semilattice import canonicalize, lower_closure, max_elements
@@ -294,6 +295,17 @@ def test_enumerate_basis_matches_word_reachability(rose1t):
         and all(len(p.letters) <= 2 for p in el.tree.paths)
     }
     assert reachable == set(enumerate_basis(rose1t, 2))
+
+
+@pytest.mark.parametrize("name", ["rose1t", "rose2t", "rose2f", "fim2", "fim2inf", "mixed"])
+def test_enumerate_basis_budget_pays_for_every_path_kept(name):
+    """The budget pays a unit per element and a unit per path of each tree
+    kept, so it bounds the memory an enumeration holds."""
+    graph = load(name)
+    budget = Budget()
+    items = enumerate_basis(graph, 2, budget)
+    trees = {el.tree for el in items}
+    assert budget.used >= len(items) + sum(len(t.paths) for t in trees)
 
 
 def test_every_valid_normal_form_is_nonzero(rose2t, fim2, mixed):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import GRAPH_DIR
+import sgis.cli
 from sgis.cli import main
 
 ROSE2F = str(GRAPH_DIR / "rose2f.sg")
@@ -196,6 +197,19 @@ def test_aut(capsys):
     code, out, _ = run(capsys, "aut", FIM2)
     assert code == 0
     assert out.splitlines()[-1] == "count: 8"
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    """An exception that is no SgisError is a bug: exit 4 and one stderr line,
+    never exit 1 (a property violation) and never a traceback."""
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(sgis.cli, "cmd_validate", crash)
+    code, out, err = run(capsys, "validate", ROSE2T)
+    assert code == 4 and out == ""
+    assert err == "internal error: RuntimeError('boom')\n"
 
 
 def test_oracle_crosscheck(capsys):

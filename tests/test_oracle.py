@@ -5,7 +5,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
-from helpers import composable_letter_words
+from helpers import composable_letter_words, random_separated_graph
 import sgis.oracle
 from sgis.errors import Budget, BudgetExceededError, SgisError
 from sgis.oracle import (
@@ -211,3 +211,12 @@ def test_oracle_imports_no_engine_module():
                 engine_users.add(node.name)
     assert top_level == {"errors", "graph", "paths"}
     assert engine_users == {"fim_embed", "crosscheck"}
+
+
+def test_crosscheck_on_generated_graphs():
+    """Engine and string oracle agree on 120 generated graphs without isolated
+    vertices (graph seed i, word seed i, i = 0..119), 500 words each."""
+    for i in range(120):
+        graph = random_separated_graph(random.Random(i), 8)
+        report = crosscheck(graph, samples=500, max_len=10, seed=i)
+        assert report["disagreements"] == [], (i, graph.edges, graph.blocks)
