@@ -9,6 +9,7 @@ flags a mode needs but did not get, and numbers out of range.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path as FilePath
@@ -274,30 +275,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="parse a graph file and report invariants")
     p.add_argument("graph")
     p.add_argument("--allow-isolated", action="store_true")
-    p.set_defaults(func=cmd_validate)
 
-    for name, fn in (("nf", cmd_nf),):
-        p = sub.add_parser(name, help="normal form of a word")
-        p.add_argument("graph")
-        p.add_argument("-w", "--word", required=True)
-        p.add_argument("--level", choices=[lv.value for lv in Level], default="separated")
-        p.set_defaults(func=fn)
+    p = sub.add_parser("nf", help="normal form of a word")
+    p.add_argument("graph")
+    p.add_argument("-w", "--word", required=True)
+    p.add_argument("--level", choices=[lv.value for lv in Level], default="separated")
 
     helps = {"eq": "decide equality of two words", "mul": "product of two words"}
-    for name, fn in (("eq", cmd_eq), ("mul", cmd_mul)):
+    for name in ("eq", "mul"):
         p = sub.add_parser(name, help=helps[name])
         p.add_argument("graph")
         p.add_argument("-a", required=True)
         p.add_argument("-b", required=True)
         p.add_argument("--level", choices=[lv.value for lv in Level], default="separated")
-        p.set_defaults(func=fn)
 
     p = sub.add_parser("enumerate", help="bounded enumerations")
     p.add_argument("graph")
     p.add_argument("--max-len", type=COUNT, default=2)
     p.add_argument("--what", choices=["basis", "idempotents", "nc-paths"], default="basis")
     p.add_argument("--budget", type=POSITIVE, default=10**6)
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("spectrum", help="filter certificates and cylinder algebra")
     p.add_argument("graph")
@@ -310,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f1", default="")
     p.add_argument("--i2")
     p.add_argument("--f2", default="")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("cover", help="verify the block cover and its witnesses")
     p.add_argument("graph")
@@ -319,12 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=COUNT, default=4)
     p.add_argument("--budget", type=POSITIVE, default=10**6)
     p.add_argument("--demos", type=COUNT, default=5)
-    p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("aut", help="graph automorphisms")
     p.add_argument("graph")
     p.add_argument("--budget", type=POSITIVE, default=10**6)
-    p.set_defaults(func=cmd_aut)
 
     p = sub.add_parser("oracle", help="independent validators")
     p.add_argument("action", choices=["crosscheck"])
@@ -332,15 +325,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=COUNT, default=10**4)
     p.add_argument("--len", type=POSITIVE, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_oracle)
 
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs far more than
+    a parse, which matters to callers of `main` in process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a replaced `cmd_<command>` is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -2,7 +2,9 @@
 
 A `Path` is a source vertex plus a composable sequence of letters (edges or
 formal inverses).  Length-0 paths at different vertices are distinct values.
-All functions are pure; the graph is passed explicitly.
+Letters are interned, one instance per edge and direction, so they compare
+and hash by identity and `~x` is a lookup: `star` and `steps` build no new
+letter.  All functions are pure; the graph is passed explicitly.
 
 Three primitives are shared across the layers.  `steps` is the one stepping
 rule on the double graph: which letters may follow a given one in a reduced
@@ -14,20 +16,54 @@ extensions and the algebra's carriers are built on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import Budget, WordError
 from .graph import SeparatedGraph
 
+_INTERNING = threading.Lock()
 
-@dataclass(frozen=True)
+
 class Letter:
-    edge: str
-    inverse: bool = False
+    """An edge, or its formal inverse.
+
+    Letters are interned: `Letter(e, inverse)` returns the one shared
+    instance for the pair, made together with its inverse.  Equality and
+    hashing therefore go by identity, and `~x` is a stored lookup.  Letters
+    are immutable, and copying or pickling one gives back the same instance.
+    """
+
+    __slots__ = ("edge", "inverse", "_inverted")
+    _interned: dict[tuple[str, bool], "Letter"] = {}
+
+    def __new__(cls, edge: str, inverse: bool = False) -> "Letter":
+        try:
+            return cls._interned[edge, inverse]
+        except KeyError:
+            pass
+        with _INTERNING:  # two threads must not each make the pair
+            if (edge, inverse) not in cls._interned:
+                x, y = object.__new__(cls), object.__new__(cls)
+                for a, inv, b in ((x, bool(inverse), y), (y, not inverse, x)):
+                    object.__setattr__(a, "edge", edge)
+                    object.__setattr__(a, "inverse", inv)
+                    object.__setattr__(a, "_inverted", b)
+                    cls._interned[edge, inv] = a
+            return cls._interned[edge, inverse]
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Letter, (self.edge, self.inverse)
 
     def __invert__(self) -> "Letter":
-        return Letter(self.edge, not self.inverse)
+        return self._inverted
 
     def __repr__(self) -> str:
         return f"~{self.edge}" if self.inverse else self.edge
@@ -81,7 +117,7 @@ def make_word(graph: SeparatedGraph, base: str, letters: Sequence[Letter]) -> Pa
 def reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     out: list[Letter] = []
     for x in letters:
-        if out and out[-1].edge == x.edge and out[-1].inverse != x.inverse:
+        if out and out[-1] is x._inverted:
             out.pop()
         else:
             out.append(x)
@@ -94,10 +130,7 @@ def reduce_path(p: Path) -> Path:
 
 
 def is_reduced(p: Path) -> bool:
-    return all(
-        not (a.edge == b.edge and a.inverse != b.inverse)
-        for a, b in zip(p.letters, p.letters[1:])
-    )
+    return all(a is not b._inverted for a, b in zip(p.letters, p.letters[1:]))
 
 
 def steps(
@@ -148,8 +181,8 @@ def inverse_runs(
 
 
 def star(letters: Sequence[Letter]) -> tuple[Letter, ...]:
-    """Formal reversal-inverse of a letter sequence."""
-    return tuple(~x for x in reversed(letters))
+    """Formal reversal-inverse of a letter sequence; it builds no letter."""
+    return tuple([x._inverted for x in reversed(letters)])
 
 
 def path_inverse(graph: SeparatedGraph, p: Path) -> Path:

@@ -46,6 +46,7 @@ from .paths import (
     FreeGroupWord,
     Letter,
     Path,
+    is_prefix,
     letter_source,
     parse_tokens,
     path_inverse,
@@ -117,9 +118,9 @@ def make_element(graph: SeparatedGraph, tree_paths: Iterable[Path], carrier: Pat
 
 def _checked(a: Element) -> Element:
     anchor = a.carrier if a.level is Level.FREE else positive_part(a.carrier)
-    # a scan, not `in a.tree`: one lookup per product, and a member set would
-    # hash every path (the tree of e^50 holds 1,275 letters)
-    if anchor not in a.tree.paths:
+    # in a lower set a member is exactly a prefix of some tip: a few slices,
+    # where `in a.tree` would hash every path (e^50's tree holds 1,275 letters)
+    if not any(is_prefix(anchor, t) for t in max_elements(a.tree)):
         raise SgisError(f"carrier anchor {anchor!r} missing from tree {a.tree!r}")
     return a
 
@@ -277,8 +278,10 @@ def graph_automorphisms(
     out-edges of its source's image once that is fixed, whose block matches
     and whose source, range and block extend the maps so far injectively.
     The vertices no edge touches are then permuted among themselves.  The
-    budget pays one unit per candidate edge tried and one per map emitted."""
+    budget pays one unit per candidate edge tried and |V| + |E| units per map
+    emitted, one per pair it holds, so it bounds the memory of the answer."""
     spend = Budget(budget, "automorphism search").spend
+    map_size = len(graph.vertices) + len(graph.edges)
     edges = graph.edges
     image: dict = {}  # vertex -> vertex, edge -> edge, Block -> Block; keys in the order set
     preimage: dict = {}
@@ -301,7 +304,7 @@ def graph_automorphisms(
         fixed = [(v, image[v]) for v in graph.vertices if v in image]
         emap = tuple(sorted((e, image[e]) for e, _, _ in edges))
         for perm in itertools.permutations(rest):
-            spend()
+            spend(map_size)
             results.append(GraphAutomorphism(tuple(sorted(fixed + list(zip(rest, perm)))), emap))
 
     descend(0)

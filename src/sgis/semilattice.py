@@ -2,15 +2,17 @@
 
 A `LowerSet` stores a prefix-closed family of paths from one vertex, sorted
 under the global length-lexicographic order, so equality is structural and
-values are hashable.  Its member set (`p in I`) and its tips
-(`max_elements`) are built on first use and kept on the value, outside the
-fields; `compatible_with` is the one test of a path against a tree.  Every
-tree is built by one walk, `munn_tree`, over a trie of a word's reduced
-prefixes; a family of paths is walked as the word `tree_word` reads it, so
-closure, canonical form and meet are walks too.  Compatibility is the walk's
-per-node block rule: `lower_closure` raises on a violation, `meet` gives
-None, and the unchecked variant exists for trees that deliberately ignore
-the separation (the free quotient level).
+values are hashable.  Every tree is built by one walk, `munn_tree`, over a
+trie of a word's reduced prefixes; a family of paths is walked as the word
+`tree_word` reads it, so closure, canonical form and meet are walks too.
+The walk marks the tips (the nodes with no kept child) as it lists the
+nodes, and the tree carries them, so `max_elements` is a read; a tree made
+by the constructor finds its tips on first use.  The member set (`p in I`)
+is built on first use.  Both are kept on the value, outside the fields, and
+`compatible_with` is the one test of a path against a tree.  Compatibility
+is the walk's per-node block rule: `lower_closure` raises on a violation,
+`meet` gives None, and the unchecked variant exists for trees that
+deliberately ignore the separation (the free quotient level).
 """
 
 from __future__ import annotations
@@ -100,19 +102,21 @@ def munn_tree(
     members that use one block at the failing node, in `sorted_paths` order,
     and builds them only when asked, so a zero costs no paths.  With
     `canonical`, only the root and the ancestors-or-self of positively
-    entered nodes are kept: the canonical form of the tree.
+    entered nodes are kept: the canonical form of the tree.  The pass that
+    lists the kept nodes marks those with no kept child, and the tree keeps
+    them as its tips, so `max_elements` reads them.
     """
     parent = [0]
     entered: list[Letter | None] = [None]
-    children: list[dict[tuple[str, bool], int]] = [{}]
+    back: list[Letter | None] = [None]  # the letter that leads to the parent
+    children: list[dict[Letter, int]] = [{}]
     blocks: list[dict[int, str]] = [{}]  # block id -> the one edge it uses
     at = 0
     for x in word:
-        y = entered[at]
-        if y is not None and y.edge == x.edge and y.inverse != x.inverse:
+        if back[at] is x:
             at = parent[at]
             continue
-        child = children[at].get((x.edge, x.inverse))
+        child = children[at].get(x)
         if child is None:
             if separated:
                 block = id(graph.block_of[x.edge])
@@ -122,8 +126,9 @@ def munn_tree(
             child = len(parent)
             parent.append(at)
             entered.append(x)
+            back.append(~x)
             children.append({})
-            children[at][x.edge, x.inverse] = child
+            children[at][x] = child
         at = child
 
     keep = [not canonical] * len(parent)
@@ -136,15 +141,25 @@ def munn_tree(
                     keep[up] = True
                     up = parent[up]
 
-    # breadth first, children in letter order: the length-lexicographic order
-    letters: list[tuple[Letter, ...]] = [()] * len(parent)
+    # breadth first, children in letter order: the length-lexicographic order;
+    # paths[i] is the path to order[i]
     order = [0]
-    for n in order:
-        for c in sorted(children[n].values(), key=lambda c: letter_key(graph, entered[c])):
+    paths = [Path(base, ())]
+    tips = []
+    for i, n in enumerate(order):
+        leaf = True
+        kids = children[n].values()
+        if len(kids) > 1:
+            kids = sorted(kids, key=lambda c: letter_key(graph, entered[c]))
+        for c in kids:
             if keep[c]:
-                letters[c] = letters[n] + (entered[c],)
                 order.append(c)
-    tree = LowerSet(base, tuple(Path(base, letters[n]) for n in order))
+                paths.append(Path(base, paths[i].letters + (entered[c],)))
+                leaf = False
+        if leaf:
+            tips.append(paths[i])
+    tree = LowerSet(base, tuple(paths))
+    tree.__dict__["_tips"] = tuple(tips)
     return tree, _trie_path(base, parent, entered, at)
 
 
@@ -162,7 +177,7 @@ def _conflict(graph: SeparatedGraph, base: str, parent, entered, at: int, x: Let
     the child by x and the child by e, or `at` itself when it was entered by ~e."""
     here = _trie_path(base, parent, entered, at)
     new = Path(base, here.letters + (x,))
-    if entered[at] == Letter(e, True):
+    if entered[at] is Letter(e, True):
         return here, new
     return sorted_paths(graph, [Path(base, here.letters + (Letter(e, False),)), new])
 
@@ -222,8 +237,10 @@ def is_separated_compatible_family(
 
 def max_elements(I: LowerSet) -> tuple[Path, ...]:
     """Maximal members under the prefix order, in tree order; inverse to
-    lower closure.  In a lower set a member is maximal iff it is no
-    member's parent.  The tips are kept on I, as its member set is."""
+    lower closure.  A tree built by `munn_tree` carries the tips its walk
+    marked, so this is a read.  For a tree built by the constructor they are
+    found on first use, by the rule that in a lower set a member is maximal
+    iff it is no member's parent, and kept on I, as its member set is."""
     cache = I.__dict__
     tips = cache.get("_tips")
     if tips is None:

@@ -270,6 +270,13 @@ def checked_closure_tree(graph: SeparatedGraph, paths) -> LowerSet:
     return tree
 
 
+def tips_by_parents(I: LowerSet) -> tuple[Path, ...]:
+    """Reference route to the tips that `munn_tree` marks: in a lower set a
+    member is a tip iff it is no member's parent, in tree order."""
+    parents = {p.letters[:-1] for p in I.paths if p.letters}
+    return tuple(p for p in I.paths if p.letters not in parents)
+
+
 def union_meet(graph: SeparatedGraph, I: LowerSet, J: LowerSet):
     """Set route to `meet`: the sorted union when every pair is compatible."""
     if I.base != J.base or not is_separated_compatible_family(graph, I.paths + J.paths):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path as FilePath
 
 import pytest
 
@@ -229,3 +233,36 @@ def test_output_is_deterministic(capsys):
         )
         runs.add(out)
     assert len(runs) == 1
+
+
+def test_main_in_process_matches_a_fresh_process(capsys, monkeypatch):
+    """`main` keeps the parser it built first.  Repeated calls in one process,
+    with an argparse error (exit 2) and the help screens among them, print
+    what a fresh process prints and exit with the same code."""
+    calls = [
+        ["nf", ROSE2F, "-w", "e ~e f"],
+        ["nf", ROSE2F, "-w", "e", "--level", "bogus"],
+        ["eq", ROSE2F, "-a", "e ~e f ~f", "-b", "f ~f e ~e"],
+        ["--help"],
+        ["nf", "--help"],
+        ["mul", ROSE2F, "-a", "e"],
+        ["nf", ROSE2F, "-w", "e e ~e f", "--level", "free"],
+        ["validate", ROSE2T],
+        ["aut", FIM2, "--budget", "0"],
+        ["aut", FIM2, "--budget", "1"],
+        ["nf", ROSE2F, "-w", "e ~e f"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal
+    src = str(FilePath(sgis.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    fresh_main = "import sys; from sgis.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: help and usage errors
+            code = exc.code
+        out = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c", fresh_main, *argv], capture_output=True, text=True, env=env
+        )
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

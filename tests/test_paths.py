@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +45,60 @@ Fi = Letter("f", True)
 
 def w(graph, *letters):
     return make_word(graph, "v", letters)
+
+
+def test_letters_are_interned():
+    """One shared instance per (edge, inverse) pair: equality and hashing go
+    by identity and `~x` is a lookup that builds no letter."""
+    assert Letter("e", True) is ~Letter("e", False)
+    assert Letter("e") is E and Letter(edge="e", inverse=True) is Ei
+    for x in (E, Ei, F, Fi):
+        assert ~~x is x and ~x is not x
+        assert x.inverse == (x is Ei or x is Fi)
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+    assert E != F and E != Ei and {E, Letter("e", False)} == {E}
+    assert [repr(x) for x in (E, Ei, F, Fi)] == ["e", "~e", "f", "~f"]
+
+
+def test_interning_is_thread_safe():
+    """Threads that make the same new letters at once all get the one
+    instance per pair, each linked to the one inverse."""
+    names = [f"stress{i}" for i in range(300)]
+    workers = 8
+    start = threading.Barrier(workers)
+    got: list[list[Letter]] = [[] for _ in range(workers)]
+
+    def make(k):
+        start.wait(timeout=10)
+        for name in names:
+            got[k].append(Letter(name, k % 2 == 1))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=make, args=(k,)) for k in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, name in enumerate(names):
+        x = Letter(name)
+        assert ~x is Letter(name, True) and ~~x is x
+        for k in range(workers):
+            assert got[k][i] is (~x if k % 2 else x)
+
+
+def test_letters_are_immutable():
+    for field, value in (("edge", "f"), ("inverse", True), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(E, field, value)
+    with pytest.raises(AttributeError):
+        del E.edge
+    assert (E.edge, E.inverse) == ("e", False)
 
 
 def test_reduce_basic(rose2f):

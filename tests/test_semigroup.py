@@ -13,7 +13,13 @@ from helpers import (
     random_lower_set,
     random_separated_graph,
 )
-from sgis.errors import ActionDomainError, IncompatiblePathsError, LevelMismatchError, WordError
+from sgis.errors import (
+    ActionDomainError,
+    BudgetExceededError,
+    IncompatiblePathsError,
+    LevelMismatchError,
+    WordError,
+)
 from sgis.graph import free_separation
 from sgis.oracle import random_letter_word, random_walk_word, string_normal_form
 from sgis.paths import (
@@ -358,8 +364,8 @@ def test_automorphisms_match_brute_force():
 @pytest.mark.parametrize("n", range(3, 13))
 def test_cycle_automorphisms_are_rotations(n):
     """The freely separated directed n-cycle has exactly its n rotations.  The
-    search takes n^2 + n budget units; n! vertex permutations would exceed
-    the budget of 1000 from n = 7."""
+    search takes 3n^2 budget units, n^2 candidate edges plus n maps of 2n
+    pairs; n! vertex permutations would exceed the budget of 1000 from n = 7."""
     vertices = [f"v{i}" for i in range(n)]
     graph = free_separation(vertices, [(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
     rotations = {
@@ -372,6 +378,18 @@ def test_cycle_automorphisms_are_rotations(n):
     autos = graph_automorphisms(graph, budget=1000)
     assert len(autos) == n
     assert {(phi.vertex_map, phi.edge_map) for phi in autos} == rotations
+
+
+def test_automorphism_budget_pays_for_each_map():
+    """Each map emitted costs one unit per pair it holds, so the budget bounds
+    the memory of the answer: the 10-cycle takes exactly 100 candidate edges
+    plus 10 maps of 20 pairs."""
+    n = 10
+    vertices = [f"v{i}" for i in range(n)]
+    graph = free_separation(vertices, [(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
+    assert len(graph_automorphisms(graph, budget=300)) == n
+    with pytest.raises(BudgetExceededError):
+        graph_automorphisms(graph, budget=299)
 
 
 def test_automorphism_is_multiplicative(rose2t, fim2):
