@@ -42,11 +42,11 @@ from .semilattice import (
     LowerSet,
     canonicalize,
     compatible_with,
+    is_subtree,
     lower_closure,
     lower_closure_unchecked,
     max_elements,
 )
-from .spectrum import branch_decompose
 
 Scalar = Fraction
 
@@ -192,13 +192,14 @@ def branch_gap(graph: SeparatedGraph, head: Path, tail_letters: Sequence[Letter]
 
 
 def cylinder_idempotent(graph: SeparatedGraph, B) -> AlgebraElement:
-    """Product of the tree idempotent with one branch-gap factor per excluded
-    path."""
+    """The idempotent of the basic open set Z(I \\ F): e(I) times (1 - e(f))
+    for each excluded f, where e(f) is the idempotent of f's tree, each factor
+    applied as acc - acc * e(f).  It equals e(I) times one `branch_gap` per f:
+    the head of f, its longest prefix in I, is a member of I, so
+    e(I) e(head) = e(I)."""
     acc = idempotent_of(graph, B.tree)
     for f in B.excluded:
-        k = branch_decompose(B.tree, f)
-        head = Path(f.base, f.letters[:k])
-        acc = acc * branch_gap(graph, head, f.letters[k:])
+        acc = acc - acc * idempotent_of(graph, lower_closure(graph, [f]))
     return acc
 
 
@@ -275,7 +276,7 @@ def bounded_cover_check(
     """
     budget = budget or Budget(context="cover counterexample search")
     for Z in covering:
-        if not all(p in Z for p in I.paths):
+        if not is_subtree(I, Z):
             raise SgisError("covering trees must extend the covered tree")
     if not covering:
         raise SgisError("empty covering family")
@@ -305,7 +306,7 @@ def bounded_cover_check(
     witness = search([])
     if witness is None:
         return CoverVerdict(None, max_len)
-    J = canonicalize(graph, lower_closure(graph, list(I.paths) + witness))
+    J = canonicalize(graph, lower_closure(graph, max_elements(I) + tuple(witness)))
     return CoverVerdict(J, max_len)
 
 
@@ -367,7 +368,7 @@ def cover_refinement_check(
     lhs = idempotent_of(graph, I) * lhs_sum
     rhs = AlgebraElement.zero(graph)
     for w in extended:
-        rhs = rhs + idempotent_of(graph, lower_closure(graph, list(I.paths) + [w]))
+        rhs = rhs + idempotent_of(graph, lower_closure(graph, max_elements(I) + (w,)))
     return lhs == rhs
 
 

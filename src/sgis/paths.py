@@ -102,16 +102,10 @@ def vertex_path(v: str) -> Path:
 
 def make_word(graph: SeparatedGraph, base: str, letters: Sequence[Letter]) -> Path:
     """Validated, possibly unreduced word: consecutive letters must compose."""
-    if base not in graph.vertex_index:
-        raise WordError(f"unknown vertex {base!r}")
-    at = base
-    for x in letters:
-        if x.edge not in graph.edge_index:
-            raise WordError(f"unknown edge {x.edge!r}")
-        if letter_source(graph, x) != at:
-            raise WordError(f"letter {x!r} does not compose at {at!r}")
-        at = letter_range(graph, x)
-    return Path(base, tuple(letters))
+    word = word_from_atoms(graph, [base, *letters])
+    if word is None:
+        raise WordError(f"letters {list(letters)!r} do not compose from {base!r}")
+    return word
 
 
 def reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
@@ -345,22 +339,32 @@ def parse_word_string(graph: SeparatedGraph, text: str) -> list[str | Letter]:
 def word_from_atoms(
     graph: SeparatedGraph, atoms: Sequence[str | Letter]
 ) -> Path | None:
-    """Assemble a composable word from CLI atoms; None when non-composable
-    (the zero of the path semigroup).  Vertex atoms contribute no letters but
-    must match the running vertex."""
+    """The one reader of words: a sequence of atoms (vertices and letters)
+    as a path from the first atom's source, or None when consecutive atoms
+    do not compose (the zero of the path semigroup).  A vertex atom adds no
+    letter but must be the running vertex.  Each atom is checked as it is
+    read: an unknown vertex or edge raises WordError wherever it stands, also
+    after the atoms have stopped composing."""
     if not atoms:
         raise WordError("empty word")
-    first = atoms[0]
-    base = first if isinstance(first, str) else letter_source(graph, first)
-    at = base
     letters: list[Letter] = []
+    base = at = None
+    composes = True
     for a in atoms:
         if isinstance(a, str):
-            if a != at:
-                return None
-            continue
-        if letter_source(graph, a) != at:
-            return None
-        letters.append(a)
-        at = letter_range(graph, a)
-    return Path(base, tuple(letters))
+            if a not in graph.vertex_index:
+                raise WordError(f"unknown vertex {a!r}")
+            source = target = a
+        else:
+            e = a.edge
+            if e not in graph.edge_index:
+                raise WordError(f"unknown edge {e!r}")
+            source, target = graph.source_of[e], graph.range_of[e]
+            if a.inverse:
+                source, target = target, source
+            letters.append(a)
+        if base is None:
+            base = at = source
+        composes = composes and source == at
+        at = target
+    return Path(base, tuple(letters)) if composes else None

@@ -47,7 +47,6 @@ from .paths import (
     Letter,
     Path,
     is_prefix,
-    letter_source,
     parse_tokens,
     path_inverse,
     path_range,
@@ -57,7 +56,7 @@ from .paths import (
     to_free_word,
     word_from_atoms,
 )
-from .semilattice import LowerSet, max_elements, munn_tree, tree_word
+from .semilattice import LowerSet, is_subtree, max_elements, munn_tree, tree_word
 
 
 class Level(Enum):
@@ -125,19 +124,10 @@ def _checked(a: Element) -> Element:
     return a
 
 
-def _check_atom(graph: SeparatedGraph, atom: "str | Letter") -> None:
-    if isinstance(atom, str):
-        if atom not in graph.vertex_index:
-            raise WordError(f"unknown vertex {atom!r}")
-    elif atom.edge not in graph.edge_index:
-        raise WordError(f"unknown edge {atom.edge!r}")
-
-
 def from_letter(graph: SeparatedGraph, atom: "str | Letter", level: Level) -> Element:
     """Generator images: a vertex, an edge, or an inverse edge."""
-    _check_atom(graph, atom)
-    base, word = (atom, ()) if isinstance(atom, str) else (letter_source(graph, atom), (atom,))
-    return Element(*_walk(graph, base, word, level), level)
+    word = word_from_atoms(graph, [atom])
+    return Element(*_walk(graph, word.base, word.letters, level), level)
 
 
 def _word(a: Element) -> list[Letter]:
@@ -186,15 +176,12 @@ def is_idempotent(a) -> bool:
 def evaluate(graph: SeparatedGraph, atoms: Sequence["str | Letter"], level: Level = Level.SEPARATED):
     """The element of a word, built in one walk over its reduced prefixes.
 
-    Every atom is checked first: an unknown vertex or edge raises WordError
-    wherever it stands, also after a part of the word that is already zero.
-    A word whose letters do not compose is zero; at the separated level so is
-    a word whose tree breaks the block rule of `semilattice.munn_tree`.
+    `paths.word_from_atoms` reads the word and checks every atom: an unknown
+    vertex or edge raises WordError wherever it stands, also after a part of
+    the word that is already zero.  A word whose letters do not compose is
+    zero; at the separated level so is a word whose tree breaks the block
+    rule of `semilattice.munn_tree`.
     """
-    if not atoms:
-        raise WordError("empty word")
-    for atom in atoms:
-        _check_atom(graph, atom)
     word = word_from_atoms(graph, atoms)
     if word is None:
         return ZERO
@@ -227,7 +214,7 @@ def natural_leq(graph: SeparatedGraph, a, b) -> bool:
         return False
     if a.level is not b.level:
         raise LevelMismatchError(f"{a.level} <= {b.level}")
-    return a.carrier == b.carrier and all(p in a.tree for p in b.tree.paths)
+    return a.carrier == b.carrier and is_subtree(b.tree, a.tree)
 
 
 def grading(a) -> FreeGroupWord:

@@ -11,8 +11,10 @@ by the constructor finds its tips on first use.  The member set (`p in I`)
 is built on first use.  Both are kept on the value, outside the fields, and
 `compatible_with` is the one test of a path against a tree.  Compatibility
 is the walk's per-node block rule: `lower_closure` raises on a violation,
-`meet` gives None, and the unchecked variant exists for trees that
-deliberately ignore the separation (the free quotient level).
+`meet` gives None, and the unchecked variant serves the separated-level
+basis search, which checks its families pairwise before it closes them.
+Containment is `is_subtree`, a test of one tree's tips against the other's
+members; the class order and the engine's natural order both use it.
 """
 
 from __future__ import annotations
@@ -256,6 +258,13 @@ def compatible_with(graph: SeparatedGraph, I: LowerSet, p: Path) -> bool:
     return all(compatible(graph, p, m) for m in max_elements(I))
 
 
+def is_subtree(J: LowerSet, I: LowerSet) -> bool:
+    """J is contained in I: every tip of J is a member of I.  The tips
+    suffice, since I is a lower set and every member of J lies below a tip;
+    they start at J's base, so trees at two vertices are never nested."""
+    return all(t in I for t in max_elements(J))
+
+
 def canonicalize(graph: SeparatedGraph, I: LowerSet) -> LowerSet:
     """Largest member of the congruence class: the walk of the tips that
     keeps only the prefixes of their positive parts."""
@@ -298,11 +307,7 @@ def class_eq(graph: SeparatedGraph, I: LowerSet, J: LowerSet) -> bool:
 
 def class_leq(graph: SeparatedGraph, I: LowerSet, J: LowerSet) -> bool:
     """Congruence-class order: [I] <= [J] iff J0 is contained in I0."""
-    if I.base != J.base:
-        return False
-    I0 = canonicalize(graph, I)
-    J0 = canonicalize(graph, J)
-    return all(p in I0 for p in J0.paths)
+    return is_subtree(canonicalize(graph, J), canonicalize(graph, I))
 
 
 def config_letters_at(graph: SeparatedGraph, members: Container[Path], g: Path):

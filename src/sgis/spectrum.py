@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import Budget, CylinderError, IncompatiblePathsError, SgisError
+from .errors import Budget, CylinderError, SgisError
 from .graph import Block, SeparatedGraph
 from .paths import (
     Letter,
@@ -32,6 +32,7 @@ from .semilattice import (
     compatible_with,
     config_letters_at,
     is_canonical,
+    is_subtree,
     lower_closure,
     max_elements,
     meet,
@@ -251,17 +252,13 @@ def branch_extensions(
 
 
 def cylinder_member(graph: SeparatedGraph, Z: Truncation, B: Cylinder) -> bool:
-    longest = max(
-        [len(p.letters) for p in B.tree.paths] + [len(p.letters) for p in B.excluded]
-    )
+    longest = max(len(p.letters) for p in max_elements(B.tree) + B.excluded)
     if Z.depth <= longest:
         raise SgisError(
             f"truncation depth {Z.depth} does not certify membership for "
             f"paths of length {longest}"
         )
-    if Z.base != B.tree.base:
-        return False
-    return all(p in Z.paths for p in B.tree.paths) and not any(f in Z.paths for f in B.excluded)
+    return is_subtree(B.tree, Z.paths) and not any(f in Z.paths for f in B.excluded)
 
 
 def cylinder_intersect(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> Cylinder | None:
@@ -321,7 +318,8 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
                 continue  # the all-top tuple reproduces B1 n Z(I2)
             grown = [rungs[i - 1] for i, rungs in zip(choice, ladders) if i > 0]
             forced_next = [rungs[i] for i, rungs in zip(choice, ladders) if i < len(rungs)]
-            In = munn_tree(graph, I1.base, tree_word(I1.paths + tuple(grown)), canonical=True)[0]
+            word = tree_word(max_elements(I1) + tuple(grown))
+            In = munn_tree(graph, I1.base, word, canonical=True)[0]
             if any(f in In for f in forced_next):
                 # ladders sharing a rung: the exclusion is forced inside the
                 # tree, so this index tuple names the empty set
@@ -333,9 +331,9 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
     candidates = sorted_paths(graph, F2 - F1)
     for r in range(1, len(candidates) + 1):
         for H in itertools.combinations(candidates, r):
-            try:
-                JH = lower_closure(graph, I1.paths + I2.paths + H)
-            except IncompatiblePathsError:
+            word = tree_word(max_elements(I1) + max_elements(I2) + H)
+            JH = munn_tree(graph, I1.base, word, separated=True)[0]
+            if JH is None:
                 continue
             FH = [f for f in (F1 | F2) if is_branch_extension(graph, JH, f)]
             out.append(make_cylinder(graph, JH, FH))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from sgis.algebra import AlgebraElement, branch_gap, idempotent_of
 from sgis.errors import IncompatiblePathsError, LevelMismatchError, SgisError, WordError
 from sgis.graph import Block, SeparatedGraph
 from sgis.paths import (
@@ -25,11 +26,13 @@ from sgis.paths import (
 from sgis.semigroup import ZERO, Element, GraphAutomorphism, Level, evaluate, from_letter
 from sgis.semilattice import (
     LowerSet,
+    canonicalize,
     canonicalize_by_stripping,
     is_separated_compatible_family,
     lower_close_paths,
     lower_closure,
 )
+from sgis.spectrum import Cylinder, branch_decompose, branch_extensions, make_cylinder
 
 
 def random_separated_graph(
@@ -198,6 +201,23 @@ def grow_maximal_truncation(
     return members
 
 
+def sample_cylinders(graph: SeparatedGraph, rng: random.Random, count: int, max_len: int = 2):
+    """Seeded basic open sets Z(I \\ F) at v: a canonical random tree with
+    paths of length <= max_len, and up to two of its branch extensions of
+    length <= max_len + 1 excluded."""
+    out = []
+    guard = 0
+    while len(out) < count and guard < 100 * count:
+        guard += 1
+        I = canonicalize(graph, random_lower_set(graph, "v", rng, max_len=max_len))
+        if max(len(p.letters) for p in I.paths) > max_len:
+            continue
+        exts = branch_extensions(graph, I, max_len + 1)
+        excl = rng.sample(exts, min(len(exts), rng.randint(0, 2))) if exts else []
+        out.append(make_cylinder(graph, I, excl))
+    return out
+
+
 def random_filter_truncation(
     graph: SeparatedGraph, v: str, depth: int, rng: random.Random
 ) -> set[Path]:
@@ -288,6 +308,23 @@ def compatible_with_every_member(graph: SeparatedGraph, I: LowerSet, p: Path) ->
     """Definition route to `compatible_with`: p against every member of I,
     not only against the tips."""
     return all(compatible(graph, p, m) for m in I.paths)
+
+
+def subtree_by_members(J: LowerSet, I: LowerSet) -> bool:
+    """Definition route to `is_subtree`: every member of J, not only its
+    tips, among the members of I."""
+    members = set(I.paths)
+    return all(p in members for p in J.paths)
+
+
+def cylinder_idempotent_by_gaps(graph: SeparatedGraph, B: Cylinder) -> AlgebraElement:
+    """Branch-gap route to `cylinder_idempotent`: e(I) times one
+    `branch_gap(head, tail)` per excluded f, split at f's longest prefix in I."""
+    acc = idempotent_of(graph, B.tree)
+    for f in B.excluded:
+        k = branch_decompose(B.tree, f)
+        acc = acc * branch_gap(graph, Path(f.base, f.letters[:k]), f.letters[k:])
+    return acc
 
 
 def closure_element(graph: SeparatedGraph, tree_paths, carrier: Path, level: Level) -> Element:

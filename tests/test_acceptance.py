@@ -17,6 +17,7 @@ from helpers import (
     distinct_elements,
     random_filter_truncation,
     random_lower_set,
+    sample_cylinders,
     separated_paths,
 )
 from sgis.algebra import (
@@ -77,7 +78,6 @@ from sgis.semilattice import (
 )
 from sgis.spectrum import (
     LocalConfig,
-    branch_extensions,
     cylinder_difference,
     cylinder_intersect,
     cylinder_member,
@@ -233,25 +233,11 @@ def test_criterion_06_semilattice_laws(bench_graphs):
                 assert leq == (multiply(graph, eI, eJ) == eI)
 
 
-def _sample_cylinders(graph, rng, count, max_len=2):
-    out = []
-    guard = 0
-    while len(out) < count and guard < 100 * count:
-        guard += 1
-        I = canonicalize(graph, random_lower_set(graph, "v", rng, max_len=max_len))
-        if max(len(p.letters) for p in I.paths) > max_len:
-            continue
-        exts = branch_extensions(graph, I, max_len + 1)
-        excl = rng.sample(exts, min(len(exts), rng.randint(0, 2))) if exts else []
-        out.append(make_cylinder(graph, I, excl))
-    return out
-
-
 def test_criterion_07_cylinder_algebra(bench_graphs):
     with report("07 cylinder intersection/difference vs 500 windows, 200 pairs"):
         for name, graph in bench_graphs.items():
             rng = random.Random(207)
-            cylinders = _sample_cylinders(graph, rng, 40)
+            cylinders = sample_cylinders(graph, rng, 40)
             windows = [
                 make_truncation(graph, random_filter_truncation(graph, "v", 5, rng), 5)
                 for _ in range(500)

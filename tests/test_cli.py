@@ -137,6 +137,14 @@ def test_spectrum_cylinder_ops(capsys):
         capsys, "spectrum", ROSE2F, "cylinder", "--op", "diff", "--i1", "v", "--i2", "e"
     )
     assert code == 0 and out == "Z({v} \\ {e})\n"
+    # e e and e f leave e by the two edges of rose2t's block B1, so the
+    # subset H = {e e, e f} of F2 names no tree and gives no part
+    code, out, _ = run(
+        capsys, "spectrum", ROSE2T, "cylinder", "--op", "diff",
+        "--i1", "v", "--i2", "e", "--f2", "e e, e f",
+    )
+    assert code == 0
+    assert out == "Z({v} \\ {e})\nZ({v, e, e f} \\ {})\nZ({v, e, e e} \\ {})\n"
     code, out, _ = run(
         capsys, "spectrum", ROSE2F, "cylinder", "--op", "member",
         "--i1", "e", "--set", "e e, f", "--depth", "4",

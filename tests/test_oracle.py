@@ -6,6 +6,7 @@ from pathlib import Path as FilePath
 import pytest
 
 from helpers import composable_letter_words, random_separated_graph
+import sgis.algebra
 import sgis.oracle
 from sgis.errors import Budget, BudgetExceededError, SgisError
 from sgis.oracle import (
@@ -211,6 +212,13 @@ def test_oracle_imports_no_engine_module():
                 engine_users.add(node.name)
     assert top_level == {"errors", "graph", "paths"}
     assert engine_users == {"fim_embed", "crosscheck"}
+
+
+def test_algebra_imports_no_spectrum_module():
+    """The algebra builds its cylinder idempotents from meets of trees, so
+    it sits below the spectrum and imports none of it."""
+    tree = ast.parse(FilePath(sgis.algebra.__file__).read_text())
+    assert all("spectrum" not in _sgis_modules(node) for node in ast.walk(tree))
 
 
 def test_crosscheck_on_generated_graphs():

@@ -320,6 +320,16 @@ def test_word_tokens(rose2f, fim2):
         parse_word_string(rose2f, "e ghost")
 
 
+def test_make_word_raises_on_what_the_reader_rejects(rose2f, fim2):
+    with pytest.raises(WordError, match="unknown vertex 'zz'"):
+        make_word(rose2f, "zz", ())
+    with pytest.raises(WordError, match="unknown edge 'zz'"):
+        make_word(rose2f, "v", (E, Letter("zz", False)))
+    with pytest.raises(WordError, match="do not compose"):
+        make_word(fim2, "v", (Letter("e1", False), Letter("e2", False)))
+    assert make_word(rose2f, "v", (E, Ei)).letters == (E, Ei)  # unreduced is kept
+
+
 def test_render_roundtrip(rose2f):
     p = w(rose2f, E, E, Fi)
     assert render_path(p) == "e e ~f"

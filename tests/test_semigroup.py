@@ -21,7 +21,7 @@ from sgis.errors import (
     WordError,
 )
 from sgis.graph import free_separation
-from sgis.oracle import random_letter_word, random_walk_word, string_normal_form
+from sgis.oracle import random_letter_word, random_walk_word, rewrite_equiv, string_normal_form
 from sgis.paths import (
     Letter,
     Path,
@@ -32,6 +32,7 @@ from sgis.paths import (
     render_free_word,
     sorted_paths,
     vertex_path,
+    word_from_atoms,
 )
 from sgis.semigroup import (
     ZERO,
@@ -474,12 +475,25 @@ def test_long_chain_matches_string_oracle(rose2f):
 
 
 def test_unknown_atom_raises_after_a_zero(rose2t, mixed):
+    """The engine, the string oracle, the rewriting oracle and the reader
+    they share all raise WordError naming an unknown atom: after a part of
+    the word that is zero or does not compose, and standing alone."""
     A = Letter("a", False)
-    for bad in (Letter("nope", False), "nowhere"):
+    readers = (
+        evaluate,
+        string_normal_form,
+        word_from_atoms,
+        lambda graph, word: rewrite_equiv(graph, word, word, 8),
+    )
+    for bad, message in (
+        (Letter("nope", False), "unknown edge 'nope'"),
+        ("nowhere", "unknown vertex 'nowhere'"),
+    ):
         # ~e f is zero on rose2t, and a a does not compose on mixed
-        for graph, word in ((rose2t, [Ei, F, bad]), (mixed, [A, A, bad])):
-            with pytest.raises(WordError):
-                evaluate(graph, word)
+        for graph, word in ((rose2t, [Ei, F, bad]), (mixed, [A, A, bad]), (rose2t, [bad])):
+            for read in readers:
+                with pytest.raises(WordError, match=message):
+                    read(graph, word)
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)

@@ -15,6 +15,7 @@ from helpers import (
     random_separated_graph,
     random_separated_path,
     separated_paths,
+    subtree_by_members,
     tips_by_parents,
     union_meet,
 )
@@ -43,6 +44,7 @@ from sgis.semilattice import (
     is_canonical,
     is_compatible_set_by_configs,
     is_separated_compatible_family,
+    is_subtree,
     lower_closure,
     lower_closure_unchecked,
     max_elements,
@@ -172,6 +174,27 @@ def test_walked_tips_match_the_parent_rule(request):
             # arrive unasked, so a walk that set no tips fails here
             assert vars(tree)["_tips"] == tips_by_parents(tree), (i, tree)
             assert max_elements(tree) is vars(tree)["_tips"]
+
+
+def test_is_subtree_matches_the_member_scan(request):
+    """`is_subtree` reads only the tips of the smaller tree; it agrees with
+    the scan of every member on all pairs of seeded trees, at random
+    vertices, on the six graphs and on 120 generated ones (seeds 0..119)."""
+    graphs = [request.getfixturevalue(name) for name in ALL_GRAPHS]
+    graphs += [random_separated_graph(random.Random(i), 5) for i in range(120)]
+    outcomes, mixed_bases = set(), 0
+    for i, graph in enumerate(graphs):
+        trees = list(dict.fromkeys(_walked_trees(graph, random.Random(f"subtree:{i}"))))
+        # a tree made by the constructor finds its tips on first use
+        trees += [LowerSet(t.base, t.paths) for t in trees[:3]]
+        for J in trees:
+            for I in trees:
+                got = is_subtree(J, I)
+                assert got == subtree_by_members(J, I), (i, J, I)
+                outcomes.add(got)
+                mixed_bases += J.base != I.base
+    assert outcomes == {True, False}
+    assert mixed_bases > 0
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
