@@ -42,6 +42,7 @@ from .semilattice import (
     LowerSet,
     canonicalize,
     compatible_with,
+    is_canonical,
     is_subtree,
     lower_closure,
     lower_closure_unchecked,
@@ -160,8 +161,9 @@ def render_algebra_element(graph: SeparatedGraph, a: AlgebraElement) -> str:
 
 
 def idempotent_of(graph: SeparatedGraph, I: LowerSet) -> AlgebraElement:
-    """The basis idempotent whose tree is the canonical form of I."""
-    tree = canonicalize(graph, I)
+    """The basis idempotent whose tree is the canonical form of I; a
+    canonical I is its own canonical form, and no walk is made."""
+    tree = I if is_canonical(I) else canonicalize(graph, I)
     el = Element(tree, vertex_path(tree.base), Level.SEPARATED)
     return AlgebraElement.of(graph, el)
 
@@ -375,18 +377,11 @@ def cover_refinement_check(
 # -- basis enumeration -----------------------------------------------------------
 
 
-def _positive_tips_upto(graph: SeparatedGraph, v: str, max_len: int, budget: Budget) -> list[Path]:
-    return [
-        p
-        for p in separated_paths_upto(graph, v, max_len, budget)
-        if p.letters and not p.letters[-1].inverse
-    ]
-
-
 def _canonical_trees_upto(graph: SeparatedGraph, v: str, max_len: int, budget: Budget) -> list[LowerSet]:
     """All canonical compatible trees at v whose paths have length <= max_len,
     by depth-first search over compatible antichains of positive tips."""
-    tips = sorted_paths(graph, _positive_tips_upto(graph, v, max_len, budget))
+    every = separated_paths_upto(graph, v, max_len, budget)
+    tips = sorted_paths(graph, [p for p in every if p.letters and not p.letters[-1].inverse])
     trees: list[LowerSet] = []
 
     def extend(start: int, chosen: list[Path]) -> None:

@@ -11,14 +11,16 @@ rule on the double graph: which letters may follow a given one in a reduced
 separated path.  `sorted_paths` is the one path order (length-lexicographic,
 as fixed by `path_key`) used for trees, tips and enumerations.  `inverse_runs`
 is the one walk by inverse letters: the spectrum's inverse tails and branch
-extensions and the algebra's carriers are built on it.
+extensions and the algebra's carriers are built on it.  `word_from_atoms` is
+the one reader of words, and `parse_word_string` the command line's grammar
+for their atoms.  A path renders as its letters' `repr`s.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import Budget, WordError
 from .graph import SeparatedGraph
@@ -84,10 +86,6 @@ class Path:
 FreeGroupWord = tuple[Letter, ...]
 
 
-def letter_source(graph: SeparatedGraph, x: Letter) -> str:
-    return graph.range_of[x.edge] if x.inverse else graph.source_of[x.edge]
-
-
 def letter_range(graph: SeparatedGraph, x: Letter) -> str:
     return graph.source_of[x.edge] if x.inverse else graph.range_of[x.edge]
 
@@ -98,14 +96,6 @@ def path_range(graph: SeparatedGraph, p: Path) -> str:
 
 def vertex_path(v: str) -> Path:
     return Path(v, ())
-
-
-def make_word(graph: SeparatedGraph, base: str, letters: Sequence[Letter]) -> Path:
-    """Validated, possibly unreduced word: consecutive letters must compose."""
-    word = word_from_atoms(graph, [base, *letters])
-    if word is None:
-        raise WordError(f"letters {list(letters)!r} do not compose from {base!r}")
-    return word
 
 
 def reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
@@ -196,15 +186,6 @@ def is_separated_path(graph: SeparatedGraph, p: Path) -> bool:
     return True
 
 
-def common_prefix_length(g: Path, h: Path) -> int:
-    n = 0
-    for a, b in zip(g.letters, h.letters):
-        if a != b:
-            break
-        n += 1
-    return n
-
-
 def compatible(graph: SeparatedGraph, g: Path, h: Path) -> bool:
     """Largest-common-prefix criterion: the only obstruction is a divergence
     into two distinct edges of one block, both traversed positively."""
@@ -212,15 +193,10 @@ def compatible(graph: SeparatedGraph, g: Path, h: Path) -> bool:
         raise WordError(
             f"compatibility undefined across vertices {g.base!r}, {h.base!r}"
         )
-    n = common_prefix_length(g, h)
-    if n == len(g.letters) or n == len(h.letters):
-        return True
-    x, y = g.letters[n], h.letters[n]
-    return (
-        x.inverse
-        or y.inverse
-        or graph.block_of[x.edge] is not graph.block_of[y.edge]
-    )
+    for x, y in zip(g.letters, h.letters):
+        if x is not y:  # the first divergence decides
+            return x.inverse or y.inverse or graph.block_of[x.edge] is not graph.block_of[y.edge]
+    return True  # one is a prefix of the other
 
 
 def compatible_by_reduction(graph: SeparatedGraph, g: Path, h: Path) -> bool:
@@ -241,22 +217,13 @@ def is_prefix(g: Path, h: Path) -> bool:
     )
 
 
-def prefixes(p: Path) -> Iterator[Path]:
-    for i in range(len(p.letters) + 1):
-        yield Path(p.base, p.letters[:i])
-
-
-def prefix_decompose(p: Path) -> tuple[Path, tuple[Letter, ...]]:
-    """Split p = p0 * w with p0 not ending in an inverse letter and w a run of
-    inverse letters; the decomposition is unique."""
+def positive_part(p: Path) -> Path:
+    """p0 in the unique split p = p0 w, where p0 does not end in an inverse
+    letter and w is a run of inverse letters."""
     cut = len(p.letters)
     while cut > 0 and p.letters[cut - 1].inverse:
         cut -= 1
-    return Path(p.base, p.letters[:cut]), p.letters[cut:]
-
-
-def positive_part(p: Path) -> Path:
-    return prefix_decompose(p)[0]
+    return Path(p.base, p.letters[:cut])
 
 
 def compose(graph: SeparatedGraph, g: Path, h: Path) -> Path | None:
@@ -264,11 +231,6 @@ def compose(graph: SeparatedGraph, g: Path, h: Path) -> Path | None:
     if path_range(graph, g) != h.base:
         return None
     return Path(g.base, reduce_letters(g.letters + h.letters))
-
-
-def to_free_word(p: Path) -> FreeGroupWord:
-    """Forget the vertex data (injective on each source component)."""
-    return p.letters
 
 
 def letter_key(graph: SeparatedGraph, x: Letter) -> tuple[int, int]:
@@ -291,28 +253,28 @@ def path_sort_key(graph: SeparatedGraph, p: Path):
     return (graph.vertex_index[p.base],) + path_key(graph, p)
 
 
-def render_letter(x: Letter) -> str:
-    return f"~{x.edge}" if x.inverse else x.edge
-
-
 def render_path(p: Path) -> str:
     if not p.letters:
         return p.base
-    return " ".join(render_letter(x) for x in p.letters)
+    return " ".join(map(repr, p.letters))
 
 
 def render_free_word(w: FreeGroupWord, unit: str = "1") -> str:
     if not w:
         return unit
-    return " ".join(render_letter(x) for x in w)
+    return " ".join(map(repr, w))
 
 
-def parse_tokens(graph: SeparatedGraph, tokens: Sequence[str]) -> list[str | Letter]:
-    """CLI word grammar: `e` positive, `~e` inverse, `v` a vertex.
+def parse_word_string(graph: SeparatedGraph, text: str) -> list[str | Letter]:
+    """CLI word grammar: whitespace-separated tokens, `e` positive, `~e`
+    inverse, `v` a vertex.
 
     Composability is not required here; a non-composable sequence simply
     denotes the zero product downstream.
     """
+    tokens = text.split()
+    if not tokens:
+        raise WordError("empty word")
     atoms: list[str | Letter] = []
     for tok in tokens:
         if tok.startswith("~"):
@@ -327,13 +289,6 @@ def parse_tokens(graph: SeparatedGraph, tokens: Sequence[str]) -> list[str | Let
         else:
             raise WordError(f"unknown token {tok!r}")
     return atoms
-
-
-def parse_word_string(graph: SeparatedGraph, text: str) -> list[str | Letter]:
-    tokens = text.split()
-    if not tokens:
-        raise WordError("empty word")
-    return parse_tokens(graph, tokens)
 
 
 def word_from_atoms(

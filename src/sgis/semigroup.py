@@ -47,13 +47,11 @@ from .paths import (
     Letter,
     Path,
     is_prefix,
-    parse_tokens,
     path_inverse,
     path_range,
     positive_part,
     render_path,
     star,
-    to_free_word,
     word_from_atoms,
 )
 from .semilattice import LowerSet, is_subtree, max_elements, munn_tree, tree_word
@@ -189,10 +187,6 @@ def evaluate(graph: SeparatedGraph, atoms: Sequence["str | Letter"], level: Leve
     return ZERO if tree is None else _checked(Element(tree, end, level))
 
 
-def evaluate_tokens(graph: SeparatedGraph, text: str, level: Level = Level.SEPARATED):
-    return evaluate(graph, parse_tokens(graph, text.split()), level)
-
-
 def render_element(a) -> str:
     """`(p1)(p2)...(pn) | carrier`: the tips in the tree's
     length-lexicographic order, which `max_elements` keeps."""
@@ -221,7 +215,7 @@ def grading(a) -> FreeGroupWord:
     """The free-group letter of an element; identity exactly on idempotents."""
     if a is ZERO:
         raise SgisError("the zero element carries no grading")
-    return to_free_word(a.carrier)
+    return a.carrier.letters
 
 
 # -- partial action on canonical trees ---------------------------------------

@@ -3,7 +3,8 @@
 A `LowerSet` stores a prefix-closed family of paths from one vertex, sorted
 under the global length-lexicographic order, so equality is structural and
 values are hashable.  Every tree is built by one walk, `munn_tree`, over a
-trie of a word's reduced prefixes; a family of paths is walked as the word
+trie of a word's reduced prefixes, held in three per-node arrays (parent,
+entering letter, children); a family of paths is walked as the word
 `tree_word` reads it, so closure, canonical form and meet are walks too.
 The walk marks the tips (the nodes with no kept child) as it lists the
 nodes, and the tree carries them, so `max_elements` is a read; a tree made
@@ -94,28 +95,31 @@ def munn_tree(
     """The Munn tree of a composable word from `base` and the path where its
     walk ends, as `(LowerSet, Path)`.
 
-    Nodes of the trie are ints; node 0 is the empty path at `base`.  A letter
-    cancelling the one that entered the current node moves to its parent, any
-    other letter to a child.  The visited nodes are the tree.  With
-    `separated`, the positive letters leaving a node, plus e for a node
-    entered by ~e, use at most one edge per block: the local form of "every
-    member separated and all pairwise compatible", checked as each node is
-    added.  A violation gives `(None, conflict)`: `conflict()` returns the two
-    members that use one block at the failing node, in `sorted_paths` order,
-    and builds them only when asked, so a zero costs no paths.  With
-    `canonical`, only the root and the ancestors-or-self of positively
-    entered nodes are kept: the canonical form of the tree.  The pass that
-    lists the kept nodes marks those with no kept child, and the tree keeps
-    them as its tips, so `max_elements` reads them.
+    Nodes of the trie are ints; node 0 is the empty path at `base`.  Three
+    per-node arrays hold the trie: each node's `parent`, the letter it was
+    `entered` by, and its `children` by letter.  A letter cancelling the one
+    that entered the current node moves to its parent, any other letter to a
+    child.  The visited nodes are the tree.  With `separated`, the positive
+    letters leaving a node, plus e for a node entered by ~e, use at most one
+    edge per block: the local form of "every member separated and all
+    pairwise compatible", checked as each node is added against a fourth
+    array, the edge each block uses at the node.  A violation gives
+    `(None, conflict)`: `conflict()` returns the two members that use one
+    block at the failing node, in `sorted_paths` order, and builds them only
+    when asked, so a zero costs no paths.  With `canonical`, only the root
+    and the ancestors-or-self of positively entered nodes are kept: the
+    canonical form of the tree.  A parent's id is below its children's, so
+    one pass from the last node back marks them.  The pass that lists the
+    kept nodes marks those with no kept child, and the tree keeps them as
+    its tips, so `max_elements` reads them.
     """
     parent = [0]
     entered: list[Letter | None] = [None]
-    back: list[Letter | None] = [None]  # the letter that leads to the parent
     children: list[dict[Letter, int]] = [{}]
     blocks: list[dict[int, str]] = [{}]  # block id -> the one edge it uses
     at = 0
     for x in word:
-        if back[at] is x:
+        if entered[at] is x._inverted:
             at = parent[at]
             continue
         child = children[at].get(x)
@@ -128,7 +132,6 @@ def munn_tree(
             child = len(parent)
             parent.append(at)
             entered.append(x)
-            back.append(~x)
             children.append({})
             children[at][x] = child
         at = child
@@ -136,12 +139,9 @@ def munn_tree(
     keep = [not canonical] * len(parent)
     keep[0] = True
     if canonical:
-        for n, x in enumerate(entered):
-            if x is not None and not x.inverse:
-                up = n
-                while not keep[up]:
-                    keep[up] = True
-                    up = parent[up]
+        for n in range(len(parent) - 1, 0, -1):
+            if keep[n] or not entered[n].inverse:
+                keep[n] = keep[parent[n]] = True
 
     # breadth first, children in letter order: the length-lexicographic order;
     # paths[i] is the path to order[i]

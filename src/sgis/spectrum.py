@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import Budget, CylinderError, SgisError
-from .graph import Block, SeparatedGraph
+from .graph import Block, SeparatedGraph, isolated_vertices
 from .paths import (
     Letter,
     Path,
@@ -76,8 +76,6 @@ class Certificate:
 
 
 def make_truncation(graph: SeparatedGraph, paths: Iterable[Path], depth: int) -> Truncation:
-    from .graph import isolated_vertices
-
     closed = lower_closure(graph, paths)
     if closed.base in isolated_vertices(graph):
         raise SgisError(f"vertex {closed.base!r} is isolated; no spectrum there")
@@ -193,12 +191,6 @@ def render_cylinder(B: Cylinder) -> str:
     return f"Z({{{inside}}} \\ {{{outside}}})"
 
 
-def branch_shape(p: Path, start: int) -> bool:
-    """letters[start:] must be an inverse run followed by one positive edge."""
-    tail = p.letters[start:]
-    return bool(tail) and not tail[-1].inverse and all(x.inverse for x in tail[:-1])
-
-
 def branch_decompose(I: LowerSet, f: Path) -> int | None:
     """Length of the longest prefix of f inside I, or None if f's base is
     elsewhere."""
@@ -216,7 +208,12 @@ def is_branch_extension(graph: SeparatedGraph, I: LowerSet, f: Path) -> bool:
     edge, and adjoining f keeps the tree canonical and compatible."""
     if f.base != I.base or f in I or not is_separated_path(graph, f):
         return False
-    return branch_shape(f, branch_decompose(I, f)) and compatible_with(graph, I, f)
+    tail = f.letters[branch_decompose(I, f):]  # not empty, as f is not in I
+    return (
+        not tail[-1].inverse
+        and all(x.inverse for x in tail[:-1])
+        and compatible_with(graph, I, f)
+    )
 
 
 def make_cylinder(graph: SeparatedGraph, I: LowerSet, excluded: Iterable[Path]) -> Cylinder:
@@ -278,15 +275,6 @@ def cylinder_intersect(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> Cyl
     return make_cylinder(graph, J, kept)
 
 
-def _segment_split(h: Path, start: int) -> list[int]:
-    """Cut positions after each positive letter of h.letters[start:]."""
-    cuts = []
-    for i in range(start, len(h.letters)):
-        if not h.letters[i].inverse:
-            cuts.append(i + 1)
-    return cuts
-
-
 def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> list[Cylinder]:
     """B1 \\ B2 as a finite disjoint union of basic sets.
 
@@ -307,9 +295,10 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
     missing = sorted_paths(graph, [h for h in max_elements(I2) if h not in I1])
     ladders: list[list[Path]] = []
     for h in missing:
+        # the rungs: h cut after each positive letter past its longest prefix in I1
         k = branch_decompose(I1, h)
-        rungs = [Path(h.base, h.letters[:c]) for c in _segment_split(h, k)]
-        ladders.append(rungs)
+        cuts = [i + 1 for i in range(k, len(h.letters)) if not h.letters[i].inverse]
+        ladders.append([Path(h.base, h.letters[:c]) for c in cuts])
 
     if missing:
         index_ranges = [range(len(r) + 1) for r in ladders]

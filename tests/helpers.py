@@ -15,13 +15,14 @@ from sgis.paths import (
     compose,
     is_reduced,
     is_separated_path,
+    parse_word_string,
     path_inverse,
     path_range,
     positive_part,
-    prefixes,
     sorted_paths,
     steps,
     vertex_path,
+    word_from_atoms,
 )
 from sgis.semigroup import ZERO, Element, GraphAutomorphism, Level, evaluate, from_letter
 from sgis.semilattice import (
@@ -105,6 +106,24 @@ def brute_force_automorphisms(graph: SeparatedGraph) -> list[GraphAutomorphism]:
                 )
     results.sort(key=lambda a: (a.vertex_map, a.edge_map))
     return results
+
+
+def make_word(graph: SeparatedGraph, base: str, letters) -> Path:
+    """Validated, possibly unreduced word: consecutive letters must compose."""
+    word = word_from_atoms(graph, [base, *letters])
+    if word is None:
+        raise WordError(f"letters {list(letters)!r} do not compose from {base!r}")
+    return word
+
+
+def evaluate_tokens(graph: SeparatedGraph, text: str, level: Level = Level.SEPARATED):
+    """`evaluate` of a word in the command line's grammar."""
+    return evaluate(graph, parse_word_string(graph, text), level)
+
+
+def prefixes(p: Path) -> list[Path]:
+    """Every prefix of p, from the empty path at its base up."""
+    return [Path(p.base, p.letters[:i]) for i in range(len(p.letters) + 1)]
 
 
 def composable_letter_words(graph: SeparatedGraph, max_len: int) -> list[list[Letter]]:

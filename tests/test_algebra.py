@@ -7,6 +7,7 @@ from helpers import (
     composable_letter_words,
     cylinder_idempotent_by_gaps,
     distinct_elements,
+    make_word,
     random_lower_set,
     sample_cylinders,
 )
@@ -26,7 +27,7 @@ from sgis.algebra import (
 )
 from conftest import load
 from sgis.errors import Budget, SgisError
-from sgis.paths import Letter, Path, make_word, vertex_path
+from sgis.paths import Letter, Path, vertex_path
 from sgis.semigroup import ZERO, Element, Level, evaluate, is_idempotent, multiply
 from sgis.semilattice import canonicalize, lower_closure, max_elements
 from sgis.spectrum import branch_extensions, make_cylinder

@@ -1,8 +1,10 @@
-"""Every name a module of the package or a script imports is used there.
+"""Every name a module of the package or a script imports is used there,
+and every public definition of the package is used, or listed as used only
+by the tests.
 
-No linter is a dependency of the project, so this stdlib `ast` pass stands in
-for the unused-import check.  `sgis/__init__.py` is exempt: its imports are
-the package's re-exported API.
+No linter is a dependency of the project, so stdlib `ast` passes stand in
+for the unused-import and dead-code checks.  `sgis/__init__.py` is exempt
+from the first: its imports are the package's re-exported API.
 """
 
 import ast
@@ -11,9 +13,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sgis"
 FILES = sorted(
     p
-    for p in [*(ROOT / "src" / "sgis").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    for p in [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
     if p.name != "__init__.py"
 )
 
@@ -62,3 +65,78 @@ def test_unused_import_guard_examples():
     assert unused_imports("import x.y\nx.y.z()\n") == []
     assert unused_imports("from t import L\ndef f(a: 'L | None'): pass\n") == []
     assert unused_imports("from __future__ import annotations\n") == []
+
+
+# Public definitions of the package that nothing in src/sgis, scripts/ or
+# perfbench/ refers to, each kept for the reason given.  A new one must be
+# added here on purpose; a listed one that gains a caller or is deleted must
+# leave the list.
+ONLY_TESTS = {
+    "algebra.block_complement": "paper API: v minus a finite block's range projections",
+    "algebra.branch_gap": "paper API: the defect of one branch extension; second route to cylinder_idempotent",
+    "algebra.cover_refinement_check": "paper API: the refinement identity, criterion 08",
+    "algebra.or_join": "paper API: or_join",
+    "oracle.equivalence_components": "oracle: bounded rewriting classes, criterion 03",
+    "oracle.fim_embed": "oracle: the free inverse monoid embedding, criterion 04",
+    "oracle.fim_equal": "oracle: the free inverse monoid's word problem",
+    "oracle.fim_graph": "oracle: the graph of the embedding, criterion 04",
+    "oracle.rewrite_equiv": "oracle: bounded rewriting, criterion 03",
+    "paths.compatible_by_reduction": "second route to compatible",
+    "paths.render_free_word": "criterion 01 renders gradings with it",
+    "semigroup.act_on_tree": "paper API: the partial translation action",
+    "semigroup.apply_automorphism": "paper API: automorphisms on elements, criterion 11",
+    "semigroup.grading": "paper API: the grading by the free group, criterion 01",
+    "semigroup.natural_leq": "paper API: the natural partial order",
+    "semilattice.canonicalize_by_stripping": "second route to canonicalize",
+    "semilattice.class_eq": "paper API: the congruence on trees, criterion 06",
+    "semilattice.class_leq": "paper API: the order on classes, criterion 06",
+    "semilattice.is_compatible_set_by_configs": "second route to the block rule, by local configurations",
+    "spectrum.extend_inverse_tails": "paper API: inverse to trim_inverse_tails below depth",
+    "spectrum.local_configuration": "paper API: the local configuration at a member",
+}
+
+
+def public_definitions():
+    """`module.name` and name of each top-level public def and class of the
+    package; `cli.cmd_*` is exempt, as `main` dispatches it by name."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if not (path.stem == "cli" and node.name.startswith("cmd_")):
+                yield f"{path.stem}.{node.name}", node.name
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name the source refers to as a name, an attribute, an import or
+    a string constant, except a definition's references to itself."""
+    used = set()
+    for top in ast.parse(source).body:
+        here = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                here.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                here.add(node.attr)
+            elif isinstance(node, ast.alias):
+                here.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                here.add(node.value)
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            here.discard(top.name)
+        used |= here
+    return used
+
+
+def test_every_public_definition_is_used_or_listed():
+    users = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    used = set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in users))
+    unused = {q for q, name in public_definitions() if name not in used}
+    assert sorted(unused - ONLY_TESTS.keys()) == [], "no caller: delete it, or list it in ONLY_TESTS"
+    assert sorted(ONLY_TESTS.keys() - unused) == [], "listed in ONLY_TESTS, but used or gone"
+
+
+def test_dead_code_guard_examples():
+    source = "import a.b\nfrom c import d\ndef f(): f(); g.h; 'k'\nclass C: pass\n"
+    assert referenced_names(source) == {"b", "d", "g", "h", "k"}
+    assert referenced_names("def f(): return f()\ndef g(): f()\n") == {"f"}

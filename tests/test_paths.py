@@ -7,12 +7,11 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import composable_letter_words, separated_paths
+from helpers import composable_letter_words, make_word, separated_paths
 from sgis.errors import Budget, WordError
 from sgis.paths import (
     Letter,
     Path,
-    common_prefix_length,
     compatible,
     compatible_by_reduction,
     compose,
@@ -21,21 +20,19 @@ from sgis.paths import (
     is_reduced,
     is_separated_path,
     letter_range,
-    letter_source,
-    make_word,
     parse_word_string,
     path_inverse,
     path_range,
-    prefix_decompose,
+    positive_part,
     reduce_letters,
     reduce_path,
     render_free_word,
     render_path,
     steps,
-    to_free_word,
     vertex_path,
     word_from_atoms,
 )
+from sgis.semigroup import evaluate, grading
 
 E = Letter("e", False)
 Ei = Letter("e", True)
@@ -160,14 +157,10 @@ def test_steps_matches_definition(rose1t, rose2t, rose2f, fim2, fim2inf, mixed):
         every += [Letter(e, True) for e, _, _ in graph.edges]
         for at in graph.vertices:
             # declaration order: out-edges first, then in-edges
-            leaving = [
-                (x, letter_range(graph, x))
-                for x in every
-                if letter_source(graph, x) == at
-            ]
+            leaving = [(x, letter_range(graph, x)) for x in every if letter_range(graph, ~x) == at]
             assert steps(graph, at) == leaving
             for last in (y for y in every if letter_range(graph, y) == at):
-                two = {x: Path(letter_source(graph, last), (last, x)) for x, _ in leaving}
+                two = {x: Path(letter_range(graph, ~last), (last, x)) for x, _ in leaving}
                 expected = [
                     (x, to)
                     for x, to in leaving
@@ -267,20 +260,23 @@ def test_compatibility_symmetry_depth_six(rose2t):
             )
 
 
-def test_longest_common_prefix(rose2f):
+def test_longest_common_prefix(rose2f, rose2t):
     a = w(rose2f, E, E, Fi)
     b = w(rose2f, E, F)
-    assert common_prefix_length(a, b) == 1
-    assert common_prefix_length(a, a) == 3
+    # they part after one letter, at f against e: free on rose2f, one block on rose2t
+    assert compatible(rose2f, a, b) and compatible(rose2f, b, a)
+    assert not compatible(rose2t, a, b) and not compatible(rose2t, b, a)
+    assert compatible(rose2t, a, a)  # no divergence: a prefix of itself
+    assert compatible(rose2t, b, w(rose2t, E, Fi))  # parts at ~f: an inverse letter
 
 
 def test_prefix_decompose(rose2f):
-    head, tail = prefix_decompose(w(rose2f, E, E, Fi))
-    assert head == w(rose2f, E, E) and tail == (Fi,)
-    head, tail = prefix_decompose(w(rose2f, E, F))
-    assert head == w(rose2f, E, F) and tail == ()
-    head, tail = prefix_decompose(w(rose2f, Ei, Fi))
-    assert head == vertex_path("v") and tail == (Ei, Fi)
+    """`positive_part` is p0 in the unique split p = p0 w, w a run of
+    inverse letters."""
+    assert positive_part(w(rose2f, E, E, Fi)) == w(rose2f, E, E)
+    assert positive_part(w(rose2f, E, F)) == w(rose2f, E, F)
+    assert positive_part(w(rose2f, Ei, Fi)) == vertex_path("v")
+    assert positive_part(w(rose2f, E, Fi, F, Ei)) == w(rose2f, E, Fi, F)
 
 
 def test_compose(rose2f, fim2):
@@ -305,9 +301,12 @@ def test_compose_associative_and_antihomomorphic(rose2t):
 
 
 def test_omega_forgets_vertices(fim2):
+    """The grading of an element is its carrier's letters, vertices
+    forgotten."""
     p = make_word(fim2, "v", (Letter("e1", False), Letter("f1", True)))
-    assert render_free_word(to_free_word(p)) == "e1 ~f1"
-    assert to_free_word(vertex_path("v")) == ()
+    a = evaluate(fim2, [p.base, *p.letters])
+    assert grading(a) == p.letters and render_free_word(grading(a)) == "e1 ~f1"
+    assert grading(evaluate(fim2, ["v"])) == () and render_free_word(()) == "1"
 
 
 def test_word_tokens(rose2f, fim2):

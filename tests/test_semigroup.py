@@ -9,7 +9,9 @@ from helpers import (
     closure_multiply,
     composable_letter_words,
     distinct_elements,
+    evaluate_tokens,
     fold_evaluate,
+    make_word,
     random_lower_set,
     random_separated_graph,
 )
@@ -25,7 +27,6 @@ from sgis.oracle import random_letter_word, random_walk_word, rewrite_equiv, str
 from sgis.paths import (
     Letter,
     Path,
-    make_word,
     parse_word_string,
     path_inverse,
     path_range,
@@ -42,7 +43,6 @@ from sgis.semigroup import (
     action_domain_contains,
     apply_automorphism,
     evaluate,
-    evaluate_tokens,
     from_letter,
     grading,
     graph_automorphisms,
@@ -53,7 +53,7 @@ from sgis.semigroup import (
     natural_leq,
     normal_form,
 )
-from sgis.semilattice import canonicalize, lower_closure, max_elements
+from sgis.semilattice import canonicalize, canonicalize_by_stripping, lower_closure, max_elements
 
 E = Letter("e", False)
 Ei = Letter("e", True)
@@ -434,6 +434,23 @@ def test_evaluate_matches_multiply_fold(name, request):
         word = sample(graph, rng, 20)
         for level in Level:
             assert evaluate(graph, word, level) == fold_evaluate(graph, word, level), (word, level)
+
+
+def test_walk_matches_set_routes_on_generated_graphs():
+    """On 60 generated graphs (graph seeds 0..59), 24 words each: `evaluate`
+    equals the fold of the closure product at every level, and the canonical
+    form of each walked free tree equals the stripping route's."""
+    for i in range(60):
+        graph = random_separated_graph(random.Random(i), 5)
+        rng = random.Random(f"generated-walk:{i}")
+        for j in range(24):
+            word = (random_walk_word if j % 2 else random_letter_word)(graph, rng, 12)
+            for level in Level:
+                a = evaluate(graph, word, level)
+                assert a == fold_evaluate(graph, word, level), (i, word, level)
+                if level is Level.FREE and a is not ZERO:
+                    stripped = canonicalize_by_stripping(graph, a.tree)
+                    assert canonicalize(graph, a.tree) == stripped, (i, word)
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)

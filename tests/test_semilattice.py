@@ -10,6 +10,7 @@ from helpers import (
     closure_tree,
     compatible_with_every_member,
     grow_maximal_truncation,
+    make_word,
     random_filter_truncation,
     random_lower_set,
     random_separated_graph,
@@ -26,7 +27,6 @@ from sgis.paths import (
     Path,
     compatible,
     is_prefix,
-    make_word,
     path_inverse,
     path_range,
     sorted_paths,

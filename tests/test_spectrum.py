@@ -5,13 +5,14 @@ import pytest
 
 from helpers import (
     grow_maximal_truncation,
+    make_word,
     random_filter_truncation,
     random_lower_set,
     separated_paths,
 )
 from sgis.errors import CylinderError, SgisError
 from sgis.graph import is_finitely_separated
-from sgis.paths import Letter, Path, make_word, sorted_paths, vertex_path
+from sgis.paths import Letter, Path, sorted_paths, vertex_path
 from sgis.semilattice import (
     LowerSet,
     canonicalize,
