@@ -55,7 +55,7 @@ Scalar = Fraction
 def element_sort_key(graph: SeparatedGraph, el: Element):
     return (
         path_sort_key(graph, el.carrier),
-        len(el.tree.paths),
+        len(el.tree),
         tuple(path_sort_key(graph, p) for p in el.tree.paths),
     )
 
@@ -386,7 +386,7 @@ def _canonical_trees_upto(graph: SeparatedGraph, v: str, max_len: int, budget: B
 
     def extend(start: int, chosen: list[Path]) -> None:
         trees.append(lower_closure_unchecked(graph, chosen, base=v))
-        budget.spend(len(trees[-1].paths))  # a unit per path kept bounds the memory
+        budget.spend(len(trees[-1]))  # a unit per path kept bounds the memory
         for j in range(start, len(tips)):
             p = tips[j]
             ok = all(

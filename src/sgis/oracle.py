@@ -323,10 +323,6 @@ def fim_value(gens: Sequence[str], word: FimWord):
     return frozenset(visited), node
 
 
-def fim_equal(gens: Sequence[str], w1: FimWord, w2: FimWord) -> bool:
-    return fim_value(gens, w1) == fim_value(gens, w2)
-
-
 def fim_graph(gens: Sequence[str]) -> SeparatedGraph:
     """Two parallel edges per generator from a hub to a leaf, freely
     separated; the doubled-edge substitution lands in its hub corner."""

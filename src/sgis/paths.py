@@ -13,13 +13,14 @@ as fixed by `path_key`) used for trees, tips and enumerations.  `inverse_runs`
 is the one walk by inverse letters: the spectrum's inverse tails and branch
 extensions and the algebra's carriers are built on it.  `word_from_atoms` is
 the one reader of words, and `parse_word_string` the command line's grammar
-for their atoms.  A path renders as its letters' `repr`s.
+for their atoms.  A path renders as its letters' `text`s.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import FrozenInstanceError, dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import Budget, WordError
@@ -33,11 +34,12 @@ class Letter:
 
     Letters are interned: `Letter(e, inverse)` returns the one shared
     instance for the pair, made together with its inverse.  Equality and
-    hashing therefore go by identity, and `~x` is a stored lookup.  Letters
-    are immutable, and copying or pickling one gives back the same instance.
+    hashing therefore go by identity, and `~x` is a stored lookup, as is the
+    rendered `text` (`e` or `~e`).  Letters are immutable, and copying or
+    pickling one gives back the same instance.
     """
 
-    __slots__ = ("edge", "inverse", "_inverted")
+    __slots__ = ("edge", "inverse", "_inverted", "text")
     _interned: dict[tuple[str, bool], "Letter"] = {}
 
     def __new__(cls, edge: str, inverse: bool = False) -> "Letter":
@@ -52,6 +54,7 @@ class Letter:
                     object.__setattr__(a, "edge", edge)
                     object.__setattr__(a, "inverse", inv)
                     object.__setattr__(a, "_inverted", b)
+                    object.__setattr__(a, "text", f"~{edge}" if inv else edge)
                     cls._interned[edge, inv] = a
             return cls._interned[edge, inverse]
 
@@ -68,7 +71,7 @@ class Letter:
         return self._inverted
 
     def __repr__(self) -> str:
-        return f"~{self.edge}" if self.inverse else self.edge
+        return self.text
 
 
 @dataclass(frozen=True)
@@ -253,16 +256,19 @@ def path_sort_key(graph: SeparatedGraph, p: Path):
     return (graph.vertex_index[p.base],) + path_key(graph, p)
 
 
+_text = attrgetter("text")
+
+
 def render_path(p: Path) -> str:
     if not p.letters:
         return p.base
-    return " ".join(map(repr, p.letters))
+    return " ".join(map(_text, p.letters))
 
 
 def render_free_word(w: FreeGroupWord, unit: str = "1") -> str:
     if not w:
         return unit
-    return " ".join(map(repr, w))
+    return " ".join(map(_text, w))
 
 
 def parse_word_string(graph: SeparatedGraph, text: str) -> list[str | Letter]:

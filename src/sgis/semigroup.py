@@ -46,7 +46,6 @@ from .paths import (
     FreeGroupWord,
     Letter,
     Path,
-    is_prefix,
     path_inverse,
     path_range,
     positive_part,
@@ -115,9 +114,9 @@ def make_element(graph: SeparatedGraph, tree_paths: Iterable[Path], carrier: Pat
 
 def _checked(a: Element) -> Element:
     anchor = a.carrier if a.level is Level.FREE else positive_part(a.carrier)
-    # in a lower set a member is exactly a prefix of some tip: a few slices,
-    # where `in a.tree` would hash every path (e^50's tree holds 1,275 letters)
-    if not any(is_prefix(anchor, t) for t in max_elements(a.tree)):
+    # child lookups down the trie, one per letter of the anchor: no path,
+    # tip or table of the tree is built
+    if anchor not in a.tree:
         raise SgisError(f"carrier anchor {anchor!r} missing from tree {a.tree!r}")
     return a
 
@@ -189,7 +188,8 @@ def evaluate(graph: SeparatedGraph, atoms: Sequence["str | Letter"], level: Leve
 
 def render_element(a) -> str:
     """`(p1)(p2)...(pn) | carrier`: the tips in the tree's
-    length-lexicographic order, which `max_elements` keeps."""
+    length-lexicographic order, which `max_elements` reads by climbing from
+    each tip, so no other node is rendered."""
     if a is ZERO:
         return "0"
     factors = "".join(f"({render_path(p)})" for p in max_elements(a.tree))

@@ -1,25 +1,28 @@
 """Finite lower sets of separated paths and the idempotent semilattice order.
 
-A `LowerSet` stores a prefix-closed family of paths from one vertex, sorted
-under the global length-lexicographic order, so equality is structural and
-values are hashable.  Every tree is built by one walk, `munn_tree`, over a
-trie of a word's reduced prefixes, held in three per-node arrays (parent,
-entering letter, children); a family of paths is walked as the word
-`tree_word` reads it, so closure, canonical form and meet are walks too.
-The walk marks the tips (the nodes with no kept child) as it lists the
-nodes, and the tree carries them, so `max_elements` is a read; a tree made
-by the constructor finds its tips on first use.  The member set (`p in I`)
-is built on first use.  Both are kept on the value, outside the fields, and
-`compatible_with` is the one test of a path against a tree.  Compatibility
-is the walk's per-node block rule: `lower_closure` raises on a violation,
-`meet` gives None, and the unchecked variant serves the separated-level
-basis search, which checks its families pairwise before it closes them.
-Containment is `is_subtree`, a test of one tree's tips against the other's
-members; the class order and the engine's natural order both use it.
+A `LowerSet` is the trie of a prefix-closed family of paths from one vertex:
+per node its parent's index and the letter that enters it, the nodes
+numbered in the global length-lexicographic order.  The encoding is
+canonical, so equality and hashing compare two tuples, and a tree of n
+nodes holds n letters, not one path per node.  Every tree is built by one
+walk, `munn_tree`, over a trie of a word's reduced prefixes; a family of
+paths is walked as the word `tree_word` reads it, so closure, canonical
+form and meet are walks too.  The walk numbers the kept nodes and marks the
+tips (the nodes with no kept child) without building a path.  The paths
+(`I.paths`) and the tip paths (`max_elements`) are built from the trie on
+first use and kept on the value, outside the fields; `p in I` descends the
+trie by child lookups.  `compatible_with` is the one test of a path against
+a tree.  Compatibility is the walk's per-node block rule: `lower_closure`
+raises on a violation, `meet` gives None, and the unchecked variant serves
+the separated-level basis search, which checks its families pairwise before
+it closes them.  Containment is `is_subtree`, a test of one tree's tips
+against the other tree; the class order and the engine's natural order both
+use it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from typing import Container, Iterable, Sequence
@@ -42,20 +45,77 @@ from .paths import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class LowerSet:
+    """A finite lower set of paths from `base`, held as its trie: node 0 is
+    the empty path, and node i > 0 is the path to node `parent[i]` followed
+    by the letter `entered[i]`.  The nodes are numbered in `sorted_paths`
+    order, which is breadth first with children in letter order, so the
+    encoding is canonical and the three fields are the value.  `parent` is
+    nondecreasing, so the children of a node are consecutive nodes.
+
+    `LowerSet(base, paths)` builds the value from the members in
+    `sorted_paths` order.  When a tree is made, its tips (the nodes with no
+    child) and where each node's children start are marked; the paths and
+    the tip paths are built on first use.  All of these are kept on the
+    instance, outside the fields, so `==`, `hash` and `repr` read only the
+    trie."""
+
     base: str
-    paths: tuple[Path, ...]
+    parent: tuple[int, ...]
+    entered: tuple[Letter | None, ...]
+
+    def __init__(self, base: str, paths: Iterable[Path]):
+        paths = tuple(paths)
+        if not paths or paths[0].letters or any(p.base != base for p in paths):
+            raise WordError(f"a lower set at {base!r} lists its base first, and paths from it only")
+        index = {(): 0}
+        parent, entered = [-1], [None]
+        for i, p in enumerate(paths[1:], 1):
+            up = index.get(p.letters[:-1])
+            if up is None or up < parent[-1] or p.letters in index:
+                raise WordError(
+                    f"at {render_path(p)!r}: a lower set lists its members closed and in sorted_paths order"
+                )
+            index[p.letters] = i
+            parent.append(up)
+            entered.append(p.letters[-1])
+        # the children of a node are one run of `parent`, from first[n] on
+        first = tuple(bisect_left(parent, n, 1) for n in range(len(paths) + 1))
+        tips = tuple(n for n in range(len(paths)) if first[n] == first[n + 1])
+        self.__dict__.update(
+            base=base, parent=tuple(parent), entered=tuple(entered), _paths=paths, _first=first, _tip_ids=tips
+        )
+
+    @property
+    def paths(self) -> tuple[Path, ...]:
+        """The members in `sorted_paths` order, built on first use."""
+        cache = self.__dict__
+        paths = cache.get("_paths")
+        if paths is None:
+            base = self.base
+            paths = [Path(base, ())]
+            for up, x in zip(self.parent[1:], self.entered[1:]):
+                paths.append(Path(base, paths[up].letters + (x,)))
+            paths = cache["_paths"] = tuple(paths)
+        return paths
 
     def __contains__(self, p: Path) -> bool:
-        cache = self.__dict__
-        members = cache.get("_members")
-        if members is None:
-            members = cache["_members"] = frozenset(self.paths)
-        return p in members
+        """Descend from the root by child lookups: the children of node n
+        are the nodes `_first[n]` to `_first[n + 1] - 1`."""
+        if p.base != self.base:
+            return False
+        first, entered = self._first, self.entered
+        n = 0
+        for x in p.letters:
+            try:
+                n = entered.index(x, first[n], first[n + 1])
+            except ValueError:
+                return False
+        return True
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.parent)
 
     def __repr__(self) -> str:
         return render_lower_set(self)
@@ -109,9 +169,10 @@ def munn_tree(
     when asked, so a zero costs no paths.  With `canonical`, only the root
     and the ancestors-or-self of positively entered nodes are kept: the
     canonical form of the tree.  A parent's id is below its children's, so
-    one pass from the last node back marks them.  The pass that lists the
-    kept nodes marks those with no kept child, and the tree keeps them as
-    its tips, so `max_elements` reads them.
+    one pass from the last node back marks them and unlinks the rest.  The
+    pass that numbers the kept nodes in `sorted_paths` order gives the tree
+    its two arrays, and marks the nodes with no kept child as its tips; it
+    builds no path.
     """
     parent = [0]
     entered: list[Letter | None] = [None]
@@ -136,48 +197,49 @@ def munn_tree(
             children[at][x] = child
         at = child
 
-    keep = [not canonical] * len(parent)
-    keep[0] = True
     if canonical:
+        # a node that is not kept has no kept descendant: unlink it
+        keep = [False] * len(parent)
         for n in range(len(parent) - 1, 0, -1):
             if keep[n] or not entered[n].inverse:
                 keep[n] = keep[parent[n]] = True
+            else:
+                del children[parent[n]][entered[n]]
 
     # breadth first, children in letter order: the length-lexicographic order;
-    # paths[i] is the path to order[i]
+    # node order[i] of the walk is node i of the tree, up[i] its parent there
     order = [0]
-    paths = [Path(base, ())]
+    up = [-1]
+    first = []  # node i's children are the nodes first[i] .. first[i + 1] - 1
     tips = []
     for i, n in enumerate(order):
-        leaf = True
-        kids = children[n].values()
-        if len(kids) > 1:
-            kids = sorted(kids, key=lambda c: letter_key(graph, entered[c]))
-        for c in kids:
-            if keep[c]:
-                order.append(c)
-                paths.append(Path(base, paths[i].letters + (entered[c],)))
-                leaf = False
-        if leaf:
-            tips.append(paths[i])
-    tree = LowerSet(base, tuple(paths))
-    tree.__dict__["_tips"] = tuple(tips)
-    return tree, _trie_path(base, parent, entered, at)
-
-
-def _trie_path(base: str, parent: list[int], entered: list, n: int) -> Path:
-    """The path from the root of the trie to node n."""
-    letters: list[Letter] = []
-    while n:
-        letters.append(entered[n])
-        n = parent[n]
-    return Path(base, tuple(reversed(letters)))
+        first.append(len(order))
+        kids = children[n]
+        if not kids:
+            tips.append(i)
+        elif len(kids) == 1:
+            order += kids.values()
+            up.append(i)
+        else:
+            kids = sorted(kids.values(), key=lambda c: letter_key(graph, entered[c]))
+            order += kids
+            up += [i] * len(kids)
+    first.append(len(order))
+    tree = object.__new__(LowerSet)
+    tree.__dict__.update(
+        base=base,
+        parent=tuple(up),
+        entered=tuple(map(entered.__getitem__, order)),
+        _first=tuple(first),
+        _tip_ids=tuple(tips),
+    )
+    return tree, Path(base, _climb(parent, entered, at))
 
 
 def _conflict(graph: SeparatedGraph, base: str, parent, entered, at: int, x: Letter, e: str):
     """The two members that use one block at node `at` when x is added there:
     the child by x and the child by e, or `at` itself when it was entered by ~e."""
-    here = _trie_path(base, parent, entered, at)
+    here = Path(base, _climb(parent, entered, at))
     new = Path(base, here.letters + (x,))
     if entered[at] is Letter(e, True):
         return here, new
@@ -239,16 +301,26 @@ def is_separated_compatible_family(
 
 def max_elements(I: LowerSet) -> tuple[Path, ...]:
     """Maximal members under the prefix order, in tree order; inverse to
-    lower closure.  A tree built by `munn_tree` carries the tips its walk
-    marked, so this is a read.  For a tree built by the constructor they are
-    found on first use, by the rule that in a lower set a member is maximal
-    iff it is no member's parent, and kept on I, as its member set is."""
+    lower closure.  In a lower set a member is maximal iff it is no member's
+    parent: a tip of the trie, which the walk or the constructor marks.
+    Each tip's path is read by climbing from it to the root, once, and kept
+    on I."""
     cache = I.__dict__
     tips = cache.get("_tips")
     if tips is None:
-        parents = {p.letters[:-1] for p in I.paths if p.letters}
-        tips = cache["_tips"] = tuple(p for p in I.paths if p.letters not in parents)
+        base, parent, entered = I.base, I.parent, I.entered
+        tips = cache["_tips"] = tuple([Path(base, _climb(parent, entered, n)) for n in I._tip_ids])
     return tips
+
+
+def _climb(parent: Sequence[int], entered: Sequence, n: int) -> tuple[Letter, ...]:
+    """The letters from the root of a trie to node n."""
+    letters = []
+    while n > 0:
+        letters.append(entered[n])
+        n = parent[n]
+    letters.reverse()
+    return tuple(letters)
 
 
 def compatible_with(graph: SeparatedGraph, I: LowerSet, p: Path) -> bool:
@@ -272,7 +344,9 @@ def canonicalize(graph: SeparatedGraph, I: LowerSet) -> LowerSet:
 
 
 def is_canonical(I: LowerSet) -> bool:
-    return all(not m.letters or not m.letters[-1].inverse for m in max_elements(I))
+    """Every tip is the root or entered by a positive letter."""
+    entered = I.entered
+    return not any(n and entered[n].inverse for n in I._tip_ids)
 
 
 def canonicalize_by_stripping(graph: SeparatedGraph, I: LowerSet) -> LowerSet:

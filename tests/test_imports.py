@@ -78,7 +78,6 @@ ONLY_TESTS = {
     "algebra.or_join": "paper API: or_join",
     "oracle.equivalence_components": "oracle: bounded rewriting classes, criterion 03",
     "oracle.fim_embed": "oracle: the free inverse monoid embedding, criterion 04",
-    "oracle.fim_equal": "oracle: the free inverse monoid's word problem",
     "oracle.fim_graph": "oracle: the graph of the embedding, criterion 04",
     "oracle.rewrite_equiv": "oracle: bounded rewriting, criterion 03",
     "paths.compatible_by_reduction": "second route to compatible",

@@ -15,7 +15,6 @@ from sgis.oracle import (
     crosscheck,
     equivalence_components,
     fim_embed,
-    fim_equal,
     fim_graph,
     fim_value,
     random_letter_word,
@@ -152,8 +151,8 @@ def fim_words(max_len):
 
 
 def test_fim_basics():
-    assert fim_equal(GENS, ("x", "~x", "y", "~y"), ("y", "~y", "x", "~x"))
-    assert not fim_equal(GENS, ("x", "~x"), ("x",))
+    assert fim_value(GENS, ("x", "~x", "y", "~y")) == fim_value(GENS, ("y", "~y", "x", "~x"))
+    assert fim_value(GENS, ("x", "~x")) != fim_value(GENS, ("x",))
     tree, end = fim_value(GENS, ("x", "~x"))
     assert end == () and len(tree) == 2
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from helpers import (
     union_meet,
 )
 from sgis.errors import IncompatiblePathsError, SgisError, WordError
-from sgis.oracle import random_walk_word
+from sgis.oracle import random_walk_word, string_normal_form
 from sgis.paths import (
     Letter,
     Path,
@@ -33,7 +34,16 @@ from sgis.paths import (
     steps,
     vertex_path,
 )
-from sgis.semigroup import ZERO, Level, act_on_tree, evaluate, inverse, make_element, multiply
+from sgis.semigroup import (
+    ZERO,
+    Level,
+    act_on_tree,
+    evaluate,
+    inverse,
+    make_element,
+    multiply,
+    normal_form,
+)
 from sgis.semilattice import (
     LowerSet,
     canonicalize,
@@ -113,8 +123,10 @@ def test_max_lower_bijection_random(rose2f, fim2, mixed):
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
 def test_lower_set_caches_stay_out_of_the_value(name, request):
-    """A tree keeps its member set and its tips once asked for them, yet its
-    value is still its two fields: equality, hash and repr are unchanged."""
+    """A tree keeps its paths and its tips once asked for them, yet its value
+    is still its three fields, the trie: equality and hash read only them, so
+    a walked tree that was never asked builds no path to compare, and equals
+    its asked twin and its constructor copy, repr included."""
     graph = request.getfixturevalue(name)
     rng = random.Random(f"caches:{name}")
     for _ in range(20):
@@ -127,10 +139,13 @@ def test_lower_set_caches_stay_out_of_the_value(name, request):
         for p in I.paths + tuple(extensions):
             assert (p in I) == (p in I.paths)
         assert max_elements(I) is max_elements(I)
+        bare = lower_closure(graph, max_elements(I))
         fresh = LowerSet(I.base, I.paths)
-        assert I == fresh and fresh == I
-        assert hash(I) == hash(fresh) and repr(I) == repr(fresh)
-    assert [f.name for f in dataclasses.fields(LowerSet)] == ["base", "paths"]
+        assert I == bare and bare == I and I == fresh and fresh == I
+        assert hash(I) == hash(bare) == hash(fresh)
+        assert "_paths" not in vars(bare) and "_tips" not in vars(bare)
+        assert repr(I) == repr(bare) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(LowerSet)] == ["base", "parent", "entered"]
 
 
 def _walked_trees(graph, rng: random.Random):
@@ -161,19 +176,19 @@ def _walked_trees(graph, rng: random.Random):
 
 
 def test_walked_tips_match_the_parent_rule(request):
-    """Every tree a walk builds carries the tips its walk marked, and they
-    are, in order, the members that are no member's parent: on the six
-    graphs and on 120 generated ones (seeds 0..119), canonical pruning
-    included."""
+    """The tips of every tree a walk builds, read off the walk's marks, are
+    in order the members that are no member's parent: on the six graphs and
+    on 120 generated ones (seeds 0..119), canonical pruning included."""
     graphs = [request.getfixturevalue(name) for name in ALL_GRAPHS]
     graphs += [random_separated_graph(random.Random(i), 5) for i in range(120)]
     for i, graph in enumerate(graphs):
         rng = random.Random(f"walked-tips:{i}")
         for tree in _walked_trees(graph, rng):
-            # the trees of lower_closure, canonicalize, meet and act_on_tree
-            # arrive unasked, so a walk that set no tips fails here
-            assert vars(tree)["_tips"] == tips_by_parents(tree), (i, tree)
-            assert max_elements(tree) is vars(tree)["_tips"]
+            # the tips are read before the paths are built, so they come from
+            # the walk's marks by climbing; the rule reads a constructor copy
+            tips = max_elements(tree)
+            assert tips == tips_by_parents(LowerSet(tree.base, tree.paths)), (i, tree)
+            assert max_elements(tree) is tips
 
 
 def test_is_subtree_matches_the_member_scan(request):
@@ -195,6 +210,59 @@ def test_is_subtree_matches_the_member_scan(request):
                 mixed_bases += J.base != I.base
     assert outcomes == {True, False}
     assert mixed_bases > 0
+
+
+def test_walked_trees_equal_their_constructor_copies(request):
+    """A walked tree is its trie: the constructor, given the tree's paths,
+    builds an equal value with the same hash, and membership by child lookups
+    agrees with the set of paths on every member and every one-letter
+    extension, on the six graphs and on 120 generated ones (seeds 0..119)."""
+    graphs = [request.getfixturevalue(name) for name in ALL_GRAPHS]
+    graphs += [random_separated_graph(random.Random(i), 5) for i in range(120)]
+    outcomes = set()
+    for i, graph in enumerate(graphs):
+        for t in _walked_trees(graph, random.Random(f"trie-value:{i}")):
+            copy = LowerSet(t.base, t.paths)
+            assert copy == t and t == copy and hash(copy) == hash(t), (i, t)
+            members = set(t.paths)
+            probes = [
+                Path(p.base, p.letters + (x,))
+                for p in t.paths
+                for x, _ in steps(graph, path_range(graph, p))
+            ]
+            for p in t.paths + tuple(probes):
+                got = p in t
+                assert got == (p in members), (i, t, p)
+                outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_lower_set_constructor_rejects_what_is_no_trie():
+    """The constructor needs the base first, every member's parent before
+    it, the parents in order and no member twice; anything else raises."""
+    v, e, f = vertex_path("v"), Path("v", (E,)), Path("v", (F,))
+    ee, fe = Path("v", (E, E)), Path("v", (F, E))
+    assert LowerSet("v", [v, e, f, ee, fe]).parent == (-1, 0, 0, 1, 2)
+    for bad in ([], [e], [v, ee], [v, e, f, fe, ee], [v, e, e], [v, v], [v, Path("x", ())]):
+        with pytest.raises(WordError):
+            LowerSet("v", bad)
+
+
+@pytest.mark.parametrize("level", Level)
+def test_chain_tree_memory_is_linear(rose2f, level):
+    """The tree of e^8000 is stored as one node per prefix, not one path per
+    prefix: evaluate and normal_form together peak below 32 MB under
+    tracemalloc (a tree of paths holds 32 million letters here), and the
+    normal form is the string oracle's."""
+    word = [E] * 8000
+    tracemalloc.start()
+    try:
+        nf = normal_form(rose2f, evaluate(rose2f, word, level))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    assert nf == string_normal_form(rose2f, word)
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
