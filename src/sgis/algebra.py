@@ -18,11 +18,12 @@ from .paths import (
     Path,
     compatible,
     compose,
-    inverse_runs,
     is_prefix,
     is_separated_path,
+    letter_key,
+    path_key,
     path_range,
-    path_sort_key,
+    positive_part,
     render_path,
     sorted_paths,
     steps,
@@ -53,10 +54,14 @@ Scalar = Fraction
 
 
 def element_sort_key(graph: SeparatedGraph, el: Element):
+    """The basis order: carrier (vertex, then `path_key`), tree size, then the
+    trie's (parent, letter) pairs node by node, which order trees of one size
+    at one base as their member paths do."""
+    c, tree = el.carrier, el.tree
     return (
-        path_sort_key(graph, el.carrier),
-        len(el.tree),
-        tuple(path_sort_key(graph, p) for p in el.tree.paths),
+        (graph.vertex_index[c.base], *path_key(graph, c)),
+        len(tree),
+        tuple(zip(tree.parent[1:], [letter_key(graph, x) for x in tree.entered[1:]])),
     )
 
 
@@ -377,46 +382,36 @@ def cover_refinement_check(
 # -- basis enumeration -----------------------------------------------------------
 
 
-def _canonical_trees_upto(graph: SeparatedGraph, v: str, max_len: int, budget: Budget) -> list[LowerSet]:
-    """All canonical compatible trees at v whose paths have length <= max_len,
-    by depth-first search over compatible antichains of positive tips."""
-    every = separated_paths_upto(graph, v, max_len, budget)
-    tips = sorted_paths(graph, [p for p in every if p.letters and not p.letters[-1].inverse])
-    trees: list[LowerSet] = []
-
-    def extend(start: int, chosen: list[Path]) -> None:
-        trees.append(lower_closure_unchecked(graph, chosen, base=v))
-        budget.spend(len(trees[-1]))  # a unit per path kept bounds the memory
-        for j in range(start, len(tips)):
-            p = tips[j]
-            ok = all(
-                not is_prefix(p, q) and not is_prefix(q, p) and compatible(graph, p, q)
-                for q in chosen
-            )
-            if ok:
-                extend(j + 1, chosen + [p])
-
-    extend(0, [])
-    return trees
-
-
-def _carriers_for(graph: SeparatedGraph, tree: LowerSet, max_len: int, budget: Budget) -> tuple[Path, ...]:
-    """Carriers anchored in the tree: the inverse runs from members that do
-    not end in an inverse letter."""
-    anchors = [p for p in tree.paths if not p.letters or not p.letters[-1].inverse]
-    return sorted_paths(graph, [p for a in anchors for p in inverse_runs(graph, a, max_len, budget)])
-
-
 def enumerate_basis(
     graph: SeparatedGraph, max_len: int, budget: Budget | None = None
 ) -> list[Element]:
     """All nonzero separated-level elements whose tree paths and carrier have
-    length <= max_len, in deterministic order."""
+    length <= max_len, in `element_sort_key` order.
+
+    At each vertex the separated paths up to max_len are listed once.  The
+    trees close the compatible antichains of positive tips among them; a
+    tree's carriers are the listed paths whose positive part is a member.  The
+    budget pays a unit per path listed, and per node and carrier of each tree."""
     budget = budget or Budget(context="basis enumeration")
     out: list[Element] = []
     for v in graph.vertices:
-        for tree in _canonical_trees_upto(graph, v, max_len, budget):
-            for carrier in _carriers_for(graph, tree, max_len, budget):
-                out.append(Element(tree, carrier, Level.SEPARATED))
+        every = separated_paths_upto(graph, v, max_len, budget)
+        tips = sorted_paths(graph, [p for p in every if p.letters and not p.letters[-1].inverse])
+        anchored = [(positive_part(c), c) for c in every]
+
+        def extend(start: int, chosen: list[Path]) -> None:
+            tree = lower_closure_unchecked(graph, [vertex_path(v), *chosen])
+            carriers = [c for a, c in anchored if a in tree]
+            budget.spend(len(tree) + len(carriers))
+            out.extend(Element(tree, c, Level.SEPARATED) for c in carriers)
+            for j in range(start, len(tips)):
+                p = tips[j]
+                if all(
+                    not is_prefix(p, q) and not is_prefix(q, p) and compatible(graph, p, q)
+                    for q in chosen
+                ):
+                    extend(j + 1, chosen + [p])
+
+        extend(0, [])
     out.sort(key=lambda e: element_sort_key(graph, e))
     return out

@@ -11,9 +11,9 @@ rule on the double graph: which letters may follow a given one in a reduced
 separated path.  `sorted_paths` is the one path order (length-lexicographic,
 as fixed by `path_key`) used for trees, tips and enumerations.  `inverse_runs`
 is the one walk by inverse letters: the spectrum's inverse tails and branch
-extensions and the algebra's carriers are built on it.  `word_from_atoms` is
-the one reader of words, and `parse_word_string` the command line's grammar
-for their atoms.  A path renders as its letters' `text`s.
+extensions are built on it.  `word_from_atoms` is the one reader of words,
+and `parse_word_string` the command line's grammar for their atoms.  A path
+renders as its letters' `text`s.
 """
 
 from __future__ import annotations
@@ -252,10 +252,6 @@ def sorted_paths(graph: SeparatedGraph, paths: Iterable[Path]) -> tuple[Path, ..
     return tuple(sorted(paths, key=lambda p: path_key(graph, p)))
 
 
-def path_sort_key(graph: SeparatedGraph, p: Path):
-    return (graph.vertex_index[p.base],) + path_key(graph, p)
-
-
 _text = attrgetter("text")
 
 
@@ -265,9 +261,9 @@ def render_path(p: Path) -> str:
     return " ".join(map(_text, p.letters))
 
 
-def render_free_word(w: FreeGroupWord, unit: str = "1") -> str:
+def render_free_word(w: FreeGroupWord) -> str:
     if not w:
-        return unit
+        return "1"
     return " ".join(map(_text, w))
 
 

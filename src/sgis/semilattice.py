@@ -246,10 +246,8 @@ def _conflict(graph: SeparatedGraph, base: str, parent, entered, at: int, x: Let
     return sorted_paths(graph, [Path(base, here.letters + (Letter(e, False),)), new])
 
 
-def _one_base(paths: Sequence[Path], base: str | None) -> str:
+def _one_base(paths: Sequence[Path]) -> str:
     bases = {p.base for p in paths}
-    if base is not None:
-        bases.add(base)
     if not bases:
         raise WordError("a lower set needs at least its base vertex")
     if len(bases) != 1:
@@ -257,13 +255,11 @@ def _one_base(paths: Sequence[Path], base: str | None) -> str:
     return next(iter(bases))
 
 
-def lower_closure_unchecked(
-    graph: SeparatedGraph, paths: Iterable[Path], base: str | None = None
-) -> LowerSet:
+def lower_closure_unchecked(graph: SeparatedGraph, paths: Iterable[Path]) -> LowerSet:
     """Prefix closure of reduced paths from one vertex, without separation or
     compatibility checks."""
     paths = list(paths)
-    return munn_tree(graph, _one_base(paths, base), tree_word(paths))[0]
+    return munn_tree(graph, _one_base(paths), tree_word(paths))[0]
 
 
 def lower_closure(graph: SeparatedGraph, paths: Iterable[Path]) -> LowerSet:
@@ -274,7 +270,7 @@ def lower_closure(graph: SeparatedGraph, paths: Iterable[Path]) -> LowerSet:
     that diverge at the node where the walk breaks the block rule.
     """
     paths = list(paths)
-    base = _one_base(paths, None)
+    base = _one_base(paths)
     for p in paths:
         if not is_reduced(p):
             raise WordError(f"path {render_path(p)!r} is not reduced")

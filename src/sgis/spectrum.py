@@ -228,6 +228,12 @@ def make_cylinder(graph: SeparatedGraph, I: LowerSet, excluded: Iterable[Path]) 
     return Cylinder(I, exc)
 
 
+def _cylinder(graph: SeparatedGraph, I: LowerSet, candidates: Iterable[Path]) -> Cylinder:
+    """Z(I \\ F) for a canonical I made here, F the candidates that are branch
+    extensions of I; `make_cylinder` checks trees and paths from outside."""
+    return Cylinder(I, sorted_paths(graph, {f for f in candidates if is_branch_extension(graph, I, f)}))
+
+
 def branch_extensions(
     graph: SeparatedGraph, I: LowerSet, max_len: int, budget: Budget | None = None
 ) -> list[Path]:
@@ -265,14 +271,10 @@ def cylinder_intersect(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> Cyl
     J = meet(graph, B1.tree, B2.tree)
     if J is None:
         return None
-    kept = []
-    for f in set(B1.excluded) | set(B2.excluded):
-        if f in J:
-            return None
-        if is_branch_extension(graph, J, f):
-            kept.append(f)
-        # otherwise f is incompatible with J and excluded automatically
-    return make_cylinder(graph, J, kept)
+    excluded = set(B1.excluded) | set(B2.excluded)
+    if any(f in J for f in excluded):
+        return None
+    return _cylinder(graph, J, excluded)  # the others are incompatible with J
 
 
 def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> list[Cylinder]:
@@ -283,8 +285,6 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
     that, for every eligible subset H of F2 \\ F1, force H inside and
     exclude the still-active constraints from F1 u F2.
     """
-    if B1.tree.base != B2.tree.base:
-        return [B1]
     if cylinder_intersect(graph, B1, B2) is None:
         return [B1]
 
@@ -313,9 +313,7 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
                 # ladders sharing a rung: the exclusion is forced inside the
                 # tree, so this index tuple names the empty set
                 continue
-            Fn = [f for f in F1 if is_branch_extension(graph, In, f)]
-            Fn += [f for f in forced_next if is_branch_extension(graph, In, f)]
-            out.append(make_cylinder(graph, In, Fn))
+            out.append(_cylinder(graph, In, [*F1, *forced_next]))
 
     candidates = sorted_paths(graph, F2 - F1)
     for r in range(1, len(candidates) + 1):
@@ -324,6 +322,5 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
             JH = munn_tree(graph, I1.base, word, separated=True)[0]
             if JH is None:
                 continue
-            FH = [f for f in (F1 | F2) if is_branch_extension(graph, JH, f)]
-            out.append(make_cylinder(graph, JH, FH))
+            out.append(_cylinder(graph, JH, F1 | F2))
     return out

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from sgis.algebra import AlgebraElement, branch_gap, idempotent_of
+from sgis.algebra import AlgebraElement, branch_gap, idempotent_of, separated_paths_upto
 from sgis.errors import IncompatiblePathsError, LevelMismatchError, SgisError, WordError
 from sgis.graph import Block, SeparatedGraph
 from sgis.paths import (
@@ -13,10 +13,13 @@ from sgis.paths import (
     Path,
     compatible,
     compose,
+    inverse_runs,
+    is_prefix,
     is_reduced,
     is_separated_path,
     parse_word_string,
     path_inverse,
+    path_key,
     path_range,
     positive_part,
     sorted_paths,
@@ -344,6 +347,42 @@ def cylinder_idempotent_by_gaps(graph: SeparatedGraph, B: Cylinder) -> AlgebraEl
         k = branch_decompose(B.tree, f)
         acc = acc * branch_gap(graph, Path(f.base, f.letters[:k]), f.letters[k:])
     return acc
+
+
+def basis_by_anchor_runs(graph: SeparatedGraph, max_len: int, budget) -> list[Element]:
+    """Anchor-run route to `enumerate_basis`: at each vertex every tree of the
+    antichain search, closed as a set, is charged a unit per member; then each
+    tree's carriers are walked by `inverse_runs` from its anchors (members not
+    ending in an inverse letter), a unit per carrier.  Elements are sorted by
+    carrier, tree size and then the member paths of the tree."""
+    out: list[Element] = []
+    for v in graph.vertices:
+        every = separated_paths_upto(graph, v, max_len, budget)
+        tips = sorted_paths(graph, [p for p in every if p.letters and not p.letters[-1].inverse])
+        trees: list[LowerSet] = []
+
+        def extend(start: int, chosen: list[Path]) -> None:
+            trees.append(closure_tree(graph, chosen, base=v))
+            budget.spend(len(trees[-1].paths))
+            for j in range(start, len(tips)):
+                p = tips[j]
+                if all(
+                    not is_prefix(p, q) and not is_prefix(q, p) and compatible(graph, p, q)
+                    for q in chosen
+                ):
+                    extend(j + 1, chosen + [p])
+
+        extend(0, [])
+        for tree in trees:
+            anchors = [p for p in tree.paths if not p.letters or not p.letters[-1].inverse]
+            runs = [c for a in anchors for c in inverse_runs(graph, a, max_len, budget)]
+            out.extend(Element(tree, c, Level.SEPARATED) for c in sorted_paths(graph, runs))
+
+    def path_order(p: Path):
+        return (graph.vertex_index[p.base],) + path_key(graph, p)
+
+    out.sort(key=lambda e: (path_order(e.carrier), len(e.tree), tuple(map(path_order, e.tree.paths))))
+    return out
 
 
 def closure_element(graph: SeparatedGraph, tree_paths, carrier: Path, level: Level) -> Element:

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    basis_by_anchor_runs,
     composable_letter_words,
     cylinder_idempotent_by_gaps,
     distinct_elements,
     make_word,
     random_lower_set,
+    random_separated_graph,
     sample_cylinders,
 )
 from sgis.algebra import (
@@ -26,7 +28,7 @@ from sgis.algebra import (
     render_algebra_element,
 )
 from conftest import load
-from sgis.errors import Budget, SgisError
+from sgis.errors import Budget, BudgetExceededError, SgisError
 from sgis.paths import Letter, Path, vertex_path
 from sgis.semigroup import ZERO, Element, Level, evaluate, is_idempotent, multiply
 from sgis.semilattice import canonicalize, lower_closure, max_elements
@@ -316,15 +318,47 @@ def test_enumerate_basis_matches_word_reachability(rose1t):
     assert reachable == set(enumerate_basis(rose1t, 2))
 
 
+BASIS_BUDGET_AT_2 = {"rose1t": 22, "rose2t": 96, "rose2f": 1916, "fim2": 1656, "fim2inf": 1656, "mixed": 2334}
+
+
 @pytest.mark.parametrize("name", ["rose1t", "rose2t", "rose2f", "fim2", "fim2inf", "mixed"])
 def test_enumerate_basis_budget_pays_for_every_path_kept(name):
-    """The budget pays a unit per element and a unit per path of each tree
-    kept, so it bounds the memory an enumeration holds."""
+    """The budget pays a unit per path listed, and a unit per element and per
+    path of each tree kept, so it bounds the memory an enumeration holds.
+    The totals are pinned: a change to what is charged shows here."""
     graph = load(name)
     budget = Budget()
     items = enumerate_basis(graph, 2, budget)
     trees = {el.tree for el in items}
     assert budget.used >= len(items) + sum(len(t.paths) for t in trees)
+    assert budget.used == BASIS_BUDGET_AT_2[name]
+
+
+def _basis_outcome(route, graph, max_len, limit):
+    budget = Budget(limit)
+    try:
+        return route(graph, max_len, budget), budget.used
+    except BudgetExceededError as exc:
+        return "exceeded", str(exc)
+
+
+def test_enumerate_basis_matches_anchor_runs(rose1t, rose2t, rose2f, fim2, fim2inf, mixed):
+    """One list of separated paths per vertex gives the trees' tips and their
+    carriers, and the trie orders the trees: the same list, in the same order,
+    at the same cost as carriers walked from each anchor and trees sorted by
+    their member paths.  A run the budget ends, ends under both routes."""
+    cases = [(g, n, 10**6) for g in (rose1t, rose2t, rose2f, fim2, fim2inf, mixed) for n in range(3)]
+    cases += [
+        (random_separated_graph(random.Random(seed), 4), n, 20_000)
+        for seed in range(60)
+        for n in (1, 2)
+    ]
+    exceeded = 0
+    for graph, max_len, limit in cases:
+        got = _basis_outcome(enumerate_basis, graph, max_len, limit)
+        assert got == _basis_outcome(basis_by_anchor_runs, graph, max_len, limit)
+        exceeded += got[0] == "exceeded"
+    assert 0 < exceeded < len(cases)
 
 
 def test_every_valid_normal_form_is_nonzero(rose2t, fim2, mixed):

@@ -291,17 +291,18 @@ def test_cylinder_boolean_consistency(rose2t, rose2f, fim2, mixed):
                     assert (in1 and not in2) == (len(hits) == 1)
 
 
-def test_cylinder_outputs_validate(rose2f, mixed):
+def test_cylinder_outputs_validate(rose2t, rose2f, fim2, mixed):
+    """Every intersection and difference part passes `make_cylinder` as it
+    stands: a canonical tree, and sorted branch extensions of it."""
     rng = random.Random(4)
-    for graph in (rose2f, mixed):
+    for graph in (rose2f, mixed, rose2t, fim2):
         cylinders = _sample_cylinders(graph, rng, 15)
         for B1 in cylinders:
             for B2 in cylinders:
                 inter = cylinder_intersect(graph, B1, B2)
-                if inter is not None:
-                    make_cylinder(graph, inter.tree, inter.excluded)
-                for P in cylinder_difference(graph, B1, B2):
-                    make_cylinder(graph, P.tree, P.excluded)
+                parts = cylinder_difference(graph, B1, B2)
+                for P in parts if inter is None else [inter, *parts]:
+                    assert make_cylinder(graph, P.tree, P.excluded) == P
 
 
 # -- the finitely separated collapse ---------------------------------------------
