@@ -1,14 +1,17 @@
 """Exact arithmetic in the rational semigroup algebra on the normal-form basis.
 
 An `AlgebraElement` is a finite map from nonzero separated-level elements to
-nonzero rationals.  The involution is conjugate-linear extension of the
-semigroup inverse; over the rationals the conjugation is trivial.
+nonzero rationals, each an `int` or a `Fraction`: the cylinder identities
+add and subtract basis elements, so their coefficients stay ints.  The
+involution is conjugate-linear extension of the semigroup inverse; over the
+rationals the conjugation is trivial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import Budget, SgisError, WordError
@@ -50,19 +53,22 @@ from .semilattice import (
     max_elements,
 )
 
-Scalar = Fraction
+Scalar = Fraction | int
 
 
 def element_sort_key(graph: SeparatedGraph, el: Element):
     """The basis order: carrier (vertex, then `path_key`), tree size, then the
     trie's (parent, letter) pairs node by node, which order trees of one size
     at one base as their member paths do."""
-    c, tree = el.carrier, el.tree
-    return (
-        (graph.vertex_index[c.base], *path_key(graph, c)),
-        len(tree),
-        tuple(zip(tree.parent[1:], [letter_key(graph, x) for x in tree.entered[1:]])),
-    )
+    return (_carrier_key(graph, el.carrier), *_tree_key(graph, el.tree))
+
+
+def _carrier_key(graph: SeparatedGraph, c: Path):
+    return (graph.vertex_index[c.base], *path_key(graph, c))
+
+
+def _tree_key(graph: SeparatedGraph, tree: LowerSet):
+    return len(tree), tuple(zip(tree.parent[1:], [letter_key(graph, x) for x in tree.entered[1:]]))
 
 
 class AlgebraElement:
@@ -70,7 +76,7 @@ class AlgebraElement:
 
     __slots__ = ("graph", "terms")
 
-    def __init__(self, graph: SeparatedGraph, terms: Mapping[Element, Fraction] | None = None):
+    def __init__(self, graph: SeparatedGraph, terms: Mapping[Element, Scalar] | None = None):
         self.graph = graph
         terms = {el: Fraction(c) for el, c in (terms or {}).items() if el is not ZERO}
         self.terms = {el: c for el, c in terms.items() if c}
@@ -78,9 +84,9 @@ class AlgebraElement:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def _clean(cls, graph: SeparatedGraph, terms: dict[Element, Fraction]) -> "AlgebraElement":
+    def _clean(cls, graph: SeparatedGraph, terms: dict[Element, Scalar]) -> "AlgebraElement":
         """From terms whose keys are nonzero elements and whose values are
-        Fractions: only the zero coefficients are dropped."""
+        ints or Fractions: only the zero coefficients are dropped."""
         out = cls.__new__(cls)
         out.graph = graph
         out.terms = {el: c for el, c in terms.items() if c}
@@ -91,10 +97,11 @@ class AlgebraElement:
         return cls._clean(graph, {})
 
     @classmethod
-    def of(cls, graph: SeparatedGraph, el, coeff: "Fraction | int" = 1) -> "AlgebraElement":
+    def of(cls, graph: SeparatedGraph, el, coeff: Scalar = 1) -> "AlgebraElement":
+        """The single term coeff·el; an int coefficient stays an int."""
         if el is ZERO:
             return cls.zero(graph)
-        return cls._clean(graph, {el: Fraction(coeff)})
+        return cls._clean(graph, {el: coeff if isinstance(coeff, int) else Fraction(coeff)})
 
     # -- structure ------------------------------------------------------------
 
@@ -120,7 +127,7 @@ class AlgebraElement:
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
-    def scale(self, c: "Fraction | int") -> "AlgebraElement":
+    def scale(self, c: Scalar) -> "AlgebraElement":
         c = Fraction(c)
         return AlgebraElement._clean(self.graph, {el: c * d for el, d in self.terms.items()})
 
@@ -132,7 +139,7 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        acc: dict[Element, Fraction] = {}
+        acc: dict[Element, Scalar] = {}
         for s, c in self.terms.items():
             for t, d in other.terms.items():
                 st = multiply(self.graph, s, t)
@@ -391,19 +398,22 @@ def enumerate_basis(
     At each vertex the separated paths up to max_len are listed once.  The
     trees close the compatible antichains of positive tips among them; a
     tree's carriers are the listed paths whose positive part is a member.  The
-    budget pays a unit per path listed, and per node and carrier of each tree."""
+    budget pays a unit per path listed, and per node and carrier of each tree.
+    The sort key's carrier part is made once per listed path and its tree
+    part once per tree."""
     budget = budget or Budget(context="basis enumeration")
-    out: list[Element] = []
+    keyed: list[tuple] = []  # (element_sort_key, element)
     for v in graph.vertices:
         every = separated_paths_upto(graph, v, max_len, budget)
         tips = sorted_paths(graph, [p for p in every if p.letters and not p.letters[-1].inverse])
-        anchored = [(positive_part(c), c) for c in every]
+        anchored = [(positive_part(c), c, _carrier_key(graph, c)) for c in every]
 
         def extend(start: int, chosen: list[Path]) -> None:
             tree = lower_closure_unchecked(graph, [vertex_path(v), *chosen])
-            carriers = [c for a, c in anchored if a in tree]
+            carriers = [(c, key) for a, c, key in anchored if a in tree]
             budget.spend(len(tree) + len(carriers))
-            out.extend(Element(tree, c, Level.SEPARATED) for c in carriers)
+            size, trie = _tree_key(graph, tree)
+            keyed.extend(((key, size, trie), Element(tree, c, Level.SEPARATED)) for c, key in carriers)
             for j in range(start, len(tips)):
                 p = tips[j]
                 if all(
@@ -413,5 +423,5 @@ def enumerate_basis(
                     extend(j + 1, chosen + [p])
 
         extend(0, [])
-    out.sort(key=lambda e: element_sort_key(graph, e))
-    return out
+    keyed.sort(key=itemgetter(0))
+    return [el for _, el in keyed]

@@ -4,10 +4,12 @@ An element is zero or a pair (tree, carrier) at one of three quotient levels.
 Every element is built by one walk, `semilattice.munn_tree`, as in Munn's
 construction: a word is walked over a trie of its reduced prefixes, so the
 tree is the set of nodes visited and the carrier the node where the walk
-ends.  `evaluate` walks the word it is given and `from_letter` a word of one
-letter.  An element is itself the word of its normal form, each tip followed
-by its inverse and the carrier last, so a product walks the two normal forms
-one after the other and an inverse walks the formal inverse of one.  Raw tree
+ends.  The one exception is a product of two idempotents, whose tree is the
+union of theirs, made by `semilattice.merge_tries`.  `evaluate` walks the
+word it is given and `from_letter` a word of one letter.  An element is
+itself the word of its normal form, each tip followed by its inverse and the
+carrier last, so any other product walks the two normal forms one after the
+other and an inverse walks the formal inverse of one.  Raw tree
 data (`make_element`, `apply_automorphism`) is walked as `tree_word` reads
 it, and a translated tree (`act_on_tree`) as the translation followed by the
 tree's word.  Each level adds one rule to the one below it:
@@ -53,7 +55,7 @@ from .paths import (
     star,
     word_from_atoms,
 )
-from .semilattice import LowerSet, is_subtree, max_elements, munn_tree, tree_word
+from .semilattice import LowerSet, is_subtree, max_elements, merge_tries, munn_tree, tree_word
 
 
 class Level(Enum):
@@ -143,13 +145,19 @@ def _walk(graph: SeparatedGraph, base: str, word: Sequence[Letter], level: Level
 
 def multiply(graph: SeparatedGraph, a, b):
     """Product of Munn trees: the walk of a's word followed by b's; zero on
-    range mismatch or when the walk breaks the separated level's rule."""
+    range mismatch or when the walk breaks the separated level's rule.  Two
+    idempotents multiply by their meet, a merge of the two trees (under the
+    block rule at the separated level) that walks no word; their union is
+    canonical and holds the root, its anchor."""
     if a is ZERO or b is ZERO:
         return ZERO
     if a.level is not b.level:
         raise LevelMismatchError(f"{a.level} * {b.level}")
     if path_range(graph, a.carrier) != b.carrier.base:
         return ZERO
+    if not a.carrier.letters and not b.carrier.letters:
+        tree = merge_tries(graph, a.tree, b.tree, separated=a.level is Level.SEPARATED)
+        return ZERO if tree is None else Element(tree, a.carrier, a.level)
     tree, end = _walk(graph, a.carrier.base, _word(a) + _word(b), a.level)
     return ZERO if tree is None else _checked(Element(tree, end, a.level))
 

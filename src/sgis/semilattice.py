@@ -4,18 +4,21 @@ A `LowerSet` is the trie of a prefix-closed family of paths from one vertex:
 per node its parent's index and the letter that enters it, the nodes
 numbered in the global length-lexicographic order.  The encoding is
 canonical, so equality and hashing compare two tuples, and a tree of n
-nodes holds n letters, not one path per node.  Every tree is built by one
-walk, `munn_tree`, over a trie of a word's reduced prefixes; a family of
-paths is walked as the word `tree_word` reads it, so closure, canonical
-form and meet are walks too.  The walk numbers the kept nodes and marks the
-tips (the nodes with no kept child) without building a path.  The paths
-(`I.paths`) and the tip paths (`max_elements`) are built from the trie on
-first use and kept on the value, outside the fields; `p in I` descends the
-trie by child lookups.  `compatible_with` is the one test of a path against
-a tree.  Compatibility is the walk's per-node block rule: `lower_closure`
-raises on a violation, `meet` gives None, and the unchecked variant serves
-the separated-level basis search, which checks its families pairwise before
-it closes them.  Containment is `is_subtree`, a test of one tree's tips
+nodes holds n letters, not one path per node.  Trees are built from words
+by one walk, `munn_tree`, over a trie of a word's reduced prefixes; a family
+of paths is walked as the word `tree_word` reads it, so closure and
+canonical form are walks too.  The walk numbers the kept nodes and marks
+the tips (the nodes with no kept child) without building a path.  Two trees
+are joined without a word: `merge_tries` walks both tries at once, breadth
+first, and gives their union, which is the meet of two idempotents (`meet`,
+and the engine's product of two idempotents).  The paths (`I.paths`) and
+the tip paths (`max_elements`) are built from the trie on first use and
+kept on the value, outside the fields; `p in I` descends the trie by child
+lookups.  `compatible_with` is the one test of a path against a tree.
+Compatibility is the per-node block rule: `lower_closure` raises on a
+violation, `meet` gives None, and the unchecked variant serves the
+separated-level basis search, which checks its families pairwise before it
+closes them.  Containment is `is_subtree`, a test of one tree's tips
 against the other tree; the class order and the engine's natural order both
 use it.
 """
@@ -80,9 +83,7 @@ class LowerSet:
             index[p.letters] = i
             parent.append(up)
             entered.append(p.letters[-1])
-        # the children of a node are one run of `parent`, from first[n] on
-        first = tuple(bisect_left(parent, n, 1) for n in range(len(paths) + 1))
-        tips = tuple(n for n in range(len(paths)) if first[n] == first[n + 1])
+        first, tips = _runs(parent)
         self.__dict__.update(
             base=base, parent=tuple(parent), entered=tuple(entered), _paths=paths, _first=first, _tip_ids=tips
         )
@@ -119,6 +120,14 @@ class LowerSet:
 
     def __repr__(self) -> str:
         return render_lower_set(self)
+
+
+def _runs(parent: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Where the children of each node start, and the tips, of a trie whose
+    `parent` list is nondecreasing: the children of node n are one run of
+    it, from first[n] to first[n + 1] - 1, and a tip's run is empty."""
+    first = tuple([bisect_left(parent, n, 1) for n in range(len(parent) + 1)])
+    return first, tuple([n for n in range(len(parent)) if first[n] == first[n + 1]])
 
 
 def render_lower_set(I: LowerSet) -> str:
@@ -362,13 +371,78 @@ def canonicalize_by_stripping(graph: SeparatedGraph, I: LowerSet) -> LowerSet:
         current.difference_update(removable)
 
 
+def merge_tries(
+    graph: SeparatedGraph, I: LowerSet, J: LowerSet, *, separated: bool = False
+) -> LowerSet | None:
+    """The union of two trees at one base, by one breadth-first walk of both
+    tries at once: Munn's union of trees.
+
+    Both tries number their nodes in `sorted_paths` order, breadth first with
+    siblings in letter order, and so does the union.  The walk keeps one
+    cursor in each trie and numbers the union's nodes as it goes, so each
+    cursor's parent already has its number in the union: the node whose
+    parent comes first is next, and under one parent the node whose letter
+    comes first by `letter_key`.  A node of both tries (one parent, one
+    letter) is taken once.  With `separated`, a positive letter of J taken
+    under a node of I whose children hold a different positive edge of its
+    block gives None: each tree keeps the block rule on its own, and a node
+    of both is entered by the same letter in both, so this cross check is
+    the whole rule.  A union of canonical trees is canonical."""
+    parent1, entered1, first1 = I.parent, I.entered, I._first
+    parent2, entered2 = J.parent, J.entered
+    end1, end2 = len(parent1), len(parent2)
+    block_of = graph.block_of
+    at1, at2 = [0] * end1, [0] * end2  # a node of I, of J -> its node in the union
+    of1 = [0]  # a node of the union -> its node in I, -1 for none
+    parent: list[int] = [-1]
+    entered: list[Letter | None] = [None]
+    done = end1 + end2  # the parent of a finished cursor: after every node
+    i = j = 1
+    while i < end1 or j < end2:
+        p = at1[parent1[i]] if i < end1 else done
+        q = at2[parent2[j]] if j < end2 else done
+        if p != q:
+            mine = p < q
+        elif entered1[i] is entered2[j]:  # a node of both, taken once as I's
+            at2[j] = len(parent)
+            j += 1
+            mine = True
+        else:
+            mine = letter_key(graph, entered1[i]) < letter_key(graph, entered2[j])
+        if mine:
+            at1[i] = len(parent)
+            of1.append(i)
+            parent.append(p)
+            entered.append(entered1[i])
+            i += 1
+            continue
+        y, k = entered2[j], of1[q]
+        if separated and k >= 0 and not y.inverse:
+            block = block_of[y.edge]
+            siblings = entered1[first1[k] : first1[k + 1]]
+            if any(not x.inverse and block_of[x.edge] is block for x in siblings):
+                return None
+        at2[j] = len(parent)
+        of1.append(-1)
+        parent.append(q)
+        entered.append(y)
+        j += 1
+    first, tips = _runs(parent)
+    tree = object.__new__(LowerSet)
+    tree.__dict__.update(
+        base=I.base, parent=tuple(parent), entered=tuple(entered), _first=first, _tip_ids=tips
+    )
+    return tree
+
+
 def meet(graph: SeparatedGraph, I: LowerSet, J: LowerSet) -> LowerSet | None:
-    """Union when compatible over one vertex, else None (the zero): the walk
-    of both tip words under the block rule."""
+    """e(I) e(J) = e(I u J) in the semilattice: the union when the two trees
+    lie over one vertex and together keep the block rule, else None (the
+    zero).  I and J are trees of the semilattice, each keeping the rule; the
+    union is `merge_tries` under the rule."""
     if I.base != J.base:
         return None
-    word = tree_word(max_elements(I)) + tree_word(max_elements(J))
-    return munn_tree(graph, I.base, word, separated=True)[0]
+    return merge_tries(graph, I, J, separated=True)
 
 
 def class_eq(graph: SeparatedGraph, I: LowerSet, J: LowerSet) -> bool:

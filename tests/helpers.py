@@ -35,6 +35,9 @@ from sgis.semilattice import (
     is_separated_compatible_family,
     lower_close_paths,
     lower_closure,
+    max_elements,
+    munn_tree,
+    tree_word,
 )
 from sgis.spectrum import Cylinder, branch_decompose, branch_extensions, make_cylinder
 
@@ -324,6 +327,23 @@ def union_meet(graph: SeparatedGraph, I: LowerSet, J: LowerSet):
     if I.base != J.base or not is_separated_compatible_family(graph, I.paths + J.paths):
         return None
     return LowerSet(I.base, sorted_paths(graph, set(I.paths) | set(J.paths)))
+
+
+def walked_union(graph: SeparatedGraph, I: LowerSet, J: LowerSet, *, separated=True, canonical=False):
+    """Walk route to `meet` and to products of idempotents: the Munn tree of
+    I's tip word followed by J's, under the block rule when `separated` and
+    pruned to its canonical form when `canonical`, as `multiply` walks it at
+    each level."""
+    if I.base != J.base:
+        return None
+    word = tree_word(max_elements(I)) + tree_word(max_elements(J))
+    return munn_tree(graph, I.base, word, separated=separated, canonical=canonical)[0]
+
+
+def trie_fields(I: LowerSet | None):
+    """The arrays a trie is read from, field by field: `parent` and `entered`
+    (the value), and the marks `_first` and `_tip_ids`."""
+    return None if I is None else (I.parent, I.entered, I._first, I._tip_ids)
 
 
 def compatible_with_every_member(graph: SeparatedGraph, I: LowerSet, p: Path) -> bool:

@@ -181,6 +181,18 @@ def test_cylinder_idempotent_matches_the_branch_gap_product(rose2t, rose2f, fim2
     assert excluded > 100
 
 
+def test_cylinder_idempotent_coefficients_stay_ints(rose2f, mixed):
+    """Cylinder idempotents only add and subtract basis elements, so their
+    coefficients are ints; a Fraction given is still taken as one."""
+    for graph in (rose2f, mixed):
+        for B in sample_cylinders(graph, random.Random(208), 20):
+            assert {type(c) for c in cylinder_idempotent(graph, B).terms.values()} == {int}
+    s = path_element(rose2f, Path("v", (E,))) + path_element(rose2f, Path("v", (F,)))
+    assert (Fraction(1, 2) * (s + s)) == s
+    half = AlgebraElement.of(rose2f, evaluate(rose2f, ["v"]), Fraction(1, 2))
+    assert list(half.terms.values()) == [Fraction(1, 2)]
+
+
 def test_branch_gap_factors_commute(rose2f):
     I = lower_closure(rose2f, [Path("v", (E,)), Path("v", (F,))])
     exts = branch_extensions(rose2f, I, 2)

@@ -15,6 +15,7 @@ ROSE2T = str(GRAPH_DIR / "rose2t.sg")
 ROSE1T = str(GRAPH_DIR / "rose1t.sg")
 FIM2 = str(GRAPH_DIR / "fim2.sg")
 FIM2INF = str(GRAPH_DIR / "fim2inf.sg")
+MIXED = str(GRAPH_DIR / "mixed.sg")
 
 
 def run(capsys, *argv):
@@ -61,6 +62,20 @@ def test_mul(capsys):
     code, out, _ = run(capsys, "mul", ROSE2F, "-a", "e", "-b", "~e f")
     assert code == 0
     assert out == "(f)(e) | f\n"
+
+
+@pytest.mark.parametrize(
+    "graph, a, b, want",
+    [
+        (ROSE2T, "e ~e", "f ~f", "0\n"),  # e and f share a block
+        (ROSE2F, "e ~e", "f ~f", "(f)(e) | v\n"),
+        (MIXED, "a ~a", "a d ~d ~a", "(a d) | v\n"),
+    ],
+)
+def test_mul_idempotents(capsys, graph, a, b, want):
+    """Products of two idempotents, which merge their trees."""
+    code, out, _ = run(capsys, "mul", graph, "-a", a, "-b", b)
+    assert (code, out) == (0, want)
 
 
 def test_validate(capsys):

@@ -14,6 +14,8 @@ from helpers import (
     make_word,
     random_lower_set,
     random_separated_graph,
+    trie_fields,
+    walked_union,
 )
 from sgis.errors import (
     ActionDomainError,
@@ -484,6 +486,57 @@ def test_multiply_and_inverse_match_closure_route(name, request):
             assert inverse(graph, a) == closure_inverse(graph, a), (a, level)
         for a, b in pairs:
             assert multiply(graph, a, b) == closure_multiply(graph, a, b), (a, b, level)
+
+
+def _idempotent_products_against_walk(graph, rng: random.Random, words: int, pairs: int) -> int:
+    """At each level, products of the idempotents a a^-1 and a^-1 a of seeded
+    walks, two at one vertex, equal the walk of both tip words under the
+    level's rules, field by field; returns how many products are zero by the
+    block rule across the two trees."""
+    zeros = 0
+    for level in Level:
+        at_base: dict[str, list] = {}
+        for _ in range(words):
+            a = evaluate(graph, random_walk_word(graph, rng, 10), level)
+            if a is not ZERO:
+                for e in (multiply(graph, a, inverse(graph, a)), multiply(graph, inverse(graph, a), a)):
+                    at_base.setdefault(e.carrier.base, []).append(e)
+        for _ in range(pairs):
+            group = rng.choice(list(at_base.values()))
+            a, b = rng.choice(group), rng.choice(group)
+            got = multiply(graph, a, b)
+            want = walked_union(
+                graph, a.tree, b.tree, separated=level is Level.SEPARATED, canonical=level is not Level.FREE
+            )
+            if got is ZERO:
+                assert want is None, (a, b, level)
+                zeros += 1
+            else:
+                assert trie_fields(got.tree) == trie_fields(want), (a, b, level)
+                assert (got.carrier, got.level) == (a.carrier, level)
+    return zeros
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_idempotent_products_merge_as_the_walk(name, request):
+    """A product of two idempotents merges their trees: 400 seeded pairs per
+    level and graph.  On the graphs with a block of two edges some pairs
+    break the block rule across the two trees."""
+    graph = request.getfixturevalue(name)
+    zeros = _idempotent_products_against_walk(graph, random.Random(f"idempotents:{name}"), 40, 400)
+    if name in ("rose2t", "mixed"):
+        assert zeros > 0
+
+
+def test_idempotent_products_merge_as_the_walk_on_generated_graphs():
+    """As above on 60 generated graphs (graph seeds 0..59), 40 pairs per level."""
+    zeros = sum(
+        _idempotent_products_against_walk(
+            random_separated_graph(random.Random(i), 4), random.Random(f"idempotents:{i}"), 10, 40
+        )
+        for i in range(60)
+    )
+    assert zeros > 0
 
 
 def test_long_chain_matches_string_oracle(rose2f):

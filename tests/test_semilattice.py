@@ -19,7 +19,9 @@ from helpers import (
     separated_paths,
     subtree_by_members,
     tips_by_parents,
+    trie_fields,
     union_meet,
+    walked_union,
 )
 from sgis.errors import IncompatiblePathsError, SgisError, WordError
 from sgis.oracle import random_walk_word, string_normal_form
@@ -316,6 +318,43 @@ def test_meet_examples(rose2t, rose2f):
 
 def test_meet_distinct_vertices_is_zero(fim2):
     assert meet(fim2, lower_closure(fim2, [vertex_path("v")]), lower_closure(fim2, [vertex_path("x1")])) is None
+
+
+def _meets_against_walk(graph, rng: random.Random, pairs: int) -> int:
+    """`meet` of seeded compatible trees at one vertex equals the walk of both
+    tip words, field by field; returns how many meets are zero by the block
+    rule across the two trees."""
+    pool = {v: [random_lower_set(graph, v, rng) for _ in range(12)] for v in graph.vertices}
+    zeros = 0
+    for _ in range(pairs):
+        trees = pool[rng.choice(graph.vertices)]
+        I, J = rng.choice(trees), rng.choice(trees)
+        got = meet(graph, I, J)
+        assert trie_fields(got) == trie_fields(walked_union(graph, I, J)), (I, J)
+        zeros += got is None
+    return zeros
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_meet_merges_as_the_walk(name, request):
+    """The merge of two tries gives the tree that walking both tip words
+    gives, on 600 seeded pairs per graph; on the graphs with a block of two
+    edges some pairs break the block rule across the two trees."""
+    graph = request.getfixturevalue(name)
+    zeros = _meets_against_walk(graph, random.Random(f"merge:{name}"), 600)
+    if name in ("rose2t", "mixed"):
+        assert zeros > 0
+
+
+def test_meet_merges_as_the_walk_on_generated_graphs():
+    """As above on 60 generated graphs (graph seeds 0..59), 60 pairs each."""
+    zeros = sum(
+        _meets_against_walk(
+            random_separated_graph(random.Random(i), 4), random.Random(f"merge:{i}"), 60
+        )
+        for i in range(60)
+    )
+    assert zeros > 0
 
 
 def test_class_relations(rose2f):
