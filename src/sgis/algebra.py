@@ -21,7 +21,6 @@ from .paths import (
     Path,
     compatible,
     compose,
-    is_prefix,
     is_separated_path,
     letter_key,
     path_key,
@@ -396,9 +395,11 @@ def enumerate_basis(
     length <= max_len, in `element_sort_key` order.
 
     At each vertex the separated paths up to max_len are listed once.  The
-    trees close the compatible antichains of positive tips among them; a
-    tree's carriers are the listed paths whose positive part is a member.  The
-    budget pays a unit per path listed, and per node and carrier of each tree.
+    trees close the compatible antichains of positive tips among them, taken
+    in `sorted_paths` order: a tip joins a tree it leaves at a node other than
+    a chosen tip and is `compatible_with`.  A tree's carriers are the listed
+    paths whose positive part is a member.  The budget pays a unit per path
+    listed, and per node and carrier of each tree.
     The sort key's carrier part is made once per listed path and its tree
     part once per tree."""
     budget = budget or Budget(context="basis enumeration")
@@ -416,10 +417,9 @@ def enumerate_basis(
             keyed.extend(((key, size, trie), Element(tree, c, Level.SEPARATED)) for c, key in carriers)
             for j in range(start, len(tips)):
                 p = tips[j]
-                if all(
-                    not is_prefix(p, q) and not is_prefix(q, p) and compatible(graph, p, q)
-                    for q in chosen
-                ):
+                # p sorts after the chosen tips: one is its prefix iff p stops at it, a leaf
+                n = tree.reach(p.letters)[0]
+                if (n == 0 or tree.children(n)) and compatible_with(graph, tree, p):
                     extend(j + 1, chosen + [p])
 
         extend(0, [])

@@ -13,14 +13,14 @@ are joined without a word: `merge_tries` walks both tries at once, breadth
 first, and gives their union, which is the meet of two idempotents (`meet`,
 and the engine's product of two idempotents).  The paths (`I.paths`) and
 the tip paths (`max_elements`) are built from the trie on first use and
-kept on the value, outside the fields; `p in I` descends the trie by child
-lookups.  `compatible_with` is the one test of a path against a tree.
-Compatibility is the per-node block rule: `lower_closure` raises on a
-violation, `meet` gives None, and the unchecked variant serves the
-separated-level basis search, which checks its families pairwise before it
-closes them.  Containment is `is_subtree`, a test of one tree's tips
-against the other tree; the class order and the engine's natural order both
-use it.
+kept on the value, outside the fields.  `I.reach` is the one descent of the
+trie, by child lookups, and `I.configuration(n)` the local configuration at
+node n.  Compatibility is the per-node block rule, `block_clash`: the walk
+checks it as it adds a node (`lower_closure` raises on a violation), the
+merge across the two tries (`meet` gives None), and `compatible_with`, the
+one test of a path against a tree, at the node where the path leaves it.
+Containment is `is_subtree`, a test of one tree's tips against the other
+tree; the class order and the engine's natural order both use it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import IncompatiblePathsError, WordError
 from .graph import SeparatedGraph
@@ -101,19 +101,28 @@ class LowerSet:
             paths = cache["_paths"] = tuple(paths)
         return paths
 
-    def __contains__(self, p: Path) -> bool:
-        """Descend from the root by child lookups: the children of node n
-        are the nodes `_first[n]` to `_first[n + 1] - 1`."""
-        if p.base != self.base:
-            return False
+    def reach(self, letters: Sequence[Letter]) -> tuple[int, int]:
+        """The one descent, by child lookups from the root: the node of the
+        letters' longest prefix in the tree, and that prefix's length."""
         first, entered = self._first, self.entered
         n = 0
-        for x in p.letters:
+        for k, x in enumerate(letters):
             try:
                 n = entered.index(x, first[n], first[n + 1])
             except ValueError:
-                return False
-        return True
+                return n, k
+        return n, len(letters)
+
+    def children(self, n: int) -> tuple[Letter, ...]:
+        """The letters of node n's children, the nodes `_first[n]` to `_first[n + 1] - 1`."""
+        return self.entered[self._first[n] : self._first[n + 1]]
+
+    def configuration(self, n: int) -> tuple[Letter, ...]:
+        """Node n's local configuration: its children's letters and the letter back to its parent."""
+        return self.children(n) + ((self.entered[n]._inverted,) if n else ())
+
+    def __contains__(self, p: Path) -> bool:
+        return p.base == self.base and self.reach(p.letters)[1] == len(p.letters)
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -171,8 +180,8 @@ def munn_tree(
     child.  The visited nodes are the tree.  With `separated`, the positive
     letters leaving a node, plus e for a node entered by ~e, use at most one
     edge per block: the local form of "every member separated and all
-    pairwise compatible", checked as each node is added against a fourth
-    array, the edge each block uses at the node.  A violation gives
+    pairwise compatible", checked by `block_clash` as a positive letter adds
+    a child, against the node's children and the letter back.  A violation gives
     `(None, conflict)`: `conflict()` returns the two members that use one
     block at the failing node, in `sorted_paths` order, and builds them only
     when asked, so a zero costs no paths.  With `canonical`, only the root
@@ -186,7 +195,6 @@ def munn_tree(
     parent = [0]
     entered: list[Letter | None] = [None]
     children: list[dict[Letter, int]] = [{}]
-    blocks: list[dict[int, str]] = [{}]  # block id -> the one edge it uses
     at = 0
     for x in word:
         if entered[at] is x._inverted:
@@ -194,11 +202,10 @@ def munn_tree(
             continue
         child = children[at].get(x)
         if child is None:
-            if separated:
-                block = id(graph.block_of[x.edge])
-                if not x.inverse and (e := blocks[at].setdefault(block, x.edge)) != x.edge:
+            if separated and not x.inverse:
+                around = (*children[at], entered[at]._inverted) if at else children[at]
+                if (e := block_clash(graph, around, x)) is not None:
                     return None, partial(_conflict, graph, base, parent, entered, at, x, e)
-                blocks.append({block: x.edge} if x.inverse else {})
             child = len(parent)
             parent.append(at)
             entered.append(x)
@@ -243,6 +250,18 @@ def munn_tree(
         _tip_ids=tuple(tips),
     )
     return tree, Path(base, _climb(parent, entered, at))
+
+
+def block_clash(graph: SeparatedGraph, letters: Iterable[Letter], x: Letter) -> str | None:
+    """The block rule at one node: the edge of x's block that another
+    positive letter among `letters` already uses, or None.  An inverse x
+    clashes with nothing."""
+    block_of = graph.block_of
+    if not x.inverse:
+        for y in letters:
+            if not y.inverse and y is not x and block_of[y.edge] is block_of[x.edge]:
+                return y.edge
+    return None
 
 
 def _conflict(graph: SeparatedGraph, base: str, parent, entered, at: int, x: Letter, e: str):
@@ -329,10 +348,13 @@ def _climb(parent: Sequence[int], entered: Sequence, n: int) -> tuple[Letter, ..
 
 
 def compatible_with(graph: SeparatedGraph, I: LowerSet, p: Path) -> bool:
-    """p is compatible with every member of I.  The tips suffice: a member
-    that diverges from p lies below a tip that diverges from p at the same
-    place."""
-    return all(compatible(graph, p, m) for m in max_elements(I))
+    """p is compatible with every member of I, a tree that keeps the block
+    rule: a member leaving p's descent earlier is compatible with the member
+    p follows, so only p's next letter where it leaves I can clash."""
+    if p.base != I.base:
+        raise WordError(f"compatibility undefined across vertices {p.base!r}, {I.base!r}")
+    n, k = I.reach(p.letters)
+    return k == len(p.letters) or block_clash(graph, I.children(n), p.letters[k]) is None
 
 
 def is_subtree(J: LowerSet, I: LowerSet) -> bool:
@@ -388,10 +410,9 @@ def merge_tries(
     block gives None: each tree keeps the block rule on its own, and a node
     of both is entered by the same letter in both, so this cross check is
     the whole rule.  A union of canonical trees is canonical."""
-    parent1, entered1, first1 = I.parent, I.entered, I._first
+    parent1, entered1 = I.parent, I.entered
     parent2, entered2 = J.parent, J.entered
     end1, end2 = len(parent1), len(parent2)
-    block_of = graph.block_of
     at1, at2 = [0] * end1, [0] * end2  # a node of I, of J -> its node in the union
     of1 = [0]  # a node of the union -> its node in I, -1 for none
     parent: list[int] = [-1]
@@ -417,11 +438,8 @@ def merge_tries(
             i += 1
             continue
         y, k = entered2[j], of1[q]
-        if separated and k >= 0 and not y.inverse:
-            block = block_of[y.edge]
-            siblings = entered1[first1[k] : first1[k + 1]]
-            if any(not x.inverse and block_of[x.edge] is block for x in siblings):
-                return None
+        if separated and k >= 0 and block_clash(graph, I.children(k), y) is not None:
+            return None
         at2[j] = len(parent)
         of1.append(-1)
         parent.append(q)
@@ -454,28 +472,18 @@ def class_leq(graph: SeparatedGraph, I: LowerSet, J: LowerSet) -> bool:
     return is_subtree(canonicalize(graph, J), canonicalize(graph, I))
 
 
-def config_letters_at(graph: SeparatedGraph, members: Container[Path], g: Path):
-    """Letters x with red(g x) inside the set; the local picture at g."""
-    back = ~g.letters[-1] if g.letters else None
-    return [
-        x
-        for x, _ in steps(graph, path_range(graph, g))
-        # the letter cancelling g's last one leads back into the set
-        if x == back or Path(g.base, g.letters + (x,)) in members
-    ]
-
-
 def is_compatible_set_by_configs(graph: SeparatedGraph, paths: Sequence[Path]) -> bool:
     """Local-configuration route, cross-checked against the pairwise route
-    `is_separated_compatible_family`: every member's extension letters inside
-    the set must use at most one edge per block."""
+    `is_separated_compatible_family`: at every member g, the letters x with
+    red(g x) in the set must use at most one edge per block."""
     if not all(is_separated_path(graph, p) for p in paths):
         return False
     members = set(paths)
     for g in members:
+        back = ~g.letters[-1] if g.letters else None
         seen_blocks: set[int] = set()
-        for x in config_letters_at(graph, members, g):
-            if x.inverse:
+        for x, _ in steps(graph, path_range(graph, g)):
+            if x.inverse or not (x == back or Path(g.base, g.letters + (x,)) in members):
                 continue
             key = id(graph.block_of[x.edge])
             if key in seen_blocks:

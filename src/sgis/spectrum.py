@@ -2,10 +2,11 @@
 for maximal / finite-maximal behaviour, and the Boolean algebra of basic
 open sets Z(I \\ F).
 
-Infinite filters are never materialized: every statement is a certificate
-quantified over members shorter than a stated depth.  For blocks flagged
-infinite, maximality quantifies over the named edges only and the
-certificate records that caveat.
+A local configuration is read off the trie (`LowerSet.configuration`) and
+admissibility is the block rule (`block_clash`).  Infinite filters are never
+materialized: every statement is a certificate quantified over members
+shorter than a stated depth.  For blocks flagged infinite, maximality
+quantifies over the named edges only and the certificate records that caveat.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from .paths import (
 from .semilattice import (
     LowerSet,
     canonicalize,
-    compatible_with,
-    config_letters_at,
+    block_clash,
     is_canonical,
     is_subtree,
     lower_closure,
@@ -84,9 +84,10 @@ def make_truncation(graph: SeparatedGraph, paths: Iterable[Path], depth: int) ->
 
 def local_configuration(graph: SeparatedGraph, Z: LowerSet, g: Path) -> LocalConfig | None:
     """Extension letters of g inside Z; None marks the empty configuration."""
-    if g not in Z:
+    n, k = Z.reach(g.letters)
+    if g.base != Z.base or k < len(g.letters):
         raise SgisError(f"{render_path(g)!r} is not a member of the set")
-    letters = config_letters_at(graph, Z, g)
+    letters = Z.configuration(n)
     if not letters:
         return None
     at = path_range(graph, g)
@@ -95,16 +96,8 @@ def local_configuration(graph: SeparatedGraph, Z: LowerSet, g: Path) -> LocalCon
 
 
 def is_admissible(graph: SeparatedGraph, config: LocalConfig) -> bool:
-    """At most one positive letter per block."""
-    seen: set[str] = set()
-    for x in config.letters:
-        if x.inverse:
-            continue
-        name = graph.block_of[x.edge].name
-        if name in seen:
-            return False
-        seen.add(name)
-    return True
+    """At most one positive letter per block: no letter clashes."""
+    return all(block_clash(graph, config.letters, x) is None for x in config.letters)
 
 
 def _is_complete(graph: SeparatedGraph, config: LocalConfig, blocks: Sequence[Block]) -> bool:
@@ -136,10 +129,10 @@ def _certify(graph: SeparatedGraph, Z: Truncation, kind: str) -> Certificate:
     caveats = []
     if any(b.infinite for b in graph.blocks):
         caveats.append("infinite blocks quantified over named edges only")
-    for g in Z.paths.paths:
+    for n, g in enumerate(Z.paths.paths):
         if len(g.letters) >= Z.depth:
             continue
-        letters = frozenset(config_letters_at(graph, Z.paths, g))
+        letters = frozenset(Z.paths.configuration(n))
         if not is_complete(graph, LocalConfig(at=path_range(graph, g), letters=letters)):
             return Certificate(kind, False, Z.depth, witness=g, caveats=tuple(caveats))
     return Certificate(kind, True, Z.depth, caveats=tuple(caveats))
@@ -194,31 +187,33 @@ def render_cylinder(B: Cylinder) -> str:
 def branch_decompose(I: LowerSet, f: Path) -> int | None:
     """Length of the longest prefix of f inside I, or None if f's base is
     elsewhere."""
-    if f.base != I.base:
-        return None
-    k = 0  # a lower set holds every prefix of a member: stop at the first miss
-    while k < len(f.letters) and Path(f.base, f.letters[: k + 1]) in I:
-        k += 1
-    return k
+    return I.reach(f.letters)[1] if f.base == I.base else None
 
 
 def is_branch_extension(graph: SeparatedGraph, I: LowerSet, f: Path) -> bool:
     """Membership in the one-step extension family of I: the part of f after
-    its longest prefix in I is an inverse run ending in a single positive
-    edge, and adjoining f keeps the tree canonical and compatible."""
-    if f.base != I.base or f in I or not is_separated_path(graph, f):
+    its longest prefix in I, read by one descent, is an inverse run ending in
+    a single positive edge, and adjoining f keeps the tree canonical and
+    compatible (`compatible_with`)."""
+    if f.base != I.base or not is_separated_path(graph, f):
         return False
-    tail = f.letters[branch_decompose(I, f):]  # not empty, as f is not in I
+    n, k = I.reach(f.letters)
+    tail = f.letters[k:]
     return (
-        not tail[-1].inverse
+        bool(tail)
+        and not tail[-1].inverse
         and all(x.inverse for x in tail[:-1])
-        and compatible_with(graph, I, f)
+        and block_clash(graph, I.children(n), tail[0]) is None
     )
 
 
 def make_cylinder(graph: SeparatedGraph, I: LowerSet, excluded: Iterable[Path]) -> Cylinder:
     if not is_canonical(I):
         raise CylinderError(f"tree {I!r} is not canonical")
+    for n in range(len(I)):
+        config = I.configuration(n)
+        if any(block_clash(graph, config, x) is not None for x in config):
+            raise CylinderError(f"tree {I!r} breaks the block rule")
     exc = sorted_paths(graph, set(excluded))
     for f in exc:
         if not is_branch_extension(graph, I, f):

@@ -352,6 +352,27 @@ def compatible_with_every_member(graph: SeparatedGraph, I: LowerSet, p: Path) ->
     return all(compatible(graph, p, m) for m in I.paths)
 
 
+def config_letters_at(graph: SeparatedGraph, I: LowerSet, g: Path) -> list[Letter]:
+    """Path-level route to `LowerSet.configuration`: the letters x leaving
+    g's range with red(g x) a member of I, probed one path per step."""
+    members = set(I.paths)
+    back = ~g.letters[-1] if g.letters else None
+    return [
+        x
+        for x, _ in steps(graph, path_range(graph, g))
+        # the letter cancelling g's last one leads back into the set
+        if x is back or Path(g.base, g.letters + (x,)) in members
+    ]
+
+
+def longest_prefix_in(I: LowerSet, letters) -> tuple[int, int]:
+    """Member-list route to `LowerSet.reach`: the index in `I.paths` of the
+    longest prefix of the letters among the members, and its length."""
+    index = {p.letters: n for n, p in enumerate(I.paths)}
+    k = max(k for k in range(len(letters) + 1) if tuple(letters[:k]) in index)
+    return index[tuple(letters[:k])], k
+
+
 def subtree_by_members(J: LowerSet, I: LowerSet) -> bool:
     """Definition route to `is_subtree`: every member of J, not only its
     tips, among the members of I."""

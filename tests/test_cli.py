@@ -140,6 +140,12 @@ def test_spectrum_check(capsys):
         capsys, "spectrum", FIM2INF, "--check", "ultra", "--set", "v", "--depth", "1"
     )
     assert code == 0 and out.splitlines()[0] == "FAIL witness=v"
+    # past the root: v is complete, and f, first in path order, sees only
+    # the letter back to v, ~f
+    code, out, _ = run(
+        capsys, "spectrum", ROSE2F, "--check", "ultra", "--set", "e, f, ~e, ~f", "--depth", "2"
+    )
+    assert (code, out) == (0, "FAIL witness=f\n")
 
 
 def test_spectrum_cylinder_ops(capsys):
@@ -211,6 +217,24 @@ def test_cover(capsys):
     assert code == 0
     assert "no counterexample" in out.splitlines()[0]
     assert "witness check" in out.splitlines()[-1]
+
+
+def test_cover_two_edge_block(capsys):
+    """Compatibility against a two-edge block: the witnesses pick the edge a
+    tree already uses, and the first edge otherwise."""
+    code, out, _ = run(
+        capsys, "cover", MIXED, "--vertex", "v", "--block", "VAB", "--max-len", "3"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "cover by block VAB: no counterexample up to max-len=3",
+        "witness {v} -> a",
+        "witness {v, a} -> a",
+        "witness {v, b} -> b",
+        "witness {v, c} -> a",
+        "witness {v} -> a",
+        "witness check: 60 trees validated",
+    ]
 
 
 def test_cover_unknown_block(capsys):

@@ -10,7 +10,9 @@ from helpers import (
     closure_element,
     closure_tree,
     compatible_with_every_member,
+    config_letters_at,
     grow_maximal_truncation,
+    longest_prefix_in,
     make_word,
     random_filter_truncation,
     random_lower_set,
@@ -48,6 +50,7 @@ from sgis.semigroup import (
 )
 from sgis.semilattice import (
     LowerSet,
+    block_clash,
     canonicalize,
     canonicalize_by_stripping,
     class_eq,
@@ -269,9 +272,10 @@ def test_chain_tree_memory_is_linear(rose2f, level):
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
 def test_compatible_with_matches_every_member(name, request):
-    """`compatible_with` tests only the tips; it agrees with the test against
-    every member on seeded canonical and non-canonical trees, paired with
-    every separated path of length <= 3 from the base."""
+    """`compatible_with` checks the block rule at the one node where the path
+    leaves the tree; it agrees with the test against every member on seeded
+    canonical and non-canonical trees, paired with every separated path of
+    length <= 3 from the base."""
     graph = request.getfixturevalue(name)
     rng = random.Random(f"compatible_with:{name}")
     probes = separated_paths(graph, "v", 3)
@@ -287,6 +291,75 @@ def test_compatible_with_matches_every_member(name, request):
     assert canonical == {True, False}
     if name in ("rose2t", "mixed"):  # the graphs with a block of two edges
         assert outcomes == {True, False}
+
+
+def test_compatible_with_rejects_another_vertex(rose2t, mixed):
+    """A path from another vertex has no compatibility with a tree, also when
+    its letters would lead through the trie."""
+    V = lower_closure(rose2t, [vertex_path("v")])
+    with pytest.raises(WordError):
+        compatible_with(rose2t, V, Path("w", (E,)))
+    A = lower_closure(mixed, [Path("v", (Letter("a"),))])
+    for p in (vertex_path("w"), Path("w", (Letter("a"),)), Path("w", (Letter("d"),))):
+        with pytest.raises(WordError):
+            compatible_with(mixed, A, p)
+
+
+def test_block_clash_examples(rose2t, rose2f, mixed):
+    assert block_clash(rose2t, (E,), F) == "e"
+    assert block_clash(rose2t, (Ei, F), E) == "f"
+    assert block_clash(rose2t, (E, Fi), E) is None  # x itself is no clash
+    assert block_clash(rose2t, (E,), Fi) is None  # an inverse letter never clashes
+    assert block_clash(rose2t, (), E) is None
+    assert block_clash(rose2f, (E,), F) is None  # one block per edge
+    a, b, c = Letter("a"), Letter("b"), Letter("c")
+    assert block_clash(mixed, (c, b), a) == "b"
+    assert block_clash(mixed, (c, Letter("d", True)), a) is None
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_reach_matches_the_longest_member_prefix(name, request):
+    """`I.reach` stops at the node of the longest prefix among the members:
+    on seeded canonical and non-canonical trees, for every separated path of
+    length <= 4 from the base, and for each member followed by each letter."""
+    graph = request.getfixturevalue(name)
+    rng = random.Random(f"reach:{name}")
+    probes = separated_paths(graph, "v", 4)
+    stops = set()
+    for _ in range(20):
+        I = random_lower_set(graph, "v", rng, max_len=3)
+        for J in (I, canonicalize(graph, I)):
+            words = [p.letters for p in probes]
+            words += [p.letters + (x,) for p in J.paths for x, _ in steps(graph, path_range(graph, p))]
+            for w in words:
+                got = J.reach(w)
+                assert got == longest_prefix_in(J, w), (J, w)
+                stops.add(got[1] == len(w))
+    assert stops == {True, False}
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_configuration_matches_the_path_picture(name, request):
+    """`I.configuration(n)` holds the letters x with red(g x) in I, for g the
+    member at node n, as the path-level picture probes them, on seeded
+    canonical and non-canonical trees; `children(n)` leaves out the letter
+    back to the parent."""
+    graph = request.getfixturevalue(name)
+    rng = random.Random(f"configuration:{name}")
+    sizes = set()
+    for _ in range(30):
+        I = random_lower_set(graph, "v", rng, max_len=4)
+        for J in (I, canonicalize(graph, I)):
+            for n, g in enumerate(J.paths):
+                got = J.configuration(n)
+                want = config_letters_at(graph, J, g)
+                assert len(got) == len(set(got))
+                assert set(got) == set(want), (J, g)
+                kids = J.children(n)
+                assert set(kids) == {p.letters[-1] for p in J.paths if p.letters and p.letters[:-1] == g.letters}
+                assert len(got) == len(kids) + (n > 0)
+                sizes.add(len(got))
+    assert max(sizes) >= 2
 
 
 def test_canonicalize_examples(rose2f):

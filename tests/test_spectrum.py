@@ -67,10 +67,16 @@ def test_local_configuration_examples(rose2f, fim2):
     assert cfg.tail == Letter("e1", True)
 
 
-def test_local_configuration_requires_membership(rose2f):
+def test_local_configuration_requires_membership(rose2f, mixed):
     V = lower_closure(rose2f, [vertex_path("v")])
     with pytest.raises(SgisError):
         local_configuration(rose2f, V, Path("v", (E,)))
+    # a path at another vertex is no member, also when its letters lead
+    # through the trie
+    A = lower_closure(mixed, [Path("v", (Letter("a"),))])
+    for g in (vertex_path("w"), Path("w", (Letter("a"),))):
+        with pytest.raises(SgisError):
+            local_configuration(mixed, A, g)
 
 
 def test_admissible_and_maximal(rose2t, rose2f, fim2inf):
@@ -208,6 +214,24 @@ def test_make_cylinder_validates(rose2f):
     bad = LowerSet("v", (vertex_path("v"), Path("v", (Ei,))))
     with pytest.raises(CylinderError):
         make_cylinder(rose2f, bad, [])
+
+
+def test_make_cylinder_rejects_a_tree_that_breaks_the_block_rule(rose2t, mixed):
+    """A canonical tree whose members use two edges of one block, at one node
+    or through the letter back to a node's parent, names no cylinder: its
+    idempotent is zero in the semigroup."""
+    v = vertex_path("v")
+    for graph, members in (
+        (rose2t, [v, Path("v", (F,)), Path("v", (E,))]),
+        (rose2t, [v, Path("v", (Ei,)), Path("v", (Ei, F))]),
+        (mixed, [v, Path("v", (Letter("a"),)), Path("v", (Letter("b"),))]),
+        (mixed, [v, Path("v", (Letter("c"),)), Path("v", (Letter("c"), Letter("a"))),
+                 Path("v", (Letter("c"), Letter("b")))]),
+    ):
+        bad = LowerSet("v", sorted_paths(graph, members))
+        with pytest.raises(CylinderError, match="block rule"):
+            make_cylinder(graph, bad, [])
+    make_cylinder(rose2t, lower_closure(rose2t, [Path("v", (E, F))]), [])
 
 
 def test_cylinder_member(rose2f):
