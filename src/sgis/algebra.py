@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .errors import Budget, SgisError, WordError
+from .errors import Budget, IncompatiblePathsError, SgisError, WordError
 from .graph import Block, SeparatedGraph
 from .paths import (
     Letter,
@@ -43,13 +43,16 @@ from .semigroup import (
 )
 from .semilattice import (
     LowerSet,
+    block_rule_break,
     canonicalize,
+    chain_tree,
     compatible_with,
     is_canonical,
     is_subtree,
     lower_closure,
     lower_closure_unchecked,
     max_elements,
+    merge_tries,
 )
 
 Scalar = Fraction | int
@@ -173,7 +176,13 @@ def render_algebra_element(graph: SeparatedGraph, a: AlgebraElement) -> str:
 
 def idempotent_of(graph: SeparatedGraph, I: LowerSet) -> AlgebraElement:
     """The basis idempotent whose tree is the canonical form of I; a
-    canonical I is its own canonical form, and no walk is made."""
+    canonical I is its own canonical form, and no walk is made.  I may come
+    from outside, so the block rule is checked first: a tree that breaks it
+    raises IncompatiblePathsError with two members that clash, as its
+    idempotent is zero."""
+    clash = block_rule_break(graph, I)
+    if clash is not None:
+        raise IncompatiblePathsError(*clash)
     tree = I if is_canonical(I) else canonicalize(graph, I)
     el = Element(tree, vertex_path(tree.base), Level.SEPARATED)
     return AlgebraElement.of(graph, el)
@@ -199,21 +208,40 @@ def branch_gap(graph: SeparatedGraph, head: Path, tail_letters: Sequence[Letter]
         raise WordError("tail does not extend the head reducedly")
     if not is_separated_path(graph, whole):
         raise WordError("extended path is not separated")
-    return idempotent_of(graph, lower_closure(graph, [head])) - idempotent_of(
-        graph, lower_closure(graph, [whole])
-    )
+    return idempotent_of(graph, chain_tree(head)) - idempotent_of(graph, chain_tree(whole))
 
 
 def cylinder_idempotent(graph: SeparatedGraph, B) -> AlgebraElement:
-    """The idempotent of the basic open set Z(I \\ F): e(I) times (1 - e(f))
-    for each excluded f, where e(f) is the idempotent of f's tree, each factor
-    applied as acc - acc * e(f).  It equals e(I) times one `branch_gap` per f:
-    the head of f, its longest prefix in I, is a member of I, so
+    """The idempotent of the basic open set Z(I \\ F), e(I) times (1 - e(f))
+    for each excluded f, as its inclusion-exclusion sum:
+
+        e(Z(I \\ F)) = sum over the subsets S of F of (-1)^|S| e(I u S),
+
+    where I u S is I merged with the chain of each member of S, and a union
+    that breaks the block rule is zero.  One depth-first walk over the
+    subsets of F, in its sorted order, merges the tree so far with the next
+    chain; a zero prunes every superset, as the union only grows.  The terms
+    are distinct, so each keeps its coefficient +1 or -1: every f is a
+    one-step branch extension of I, ending in its one positive letter outside
+    I, so f lies in I u S iff f is in S.  B is a cylinder of `make_cylinder`
+    or made from one: I keeps the block rule, and each f is reduced and
+    separated.  The product equals e(I) times one `branch_gap` per f: the
+    head of f, its longest prefix in I, is a member of I, so
     e(I) e(head) = e(I)."""
-    acc = idempotent_of(graph, B.tree)
-    for f in B.excluded:
-        acc = acc - acc * idempotent_of(graph, lower_closure(graph, [f]))
-    return acc
+    I = B.tree if is_canonical(B.tree) else canonicalize(graph, B.tree)
+    vertex = vertex_path(I.base)
+    chains = [chain_tree(f) for f in B.excluded]
+    terms: dict[Element, int] = {}
+
+    def walk(tree: LowerSet, start: int, sign: int) -> None:
+        terms[Element(tree, vertex, Level.SEPARATED)] = sign
+        for k in range(start, len(chains)):
+            grown = merge_tries(graph, tree, chains[k], separated=True)
+            if grown is not None:
+                walk(grown, k + 1, -sign)
+
+    walk(I, 0, 1)
+    return AlgebraElement._clean(graph, terms)
 
 
 def block_complement(graph: SeparatedGraph, block: Block) -> AlgebraElement:
@@ -222,8 +250,7 @@ def block_complement(graph: SeparatedGraph, block: Block) -> AlgebraElement:
         raise SgisError(f"block {block.name!r} is infinite; its complement is not an element")
     acc = AlgebraElement.of(graph, from_letter(graph, block.source, Level.SEPARATED))
     for e in block.edges:
-        p = Path(block.source, (Letter(e, False),))
-        acc = acc - idempotent_of(graph, lower_closure(graph, [p]))
+        acc = acc - idempotent_of(graph, chain_tree(Path(block.source, (Letter(e, False),))))
     return acc
 
 

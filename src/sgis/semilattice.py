@@ -11,14 +11,20 @@ canonical form are walks too.  The walk numbers the kept nodes and marks
 the tips (the nodes with no kept child) without building a path.  Two trees
 are joined without a word: `merge_tries` walks both tries at once, breadth
 first, and gives their union, which is the meet of two idempotents (`meet`,
-and the engine's product of two idempotents).  The paths (`I.paths`) and
+and the engine's product of two idempotents).  The tree of one reduced path
+is a chain trie, one node per prefix, which `chain_tree` fills in directly;
+merged into a tree it adds that path and its prefixes, so the spectrum's and
+the algebra's trees are a tree merged with the chains of a few paths, and no
+word is walked.  The paths (`I.paths`) and
 the tip paths (`max_elements`) are built from the trie on first use and
 kept on the value, outside the fields.  `I.reach` is the one descent of the
 trie, by child lookups, and `I.configuration(n)` the local configuration at
 node n.  Compatibility is the per-node block rule, `block_clash`: the walk
 checks it as it adds a node (`lower_closure` raises on a violation), the
 merge across the two tries (`meet` gives None), and `compatible_with`, the
-one test of a path against a tree, at the node where the path leaves it.
+one test of a path against a tree, at the node where the path leaves it.  A
+tree given from outside, by its members, is checked once where it enters the
+separated level: `block_rule_break` reads the rule at every node.
 Containment is `is_subtree`, a test of one tree's tips against the other
 tree; the class order and the engine's natural order both use it.
 """
@@ -250,6 +256,44 @@ def munn_tree(
         _tip_ids=tuple(tips),
     )
     return tree, Path(base, _climb(parent, entered, at))
+
+
+def chain_tree(p: Path) -> LowerSet:
+    """The tree of one reduced path: a chain trie, node k the prefix of p
+    of length k, its tip p.  Built straight from p's letters, with no walk;
+    the caller has checked that p is reduced and separated."""
+    n = len(p.letters)
+    tree = object.__new__(LowerSet)
+    tree.__dict__.update(
+        base=p.base,
+        parent=(-1, *range(n)),
+        entered=(None, *p.letters),
+        _first=(*range(1, n + 2), n + 1),
+        _tip_ids=(n,),
+    )
+    return tree
+
+
+def block_rule_break(graph: SeparatedGraph, I: LowerSet) -> tuple[Path, Path] | None:
+    """The first two members of I that break the block rule, in
+    `sorted_paths` order, or None: `block_clash` at every node's
+    `configuration`.  The letter found first to clash is a child's, as the
+    configuration lists the children first; the other member is the node
+    itself when the letter back to its parent uses the block, else a later
+    child."""
+    parent, entered, first = I.parent, I.entered, I._first
+    for n in range(len(I)):
+        config = I.configuration(n)
+        for k, x in enumerate(config):
+            e = block_clash(graph, config, x)
+            if e is None:
+                continue
+            if entered[n] is Letter(e, True):
+                pair = (n, first[n] + k)
+            else:
+                pair = (first[n] + k, entered.index(Letter(e), first[n], first[n + 1]))
+            return tuple(Path(I.base, _climb(parent, entered, m)) for m in pair)
+    return None
 
 
 def block_clash(graph: SeparatedGraph, letters: Iterable[Letter], x: Letter) -> str | None:

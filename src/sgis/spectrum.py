@@ -21,6 +21,7 @@ from .paths import (
     Letter,
     Path,
     inverse_runs,
+    is_reduced,
     is_separated_path,
     path_range,
     render_path,
@@ -31,13 +32,14 @@ from .semilattice import (
     LowerSet,
     canonicalize,
     block_clash,
+    block_rule_break,
+    chain_tree,
     is_canonical,
     is_subtree,
     lower_closure,
     max_elements,
     meet,
-    munn_tree,
-    tree_word,
+    merge_tries,
 )
 
 
@@ -210,13 +212,13 @@ def is_branch_extension(graph: SeparatedGraph, I: LowerSet, f: Path) -> bool:
 def make_cylinder(graph: SeparatedGraph, I: LowerSet, excluded: Iterable[Path]) -> Cylinder:
     if not is_canonical(I):
         raise CylinderError(f"tree {I!r} is not canonical")
-    for n in range(len(I)):
-        config = I.configuration(n)
-        if any(block_clash(graph, config, x) is not None for x in config):
-            raise CylinderError(f"tree {I!r} breaks the block rule")
+    clash = block_rule_break(graph, I)
+    if clash is not None:
+        p, q = map(render_path, clash)
+        raise CylinderError(f"tree {I!r} breaks the block rule at {p!r}, {q!r}")
     exc = sorted_paths(graph, set(excluded))
     for f in exc:
-        if not is_branch_extension(graph, I, f):
+        if not is_reduced(f) or not is_branch_extension(graph, I, f):
             raise CylinderError(
                 f"{render_path(f)!r} is not a one-step branch extension of {I!r}"
             )
@@ -279,8 +281,16 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
     segment ladder below the top rung and exclude the next rung; on top of
     that, for every eligible subset H of F2 \\ F1, force H inside and
     exclude the still-active constraints from F1 u F2.
+
+    Every tree is a merge of tries: I1 with the chain of each grown rung
+    (each rung ends in a positive letter, so the union of canonical trees
+    stays canonical), and the tree of H is the tree of H less its last
+    member, I1 u I2 for the empty H, merged with that member's chain under
+    the block rule; a clash drops H and every H that contains it.  B1 and
+    B2 are cylinders of `make_cylinder` or made from them.
     """
-    if cylinder_intersect(graph, B1, B2) is None:
+    inter = cylinder_intersect(graph, B1, B2)
+    if inter is None:
         return [B1]
 
     I1, F1 = B1.tree, set(B1.excluded)
@@ -294,28 +304,36 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
         k = branch_decompose(I1, h)
         cuts = [i + 1 for i in range(k, len(h.letters)) if not h.letters[i].inverse]
         ladders.append([Path(h.base, h.letters[:c]) for c in cuts])
+    rung_chains = [[chain_tree(rung) for rung in rungs] for rungs in ladders]
 
     if missing:
         index_ranges = [range(len(r) + 1) for r in ladders]
         for choice in itertools.product(*index_ranges):
             if all(i == len(r) for i, r in zip(choice, ladders)):
                 continue  # the all-top tuple reproduces B1 n Z(I2)
-            grown = [rungs[i - 1] for i, rungs in zip(choice, ladders) if i > 0]
+            In = I1
+            for i, rungs in zip(choice, rung_chains):
+                if i > 0:
+                    In = merge_tries(graph, In, rungs[i - 1])
             forced_next = [rungs[i] for i, rungs in zip(choice, ladders) if i < len(rungs)]
-            word = tree_word(max_elements(I1) + tuple(grown))
-            In = munn_tree(graph, I1.base, word, canonical=True)[0]
             if any(f in In for f in forced_next):
                 # ladders sharing a rung: the exclusion is forced inside the
                 # tree, so this index tuple names the empty set
                 continue
             out.append(_cylinder(graph, In, [*F1, *forced_next]))
 
-    candidates = sorted_paths(graph, F2 - F1)
-    for r in range(1, len(candidates) + 1):
-        for H in itertools.combinations(candidates, r):
-            word = tree_word(max_elements(I1) + max_elements(I2) + H)
-            JH = munn_tree(graph, I1.base, word, separated=True)[0]
-            if JH is None:
-                continue
-            out.append(_cylinder(graph, JH, F1 | F2))
+    chains = [chain_tree(h) for h in sorted_paths(graph, F2 - F1)]
+    # the trees of the subsets H of one size, by index, from those one
+    # smaller; an H whose union clashes is left out, and so are its supersets
+    below = {(): inter.tree}  # I1 u I2
+    for r in range(1, len(chains) + 1):
+        level = {}
+        for H in itertools.combinations(range(len(chains)), r):
+            JH = below.get(H[:-1])
+            if JH is not None:
+                JH = merge_tries(graph, JH, chains[H[-1]], separated=True)
+            if JH is not None:
+                level[H] = JH
+                out.append(_cylinder(graph, JH, F1 | F2))
+        below = level
     return out

@@ -39,7 +39,14 @@ from sgis.semilattice import (
     munn_tree,
     tree_word,
 )
-from sgis.spectrum import Cylinder, branch_decompose, branch_extensions, make_cylinder
+from sgis.spectrum import (
+    Cylinder,
+    branch_decompose,
+    branch_extensions,
+    cylinder_intersect,
+    is_branch_extension,
+    make_cylinder,
+)
 
 
 def random_separated_graph(
@@ -226,7 +233,7 @@ def grow_maximal_truncation(
     return members
 
 
-def sample_cylinders(graph: SeparatedGraph, rng: random.Random, count: int, max_len: int = 2):
+def sample_cylinders(graph: SeparatedGraph, rng: random.Random, count: int, max_len: int = 2, v: str = "v"):
     """Seeded basic open sets Z(I \\ F) at v: a canonical random tree with
     paths of length <= max_len, and up to two of its branch extensions of
     length <= max_len + 1 excluded."""
@@ -234,7 +241,7 @@ def sample_cylinders(graph: SeparatedGraph, rng: random.Random, count: int, max_
     guard = 0
     while len(out) < count and guard < 100 * count:
         guard += 1
-        I = canonicalize(graph, random_lower_set(graph, "v", rng, max_len=max_len))
+        I = canonicalize(graph, random_lower_set(graph, v, rng, max_len=max_len))
         if max(len(p.letters) for p in I.paths) > max_len:
             continue
         exts = branch_extensions(graph, I, max_len + 1)
@@ -388,6 +395,57 @@ def cylinder_idempotent_by_gaps(graph: SeparatedGraph, B: Cylinder) -> AlgebraEl
         k = branch_decompose(B.tree, f)
         acc = acc * branch_gap(graph, Path(f.base, f.letters[:k]), f.letters[k:])
     return acc
+
+
+def cylinder_idempotent_by_products(graph: SeparatedGraph, B: Cylinder) -> AlgebraElement:
+    """Product route to `cylinder_idempotent`: e(I) times (1 - e(f)) for each
+    excluded f, each factor applied as acc - acc * e(f), with e(f) the
+    idempotent of f's closure."""
+    acc = idempotent_of(graph, B.tree)
+    for f in B.excluded:
+        acc = acc - acc * idempotent_of(graph, lower_closure(graph, [f]))
+    return acc
+
+
+def cylinder_difference_by_walks(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> list[Cylinder]:
+    """Walk route to `cylinder_difference`, part for part and in its order:
+    each tree is the Munn tree of a tip word, I1's tips and the grown rungs
+    walked with canonical pruning, and I1's tips, I2's tips and H walked
+    under the block rule."""
+    if cylinder_intersect(graph, B1, B2) is None:
+        return [B1]
+
+    def cylinder(I, candidates):
+        return Cylinder(I, sorted_paths(graph, {f for f in candidates if is_branch_extension(graph, I, f)}))
+
+    I1, F1 = B1.tree, set(B1.excluded)
+    I2, F2 = B2.tree, set(B2.excluded)
+    out = []
+    missing = sorted_paths(graph, [h for h in max_elements(I2) if h not in I1])
+    ladders = []
+    for h in missing:
+        k = branch_decompose(I1, h)
+        cuts = [i + 1 for i in range(k, len(h.letters)) if not h.letters[i].inverse]
+        ladders.append([Path(h.base, h.letters[:c]) for c in cuts])
+    if missing:
+        for choice in itertools.product(*[range(len(r) + 1) for r in ladders]):
+            if all(i == len(r) for i, r in zip(choice, ladders)):
+                continue
+            grown = [rungs[i - 1] for i, rungs in zip(choice, ladders) if i > 0]
+            forced_next = [rungs[i] for i, rungs in zip(choice, ladders) if i < len(rungs)]
+            word = tree_word(max_elements(I1) + tuple(grown))
+            In = munn_tree(graph, I1.base, word, canonical=True)[0]
+            if any(f in In for f in forced_next):
+                continue
+            out.append(cylinder(In, [*F1, *forced_next]))
+    candidates = sorted_paths(graph, F2 - F1)
+    for r in range(1, len(candidates) + 1):
+        for H in itertools.combinations(candidates, r):
+            word = tree_word(max_elements(I1) + max_elements(I2) + H)
+            JH = munn_tree(graph, I1.base, word, separated=True)[0]
+            if JH is not None:
+                out.append(cylinder(JH, F1 | F2))
+    return out
 
 
 def basis_by_anchor_runs(graph: SeparatedGraph, max_len: int, budget) -> list[Element]:

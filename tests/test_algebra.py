@@ -7,6 +7,7 @@ from helpers import (
     basis_by_anchor_runs,
     composable_letter_words,
     cylinder_idempotent_by_gaps,
+    cylinder_idempotent_by_products,
     distinct_elements,
     make_word,
     random_lower_set,
@@ -28,11 +29,11 @@ from sgis.algebra import (
     render_algebra_element,
 )
 from conftest import load
-from sgis.errors import Budget, BudgetExceededError, SgisError
+from sgis.errors import Budget, BudgetExceededError, IncompatiblePathsError, SgisError
 from sgis.paths import Letter, Path, vertex_path
 from sgis.semigroup import ZERO, Element, Level, evaluate, is_idempotent, multiply
-from sgis.semilattice import canonicalize, lower_closure, max_elements
-from sgis.spectrum import branch_extensions, make_cylinder
+from sgis.semilattice import LowerSet, canonicalize, lower_closure, max_elements
+from sgis.spectrum import branch_extensions, cylinder_difference, make_cylinder
 
 E = Letter("e", False)
 Ei = Letter("e", True)
@@ -137,6 +138,20 @@ def test_idempotent_invariant_under_canonicalization(rose2f):
     assert idempotent_of(rose2f, I) == idempotent_of(rose2f, J)
 
 
+def test_idempotent_of_rejects_a_tree_that_breaks_the_block_rule(rose2t):
+    """On rose2t, e and f are one block: the tree {v, f, e}, given by its
+    members, has a zero idempotent, so no basis element stands for it; nor
+    for {v, ~e, ~e f}, whose f clashes with the letter e back to v."""
+    v = vertex_path("v")
+    for members in (
+        (v, Path("v", (F,)), Path("v", (E,))),
+        (v, Path("v", (Ei,)), Path("v", (Ei, F))),
+    ):
+        with pytest.raises(IncompatiblePathsError) as caught:
+            idempotent_of(rose2t, LowerSet("v", members))
+        assert caught.value.pair == members[1:]
+
+
 def test_vertex_idempotent(rose2f):
     v = idempotent_of(rose2f, lower_closure(rose2f, [vertex_path("v")]))
     el = next(iter(v.terms))
@@ -179,6 +194,55 @@ def test_cylinder_idempotent_matches_the_branch_gap_product(rose2t, rose2f, fim2
             assert cylinder_idempotent(graph, B) == cylinder_idempotent_by_gaps(graph, B), B
             excluded += len(B.excluded)
     assert excluded > 100
+
+
+def _check_cylinder_idempotents(graph, cylinders) -> int:
+    """`cylinder_idempotent` against the product and branch-gap routes; its
+    coefficients are +1 or -1 and it has at most 2^|F| terms.  Returns how
+    many sums had fewer, some subset's union breaking the block rule."""
+    pruned = 0
+    for B in cylinders:
+        got = cylinder_idempotent(graph, B)
+        assert got == cylinder_idempotent_by_products(graph, B) == cylinder_idempotent_by_gaps(graph, B), B
+        assert all(type(c) is int and c in (1, -1) for c in got.terms.values()), B
+        assert len(got.terms) <= 2 ** len(B.excluded), B
+        pruned += len(got.terms) < 2 ** len(B.excluded)
+    return pruned
+
+
+def _with_difference_parts(graph, cylinders, rng, pairs):
+    """The cylinders and the parts of differences of random pairs of them,
+    whose excluded sets are larger."""
+    out = list(cylinders)
+    for _ in range(pairs):
+        out += cylinder_difference(graph, rng.choice(cylinders), rng.choice(cylinders))
+    return out
+
+
+def test_cylinder_idempotent_matches_the_product_route(rose2t, rose2f, fim2, mixed, fim2inf):
+    """The inclusion-exclusion sum equals e(I) prod (1 - e(f)) built one
+    product at a time, and the branch-gap product, on the criterion-07
+    sampler and on the parts of differences of its cylinders."""
+    pruned = 0
+    for graph in (rose2t, rose2f, fim2, mixed, fim2inf):
+        rng = random.Random(207)
+        cylinders = sample_cylinders(graph, rng, 60)
+        pruned += _check_cylinder_idempotents(graph, _with_difference_parts(graph, cylinders, rng, 20))
+    assert pruned > 0
+
+
+def test_cylinder_idempotent_matches_the_product_route_on_generated_graphs():
+    """As above on 60 generated graphs (graph seeds 0..59), at a vertex of
+    each."""
+    count = 0
+    for seed in range(60):
+        graph = random_separated_graph(random.Random(seed), 4)
+        rng = random.Random(f"cylinder-idempotent:{seed}")
+        v = rng.choice(graph.vertices)
+        cylinders = sample_cylinders(graph, rng, 10, v=v)
+        _check_cylinder_idempotents(graph, _with_difference_parts(graph, cylinders, rng, 5))
+        count += sum(len(B.excluded) for B in cylinders)
+    assert count > 100
 
 
 def test_cylinder_idempotent_coefficients_stay_ints(rose2f, mixed):

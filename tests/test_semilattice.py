@@ -51,6 +51,8 @@ from sgis.semigroup import (
 from sgis.semilattice import (
     LowerSet,
     block_clash,
+    block_rule_break,
+    chain_tree,
     canonicalize,
     canonicalize_by_stripping,
     class_eq,
@@ -548,6 +550,41 @@ def _outcome(fn, *args):
         return fn(*args)
     except SgisError as exc:
         return type(exc)
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_chain_tree_is_the_closure_of_its_path(name, request):
+    """The chain of one path, filled in without a walk, has the trie fields
+    of the path's closure, marks included: every separated path of length
+    <= 4 from every vertex, the empty path among them."""
+    graph = request.getfixturevalue(name)
+    for v in graph.vertices:
+        for p in separated_paths(graph, v, 4):
+            chain = chain_tree(p)
+            assert trie_fields(chain) == trie_fields(lower_closure(graph, [p])), p
+            assert max_elements(chain) == (p,)
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_block_rule_break_matches_the_configuration_route(name, request):
+    """A tree given by its members breaks the block rule iff the
+    local-configuration route rejects its members; the pair named is two
+    members, in tree order, that are not compatible."""
+    graph = request.getfixturevalue(name)
+    rng = random.Random(f"block-rule:{name}")
+    breaks = 0
+    for _ in range(300):
+        v = rng.choice(graph.vertices)
+        T = closure_tree(graph, [random_separated_path(graph, v, rng, 4) for _ in range(rng.randint(1, 4))])
+        clash = block_rule_break(graph, T)
+        assert (clash is None) == is_compatible_set_by_configs(graph, T.paths), T
+        if clash is not None:
+            breaks += 1
+            p, q = clash
+            assert p in T and q in T and not compatible(graph, p, q)
+            assert T.paths.index(p) < T.paths.index(q)
+    if name in ("rose2t", "mixed"):  # the graphs with a block of two edges
+        assert breaks > 0
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
