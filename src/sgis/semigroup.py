@@ -7,12 +7,12 @@ tree is the set of nodes visited and the carrier the node where the walk
 ends.  The one exception is a product of two idempotents, whose tree is the
 union of theirs, made by `semilattice.merge_tries`.  `evaluate` walks the
 word it is given and `from_letter` a word of one letter.  An element is
-itself the word of its normal form, each tip followed by its inverse and the
-carrier last, so any other product walks the two normal forms one after the
-other and an inverse walks the formal inverse of one.  Raw tree
-data (`make_element`, `apply_automorphism`) is walked as `tree_word` reads
-it, and a translated tree (`act_on_tree`) as the translation followed by the
-tree's word.  Each level adds one rule to the one below it:
+walked as its tree's tour followed by its carrier, a word linear in the tree,
+so any other product walks two such words one after the other and an
+inverse walks the formal inverse of one.  Raw tree data (`make_element`,
+`apply_automorphism`) is walked as `tree_word` reads it, and a translated
+tree (`act_on_tree`) as the translation followed by the tree's tour.  Each
+level adds one rule to the one below it:
 
 * FREE       -- plain Munn trees: any finite lower set containing the full
                 carrier path; no separation constraints.
@@ -55,7 +55,15 @@ from .paths import (
     star,
     word_from_atoms,
 )
-from .semilattice import LowerSet, is_subtree, max_elements, merge_tries, munn_tree, tree_word
+from .semilattice import (
+    LowerSet,
+    block_rule_break,
+    is_subtree,
+    max_elements,
+    merge_tries,
+    munn_tree,
+    tree_word,
+)
 
 
 class Level(Enum):
@@ -99,18 +107,19 @@ class Element:
 
 def make_element(graph: SeparatedGraph, tree_paths: Iterable[Path], carrier: Path, level: Level) -> Element:
     """Normalize and validate an element from raw tree data: walk the paths
-    (and the carrier at the free level) from the carrier's source under the
-    level's rules.  At the separated level an incompatible family raises
-    IncompatiblePathsError."""
+    (and the carrier at the free level) from the carrier's source, pruned
+    above the free level.  At the separated level a clash that
+    `block_rule_break` names raises IncompatiblePathsError: the pruning keeps
+    both members, each positively entered or an ancestor of such a node."""
     paths = list(tree_paths)
     if any(p.base != carrier.base for p in paths):
         raise WordError("tree and carrier disagree on the source vertex")
     word = tree_word(paths)
     if level is Level.FREE:
         word += carrier.letters
-    tree, pair = _walk(graph, carrier.base, word, level)
-    if tree is None:
-        raise IncompatiblePathsError(*pair())
+    tree = munn_tree(graph, carrier.base, word, canonical=level is not Level.FREE)[0]
+    if level is Level.SEPARATED and (clash := block_rule_break(graph, tree)) is not None:
+        raise IncompatiblePathsError(*clash)
     return _checked(Element(tree, carrier, level))
 
 
@@ -130,9 +139,9 @@ def from_letter(graph: SeparatedGraph, atom: "str | Letter", level: Level) -> El
 
 
 def _word(a: Element) -> list[Letter]:
-    """The normal form `(p1)...(pn) | c` read as letters: each tip followed
-    by its inverse, and the carrier last.  Its walk is a again."""
-    return tree_word(max_elements(a.tree)) + list(a.carrier.letters)
+    """The tree's tour and then the carrier: 2(|T| - 1) + |c| letters, whose
+    walk is a again."""
+    return a.tree.tour() + list(a.carrier.letters)
 
 
 def _walk(graph: SeparatedGraph, base: str, word: Sequence[Letter], level: Level):
@@ -243,8 +252,7 @@ def act_on_tree(graph: SeparatedGraph, g: Path, tree: LowerSet) -> LowerSet:
         raise ActionDomainError(
             f"tree {tree!r} is outside the domain of translation by {g!r}"
         )
-    word = list(g.letters) + tree_word(max_elements(tree))
-    return munn_tree(graph, g.base, word, canonical=True)[0]
+    return munn_tree(graph, g.base, [*g.letters, *tree.tour()], canonical=True)[0]
 
 
 # -- automorphisms ------------------------------------------------------------

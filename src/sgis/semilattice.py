@@ -4,27 +4,28 @@ A `LowerSet` is the trie of a prefix-closed family of paths from one vertex:
 per node its parent's index and the letter that enters it, the nodes
 numbered in the global length-lexicographic order.  The encoding is
 canonical, so equality and hashing compare two tuples, and a tree of n
-nodes holds n letters, not one path per node.  Trees are built from words
-by one walk, `munn_tree`, over a trie of a word's reduced prefixes; a family
-of paths is walked as the word `tree_word` reads it, so closure and
-canonical form are walks too.  The walk numbers the kept nodes and marks
-the tips (the nodes with no kept child) without building a path.  Two trees
-are joined without a word: `merge_tries` walks both tries at once, breadth
-first, and gives their union, which is the meet of two idempotents (`meet`,
-and the engine's product of two idempotents).  The tree of one reduced path
-is a chain trie, one node per prefix, which `chain_tree` fills in directly;
-merged into a tree it adds that path and its prefixes, so the spectrum's and
-the algebra's trees are a tree merged with the chains of a few paths, and no
-word is walked.  The paths (`I.paths`) and
-the tip paths (`max_elements`) are built from the trie on first use and
-kept on the value, outside the fields.  `I.reach` is the one descent of the
-trie, by child lookups, and `I.configuration(n)` the local configuration at
-node n.  Compatibility is the per-node block rule, `block_clash`: the walk
-checks it as it adds a node (`lower_closure` raises on a violation), the
-merge across the two tries (`meet` gives None), and `compatible_with`, the
-one test of a path against a tree, at the node where the path leaves it.  A
-tree given from outside, by its members, is checked once where it enters the
-separated level: `block_rule_break` reads the rule at every node.
+nodes holds n letters, not one path per node; `_trie` is the one maker of
+such a value from its arrays.  Trees are built from words by one walk,
+`munn_tree`, over a trie of a word's reduced prefixes.  A tree is spelled by
+its tour (`I.tour()`, each trie edge down and back up), and a family of
+paths given from outside by `tree_word`.  The walk numbers the kept nodes
+and marks the tips (the nodes with no kept child) without building a path.
+Two trees are joined without a word: `merge_tries` walks both tries at
+once, breadth first, and gives their union, which is the meet of two
+idempotents (`meet`, and the engine's product of two idempotents).  The tree
+of one reduced path is a chain trie, one node per prefix, which `chain_tree`
+fills in directly; merged into a tree it adds that path and its prefixes,
+so the spectrum's and the algebra's trees are a tree merged with the chains
+of a few paths, and no word is walked.  The paths (`I.paths`) and the tip
+paths (`max_elements`) are built from the trie on first use and kept on the
+value, outside the fields.  `I.reach` is the one descent of the trie, by
+child lookups, and `I.configuration(n)` the local configuration at node n.
+Compatibility is the per-node block rule, `block_clash`: the walk checks it
+as it adds a node, the merge across the two tries (`meet` gives None), and
+`compatible_with`, the one test of a path against a tree, at the node where
+the path leaves it.  `block_rule_break` reads the rule at every node and
+names the first two members that clash: for a tree given from outside, and
+for `lower_closure` and `make_element`, which close the family first.
 Containment is `is_subtree`, a test of one tree's tips against the other
 tree; the class order and the engine's natural order both use it.
 """
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Sequence
 
 from .errors import IncompatiblePathsError, WordError
@@ -127,6 +127,23 @@ class LowerSet:
         """Node n's local configuration: its children's letters and the letter back to its parent."""
         return self.children(n) + ((self.entered[n]._inverted,) if n else ())
 
+    def tour(self) -> list[Letter]:
+        """Each trie edge walked down and back up, depth first with children
+        in tree order: 2(|T| - 1) letters, whose walk visits every node and
+        ends at the root.  One loop on a stack, so any depth is walked."""
+        entered, first = self.entered, self._first
+        word: list[Letter] = []
+        todo = list(range(first[1] - 1, 0, -1))  # the root's children, the first on top
+        while todo:
+            n = todo.pop()
+            if n < 0:  # back up out of node ~n
+                word.append(entered[~n]._inverted)
+            else:
+                word.append(entered[n])
+                todo.append(~n)
+                todo += range(first[n + 1] - 1, first[n] - 1, -1)
+        return word
+
     def __contains__(self, p: Path) -> bool:
         return p.base == self.base and self.reach(p.letters)[1] == len(p.letters)
 
@@ -135,6 +152,14 @@ class LowerSet:
 
     def __repr__(self) -> str:
         return render_lower_set(self)
+
+
+def _trie(base: str, parent: tuple, entered: tuple, first: tuple, tips: tuple) -> LowerSet:
+    """The one maker of a trie value from its arrays, all tuples: the two
+    fields, where each node's children start, and the tips."""
+    tree = object.__new__(LowerSet)
+    tree.__dict__.update(base=base, parent=parent, entered=entered, _first=first, _tip_ids=tips)
+    return tree
 
 
 def _runs(parent: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -164,7 +189,8 @@ def lower_close_paths(paths: Iterable[Path]) -> set[Path]:
 
 def tree_word(paths: Iterable[Path]) -> list[Letter]:
     """Each path followed by its inverse: a word whose Munn tree is the
-    prefix closure of the (reduced) paths and whose walk ends where it began."""
+    prefix closure of the (reduced) paths and whose walk ends where it began:
+    for families given from outside, as a tree is spelled by its tour."""
     return [x for p in paths for x in p.letters + star(p.letters)]
 
 
@@ -187,16 +213,14 @@ def munn_tree(
     letters leaving a node, plus e for a node entered by ~e, use at most one
     edge per block: the local form of "every member separated and all
     pairwise compatible", checked by `block_clash` as a positive letter adds
-    a child, against the node's children and the letter back.  A violation gives
-    `(None, conflict)`: `conflict()` returns the two members that use one
-    block at the failing node, in `sorted_paths` order, and builds them only
-    when asked, so a zero costs no paths.  With `canonical`, only the root
-    and the ancestors-or-self of positively entered nodes are kept: the
-    canonical form of the tree.  A parent's id is below its children's, so
-    one pass from the last node back marks them and unlinks the rest.  The
-    pass that numbers the kept nodes in `sorted_paths` order gives the tree
-    its two arrays, and marks the nodes with no kept child as its tips; it
-    builds no path.
+    a child, against the node's children and the letter back.  A violation
+    gives `(None, None)`; `block_rule_break` names the two members that clash.
+    With `canonical`, only the root and the ancestors-or-self of positively
+    entered nodes are kept: the canonical form of the tree.  A parent's id is
+    below its children's, so one pass from the last node back marks them and
+    unlinks the rest.  The pass that numbers the kept nodes in `sorted_paths`
+    order gives the tree its two arrays, and marks the nodes with no kept
+    child as its tips; it builds no path.
     """
     parent = [0]
     entered: list[Letter | None] = [None]
@@ -210,8 +234,8 @@ def munn_tree(
         if child is None:
             if separated and not x.inverse:
                 around = (*children[at], entered[at]._inverted) if at else children[at]
-                if (e := block_clash(graph, around, x)) is not None:
-                    return None, partial(_conflict, graph, base, parent, entered, at, x, e)
+                if block_clash(graph, around, x) is not None:
+                    return None, None
             child = len(parent)
             parent.append(at)
             entered.append(x)
@@ -247,14 +271,7 @@ def munn_tree(
             order += kids
             up += [i] * len(kids)
     first.append(len(order))
-    tree = object.__new__(LowerSet)
-    tree.__dict__.update(
-        base=base,
-        parent=tuple(up),
-        entered=tuple(map(entered.__getitem__, order)),
-        _first=tuple(first),
-        _tip_ids=tuple(tips),
-    )
+    tree = _trie(base, tuple(up), tuple(map(entered.__getitem__, order)), tuple(first), tuple(tips))
     return tree, Path(base, _climb(parent, entered, at))
 
 
@@ -263,15 +280,7 @@ def chain_tree(p: Path) -> LowerSet:
     of length k, its tip p.  Built straight from p's letters, with no walk;
     the caller has checked that p is reduced and separated."""
     n = len(p.letters)
-    tree = object.__new__(LowerSet)
-    tree.__dict__.update(
-        base=p.base,
-        parent=(-1, *range(n)),
-        entered=(None, *p.letters),
-        _first=(*range(1, n + 2), n + 1),
-        _tip_ids=(n,),
-    )
-    return tree
+    return _trie(p.base, (-1, *range(n)), (None, *p.letters), (*range(1, n + 2), n + 1), (n,))
 
 
 def block_rule_break(graph: SeparatedGraph, I: LowerSet) -> tuple[Path, Path] | None:
@@ -308,16 +317,6 @@ def block_clash(graph: SeparatedGraph, letters: Iterable[Letter], x: Letter) -> 
     return None
 
 
-def _conflict(graph: SeparatedGraph, base: str, parent, entered, at: int, x: Letter, e: str):
-    """The two members that use one block at node `at` when x is added there:
-    the child by x and the child by e, or `at` itself when it was entered by ~e."""
-    here = Path(base, _climb(parent, entered, at))
-    new = Path(base, here.letters + (x,))
-    if entered[at] is Letter(e, True):
-        return here, new
-    return sorted_paths(graph, [Path(base, here.letters + (Letter(e, False),)), new])
-
-
 def _one_base(paths: Sequence[Path]) -> str:
     bases = {p.base for p in paths}
     if not bases:
@@ -338,19 +337,20 @@ def lower_closure(graph: SeparatedGraph, paths: Iterable[Path]) -> LowerSet:
     """Prefix closure of a compatible family of separated paths.
 
     Raises WordError for a member that is not reduced or not separated, or
-    for mixed sources, and IncompatiblePathsError naming the two members
-    that diverge at the node where the walk breaks the block rule.
+    for mixed sources, and IncompatiblePathsError naming the first two
+    members of the closure that break the block rule (`block_rule_break`),
+    whatever order the paths come in.
     """
     paths = list(paths)
-    base = _one_base(paths)
     for p in paths:
         if not is_reduced(p):
             raise WordError(f"path {render_path(p)!r} is not reduced")
         if not is_separated_path(graph, p):
             raise WordError(f"path {render_path(p)!r} is not separated")
-    tree, end = munn_tree(graph, base, tree_word(paths), separated=True)
-    if tree is None:
-        raise IncompatiblePathsError(*end())
+    tree = lower_closure_unchecked(graph, paths)
+    clash = block_rule_break(graph, tree)
+    if clash is not None:
+        raise IncompatiblePathsError(*clash)
     return tree
 
 
@@ -411,7 +411,7 @@ def is_subtree(J: LowerSet, I: LowerSet) -> bool:
 def canonicalize(graph: SeparatedGraph, I: LowerSet) -> LowerSet:
     """Largest member of the congruence class: the walk of the tips that
     keeps only the prefixes of their positive parts."""
-    return munn_tree(graph, I.base, tree_word(max_elements(I)), canonical=True)[0]
+    return munn_tree(graph, I.base, I.tour(), canonical=True)[0]
 
 
 def is_canonical(I: LowerSet) -> bool:
@@ -489,12 +489,7 @@ def merge_tries(
         parent.append(q)
         entered.append(y)
         j += 1
-    first, tips = _runs(parent)
-    tree = object.__new__(LowerSet)
-    tree.__dict__.update(
-        base=I.base, parent=tuple(parent), entered=tuple(entered), _first=first, _tip_ids=tips
-    )
-    return tree
+    return _trie(I.base, tuple(parent), tuple(entered), *_runs(parent))
 
 
 def meet(graph: SeparatedGraph, I: LowerSet, J: LowerSet) -> LowerSet | None:

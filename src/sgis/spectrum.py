@@ -186,12 +186,6 @@ def render_cylinder(B: Cylinder) -> str:
     return f"Z({{{inside}}} \\ {{{outside}}})"
 
 
-def branch_decompose(I: LowerSet, f: Path) -> int | None:
-    """Length of the longest prefix of f inside I, or None if f's base is
-    elsewhere."""
-    return I.reach(f.letters)[1] if f.base == I.base else None
-
-
 def is_branch_extension(graph: SeparatedGraph, I: LowerSet, f: Path) -> bool:
     """Membership in the one-step extension family of I: the part of f after
     its longest prefix in I, read by one descent, is an inverse run ending in
@@ -301,7 +295,7 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
     ladders: list[list[Path]] = []
     for h in missing:
         # the rungs: h cut after each positive letter past its longest prefix in I1
-        k = branch_decompose(I1, h)
+        k = I1.reach(h.letters)[1]
         cuts = [i + 1 for i in range(k, len(h.letters)) if not h.letters[i].inverse]
         ladders.append([Path(h.base, h.letters[:c]) for c in cuts])
     rung_chains = [[chain_tree(rung) for rung in rungs] for rungs in ladders]

@@ -23,6 +23,7 @@ from sgis.paths import (
     path_range,
     positive_part,
     sorted_paths,
+    star,
     steps,
     vertex_path,
     word_from_atoms,
@@ -41,7 +42,6 @@ from sgis.semilattice import (
 )
 from sgis.spectrum import (
     Cylinder,
-    branch_decompose,
     branch_extensions,
     cylinder_intersect,
     is_branch_extension,
@@ -343,8 +343,54 @@ def walked_union(graph: SeparatedGraph, I: LowerSet, J: LowerSet, *, separated=T
     each level."""
     if I.base != J.base:
         return None
-    word = tree_word(max_elements(I)) + tree_word(max_elements(J))
+    word = tip_word(I) + tip_word(J)
     return munn_tree(graph, I.base, word, separated=separated, canonical=canonical)[0]
+
+
+# -- the tip-word route: a tree spelled as each tip followed by its inverse ----
+#
+# Reference to `LowerSet.tour`: the word of the normal form `(p1)...(pn)`,
+# tips x depth letters long, walks to the same tree as the tour.
+
+
+def tip_word(I: LowerSet) -> list[Letter]:
+    """Each tip of I followed by its inverse."""
+    return tree_word(max_elements(I))
+
+
+def _tip_walk(graph: SeparatedGraph, base: str, word, level: Level):
+    tree, end = munn_tree(
+        graph, base, word, separated=level is Level.SEPARATED, canonical=level is not Level.FREE
+    )
+    return ZERO if tree is None else Element(tree, end, level)
+
+
+def tip_word_multiply(graph: SeparatedGraph, a, b):
+    """Tip-word route to `multiply`: a's tip word and carrier, then b's."""
+    if a is ZERO or b is ZERO or path_range(graph, a.carrier) != b.carrier.base:
+        return ZERO
+    word = tip_word(a.tree) + list(a.carrier.letters) + tip_word(b.tree) + list(b.carrier.letters)
+    return _tip_walk(graph, a.carrier.base, word, a.level)
+
+
+def tip_word_inverse(graph: SeparatedGraph, a):
+    """Tip-word route to `inverse`: the formal inverse of a's tip word and
+    carrier, from the carrier's range."""
+    if a is ZERO:
+        return ZERO
+    word = star(tip_word(a.tree) + list(a.carrier.letters))
+    return _tip_walk(graph, path_range(graph, a.carrier), word, a.level)
+
+
+def tip_word_act(graph: SeparatedGraph, g: Path, tree: LowerSet) -> LowerSet:
+    """Tip-word route to `act_on_tree`: the translation, then the tree's tip
+    word, pruned to its canonical form."""
+    return munn_tree(graph, g.base, [*g.letters, *tip_word(tree)], canonical=True)[0]
+
+
+def tip_word_canonicalize(graph: SeparatedGraph, I: LowerSet) -> LowerSet:
+    """Tip-word route to `canonicalize`."""
+    return munn_tree(graph, I.base, tip_word(I), canonical=True)[0]
 
 
 def trie_fields(I: LowerSet | None):
@@ -392,7 +438,7 @@ def cylinder_idempotent_by_gaps(graph: SeparatedGraph, B: Cylinder) -> AlgebraEl
     `branch_gap(head, tail)` per excluded f, split at f's longest prefix in I."""
     acc = idempotent_of(graph, B.tree)
     for f in B.excluded:
-        k = branch_decompose(B.tree, f)
+        k = B.tree.reach(f.letters)[1]
         acc = acc * branch_gap(graph, Path(f.base, f.letters[:k]), f.letters[k:])
     return acc
 
@@ -424,7 +470,7 @@ def cylinder_difference_by_walks(graph: SeparatedGraph, B1: Cylinder, B2: Cylind
     missing = sorted_paths(graph, [h for h in max_elements(I2) if h not in I1])
     ladders = []
     for h in missing:
-        k = branch_decompose(I1, h)
+        k = I1.reach(h.letters)[1]
         cuts = [i + 1 for i in range(k, len(h.letters)) if not h.letters[i].inverse]
         ladders.append([Path(h.base, h.letters[:c]) for c in cuts])
     if missing:

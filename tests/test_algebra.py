@@ -261,10 +261,8 @@ def test_branch_gap_factors_commute(rose2f):
     I = lower_closure(rose2f, [Path("v", (E,)), Path("v", (F,))])
     exts = branch_extensions(rose2f, I, 2)
     gaps = []
-    from sgis.spectrum import branch_decompose
-
     for f in exts[:4]:
-        k = branch_decompose(I, f)
+        k = I.reach(f.letters)[1]
         gaps.append(branch_gap(rose2f, Path("v", f.letters[:k]), f.letters[k:]))
     for a in gaps:
         for b in gaps:

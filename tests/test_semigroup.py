@@ -14,6 +14,10 @@ from helpers import (
     make_word,
     random_lower_set,
     random_separated_graph,
+    tip_word_act,
+    tip_word_canonicalize,
+    tip_word_inverse,
+    tip_word_multiply,
     trie_fields,
     walked_union,
 )
@@ -39,6 +43,7 @@ from sgis.paths import (
 )
 from sgis.semigroup import (
     ZERO,
+    _word,
     Element,
     Level,
     act_on_tree,
@@ -537,6 +542,46 @@ def test_idempotent_products_merge_as_the_walk_on_generated_graphs():
         for i in range(60)
     )
     assert zeros > 0
+
+
+def _long_walks(graph, rng: random.Random, level, lengths):
+    """Nonzero elements of seeded walks of up to each length, with their inverses."""
+    els = [evaluate(graph, random_walk_word(graph, rng, n), level) for n in lengths]
+    els = [a for a in els if a is not ZERO]
+    return els + [inverse(graph, a) for a in els]
+
+
+@pytest.mark.parametrize("name", ("rose2t", "rose2f", "mixed"))
+def test_tour_routes_match_the_tip_word_routes(name, request):
+    """`multiply`, `inverse`, `act_on_tree` and `canonicalize` walk trees by
+    their tours; they equal the walks of the tip words of `helpers`, at the
+    three levels, on seeded walks of up to 800 letters and on pairs of them
+    whose ranges meet."""
+    graph = request.getfixturevalue(name)
+    rng = random.Random(f"tour-routes:{name}")
+    for level in Level:
+        els = _long_walks(graph, rng, level, (12, 12, 100, 100, 800))
+        for a in els:
+            assert inverse(graph, a) == tip_word_inverse(graph, a), (level, a)
+            assert canonicalize(graph, a.tree) == tip_word_canonicalize(graph, a.tree), (level, a)
+            if level is not Level.FREE:
+                g = path_inverse(graph, a.carrier)  # a's tree holds its carrier's positive part
+                assert act_on_tree(graph, g, a.tree) == tip_word_act(graph, g, a.tree), (level, a)
+            meeting = [b for b in els if b.carrier.base == path_range(graph, a.carrier)]
+            for b in [inverse(graph, a), *rng.sample(meeting, min(2, len(meeting)))]:
+                assert multiply(graph, a, b) == tip_word_multiply(graph, a, b), (level, a, b)
+
+
+@pytest.mark.parametrize("name", ("rose2t", "rose2f", "mixed"))
+def test_an_element_is_walked_as_its_tour_and_carrier(name, request):
+    """The word a product or an inverse walks for an element has
+    2(|T| - 1) + |c| letters, linear in the tree, on seeded walks of up to
+    3,200 letters at the three levels: letters counted, not time."""
+    graph = request.getfixturevalue(name)
+    rng = random.Random(f"word-length:{name}")
+    for level in Level:
+        for a in _long_walks(graph, rng, level, (12, 200, 800, 3200)):
+            assert len(_word(a)) == 2 * (len(a.tree) - 1) + len(a.carrier.letters), (level, a)
 
 
 def test_long_chain_matches_string_oracle(rose2f):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import tracemalloc
 
@@ -66,6 +67,7 @@ from sgis.semilattice import (
     lower_closure_unchecked,
     max_elements,
     meet,
+    munn_tree,
     render_lower_set,
 )
 from sgis.spectrum import Truncation, extend_inverse_tails, trim_inverse_tails
@@ -270,6 +272,52 @@ def test_chain_tree_memory_is_linear(rose2f, level):
         tracemalloc.stop()
     assert peak < 32 * 2**20, peak
     assert nf == string_normal_form(rose2f, word)
+
+
+def test_tour_examples(rose2t, rose2f):
+    """The tour walks each edge down and back, depth first, children in tree
+    order; the tree of one vertex has the empty tour."""
+    I = lower_closure(rose2t, [Path("v", (E, E)), Path("v", (E, Fi)), Path("v", (Ei,))])
+    assert I.tour() == [E, E, Ei, Fi, F, Ei, Ei, E]
+    assert lower_closure(rose2f, [vertex_path("v")]).tour() == []
+
+
+def _trees_to_tour(graph, rng: random.Random):
+    """Seeded trees: compatible ones of `random_lower_set`, closures of random
+    families that may break the block rule, and the walked trees of
+    `_walked_trees`."""
+    for _ in range(6):
+        v = rng.choice(graph.vertices)
+        yield random_lower_set(graph, v, rng)
+        yield closure_tree(graph, [random_separated_path(graph, v, rng, 4) for _ in range(rng.randint(1, 4))])
+    yield from _walked_trees(graph, rng)
+
+
+def test_tour_walks_to_the_tree(request):
+    """On the six graphs and on 60 generated ones (seeds 0..59), the tour of
+    every seeded tree has 2(|T| - 1) letters and walks back to the tree,
+    ending at the root; under the block rule too, for the trees that keep it."""
+    graphs = [request.getfixturevalue(name) for name in ALL_GRAPHS]
+    graphs += [random_separated_graph(random.Random(i), 5) for i in range(60)]
+    separated = 0
+    for i, graph in enumerate(graphs):
+        for I in _trees_to_tour(graph, random.Random(f"tour:{i}")):
+            word, root = I.tour(), vertex_path(I.base)
+            assert len(word) == 2 * (len(I) - 1), (i, I)
+            assert munn_tree(graph, I.base, word) == (I, root), (i, I)
+            if block_rule_break(graph, I) is None:
+                separated += 1
+                assert munn_tree(graph, I.base, word, separated=True) == (I, root), (i, I)
+    assert separated > 0
+
+
+def test_tour_of_a_long_chain(rose2f):
+    """A chain of 20,000 letters is toured without recursion: down it and
+    back up, and the walk is the chain again."""
+    chain = chain_tree(Path("v", (E,) * 20000))
+    word = chain.tour()
+    assert word == [E] * 20000 + [Ei] * 20000
+    assert munn_tree(rose2f, "v", word, separated=True) == (chain, vertex_path("v"))
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
@@ -585,6 +633,49 @@ def test_block_rule_break_matches_the_configuration_route(name, request):
             assert T.paths.index(p) < T.paths.index(q)
     if name in ("rose2t", "mixed"):  # the graphs with a block of two edges
         assert breaks > 0
+
+
+def test_clash_named_in_tree_order_whatever_the_input_order(rose2t):
+    """{f f f, f f e, e} breaks the block rule at the root (e, f) and at
+    f f (f f e, f f f); the first clash in tree order is named, in every
+    order of the paths."""
+    fam = [Path("v", (F, F, F)), Path("v", (F, F, E)), Path("v", (E,))]
+    for order in itertools.permutations(fam):
+        for build in (
+            lambda paths: lower_closure(rose2t, paths),
+            lambda paths: make_element(rose2t, paths, vertex_path("v"), Level.SEPARATED),
+        ):
+            with pytest.raises(IncompatiblePathsError) as err:
+                build(order)
+            assert err.value.pair == (Path("v", (F,)), Path("v", (E,))), order
+
+
+@pytest.mark.parametrize("name", ("rose2t", "mixed", "fim2"))
+def test_clash_named_by_block_rule_break(name, request):
+    """`lower_closure` and `make_element` at the separated level name the
+    pair `block_rule_break` reads off the closure, for every order of each
+    seeded family of 2 to 4 paths."""
+    graph = request.getfixturevalue(name)
+    rng = random.Random(f"clash:{name}")
+    clashes = 0
+    for _ in range(60):
+        v = rng.choice(graph.vertices)
+        fam = [random_separated_path(graph, v, rng, 4) for _ in range(rng.randint(2, 4))]
+        want = block_rule_break(graph, lower_closure_unchecked(graph, fam))
+        clashes += want is not None
+        for order in itertools.permutations(fam):
+            for build in (
+                lambda paths: lower_closure(graph, paths),
+                lambda paths: make_element(graph, paths, vertex_path(v), Level.SEPARATED),
+            ):
+                try:
+                    build(order)
+                    got = None
+                except IncompatiblePathsError as exc:
+                    got = exc.pair
+                assert got == want, (order, got, want)
+    if name != "fim2":  # the graphs with a block of two edges
+        assert clashes > 0
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
