@@ -1,10 +1,11 @@
 """Reduced paths on the double graph and the combinatorics built on them.
 
 A `Path` is a source vertex plus a composable sequence of letters (edges or
-formal inverses).  Length-0 paths at different vertices are distinct values.
-Letters are interned, one instance per edge and direction, so they compare
-and hash by identity and `~x` is a lookup: `star` and `steps` build no new
-letter.  All functions are pure; the graph is passed explicitly.
+formal inverses), a slotted immutable value.  Length-0 paths at different
+vertices are distinct values.  Letters are interned, one instance per edge
+and direction, so they compare and hash by identity and `~x` is a lookup:
+`star` and `steps` build no new letter.  All functions are pure; the graph
+is passed explicitly.
 
 Three primitives are shared across the layers.  `steps` is the one stepping
 rule on the double graph: which letters may follow a given one in a reduced
@@ -12,14 +13,19 @@ separated path.  `sorted_paths` is the one path order (length-lexicographic,
 as fixed by `path_key`) used for trees, tips and enumerations.  `inverse_runs`
 is the one walk by inverse letters: the spectrum's inverse tails and branch
 extensions are built on it.  `word_from_atoms` is the one reader of words,
-and `parse_word_string` the command line's grammar for their atoms.  A path
-renders as its letters' `text`s.
+and `parse_word_string` the command line's grammar for their atoms.  The
+reader reads a word through the graph's table of atom ends, made once per
+graph: one lookup of each atom's source and one of its range, and one
+comparison of the two lists for composability, with no loop in Python.  A
+path renders as its letters' `text`s.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import FrozenInstanceError, dataclass
+import weakref
+from dataclasses import FrozenInstanceError
+from itertools import filterfalse
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -74,16 +80,46 @@ class Letter:
         return self.text
 
 
-@dataclass(frozen=True)
 class Path:
-    base: str
-    letters: tuple[Letter, ...] = ()
+    """A source vertex and a tuple of letters, immutable.
+
+    Two paths are equal when both fields are, and hash as the pair
+    `(base, letters)`.  The two slots are set once, through their member
+    descriptors, so a construction runs no generated code; copying or
+    pickling a path gives an equal one."""
+
+    __slots__ = ("base", "letters")
+
+    def __init__(self, base: str, letters: tuple[Letter, ...] = ()):
+        _set_base(self, base)
+        _set_letters(self, letters)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Path, (self.base, self.letters)
+
+    def __eq__(self, other):
+        if other.__class__ is Path:
+            return self.base == other.base and self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __repr__(self) -> str:
         return render_path(self)
+
+
+_set_base = Path.base.__set__
+_set_letters = Path.letters.__set__
 
 
 FreeGroupWord = tuple[Letter, ...]
@@ -220,13 +256,18 @@ def is_prefix(g: Path, h: Path) -> bool:
     )
 
 
-def positive_part(p: Path) -> Path:
-    """p0 in the unique split p = p0 w, where p0 does not end in an inverse
-    letter and w is a run of inverse letters."""
-    cut = len(p.letters)
-    while cut > 0 and p.letters[cut - 1].inverse:
+def positive_length(letters: Sequence[Letter]) -> int:
+    """The length of p0 in the unique split p = p0 w, where p0 does not end
+    in an inverse letter and w is a run of inverse letters."""
+    cut = len(letters)
+    while cut > 0 and letters[cut - 1].inverse:
         cut -= 1
-    return Path(p.base, p.letters[:cut])
+    return cut
+
+
+def positive_part(p: Path) -> Path:
+    """p0 in the unique split p = p0 w (`positive_length`)."""
+    return Path(p.base, p.letters[: positive_length(p.letters)])
 
 
 def compose(graph: SeparatedGraph, g: Path, h: Path) -> Path | None:
@@ -293,35 +334,54 @@ def parse_word_string(graph: SeparatedGraph, text: str) -> list[str | Letter]:
     return atoms
 
 
+_ENDS: weakref.WeakKeyDictionary[SeparatedGraph, tuple[dict, dict]] = weakref.WeakKeyDictionary()
+
+
+def _atom_ends(graph: SeparatedGraph) -> tuple[dict, dict]:
+    """The graph's table of atom ends: from each vertex name and each
+    interned letter of its edges, one dict to the atom's source and one to
+    its range, v to v for a vertex v.  A graph is immutable, so its table
+    is made on the first read of a word on it and kept while it lives."""
+    table = _ENDS.get(graph)
+    if table is None:
+        sources = {v: v for v in graph.vertices}
+        ranges = dict(sources)
+        for e, s, r in graph.edges:
+            x = Letter(e, False)
+            sources[x] = ranges[~x] = s
+            ranges[x] = sources[~x] = r
+        table = _ENDS[graph] = (sources, ranges)
+    return table
+
+
 def word_from_atoms(
     graph: SeparatedGraph, atoms: Sequence[str | Letter]
 ) -> Path | None:
     """The one reader of words: a sequence of atoms (vertices and letters)
     as a path from the first atom's source, or None when consecutive atoms
     do not compose (the zero of the path semigroup).  A vertex atom adds no
-    letter but must be the running vertex.  Each atom is checked as it is
-    read: an unknown vertex or edge raises WordError wherever it stands, also
-    after the atoms have stopped composing."""
+    letter but must be the running vertex.
+
+    The word is read through the graph's table of atom ends, with no loop in
+    Python: one lookup of each atom's source and one of its range, then one
+    comparison of the sources from the second atom on with the ranges up to
+    the last.  An unknown vertex or edge raises WordError naming the first
+    such atom wherever it stands, also after the atoms have stopped
+    composing."""
     if not atoms:
         raise WordError("empty word")
-    letters: list[Letter] = []
-    base = at = None
-    composes = True
-    for a in atoms:
-        if isinstance(a, str):
-            if a not in graph.vertex_index:
-                raise WordError(f"unknown vertex {a!r}")
-            source = target = a
-        else:
-            e = a.edge
-            if e not in graph.edge_index:
-                raise WordError(f"unknown edge {e!r}")
-            source, target = graph.source_of[e], graph.range_of[e]
-            if a.inverse:
-                source, target = target, source
-            letters.append(a)
-        if base is None:
-            base = at = source
-        composes = composes and source == at
-        at = target
-    return Path(base, tuple(letters)) if composes else None
+    sources_of, ranges_of = _atom_ends(graph)
+    try:
+        sources = list(map(sources_of.__getitem__, atoms))
+    except KeyError:
+        raise _unknown_atom(sources_of, atoms) from None
+    ranges = list(map(ranges_of.__getitem__, atoms))
+    if sources[1:] != ranges[:-1]:
+        return None
+    return Path(sources[0], tuple(filterfalse(graph.vertex_index.__contains__, atoms)))
+
+
+def _unknown_atom(known: dict, atoms: Sequence[str | Letter]) -> WordError:
+    """The error naming the first atom that is not a key of `known`."""
+    a = next(a for a in atoms if a not in known)
+    return WordError(f"unknown vertex {a!r}" if isinstance(a, str) else f"unknown edge {a.edge!r}")

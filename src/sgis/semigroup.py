@@ -9,10 +9,14 @@ union of theirs, made by `semilattice.merge_tries`.  `evaluate` walks the
 word it is given and `from_letter` a word of one letter.  An element is
 walked as its tree's tour followed by its carrier, a word linear in the tree,
 so any other product walks two such words one after the other and an
-inverse walks the formal inverse of one.  Raw tree data (`make_element`,
-`apply_automorphism`) is walked as `tree_word` reads it, and a translated
-tree (`act_on_tree`) as the translation followed by the tree's tour.  Each
-level adds one rule to the one below it:
+inverse walks the formal inverse of one.  An automorphism's image
+(`apply_automorphism`) walks that word with every letter relabelled.  Raw
+tree data (`make_element`) is walked as `tree_word` reads it, and a
+translated tree (`act_on_tree`) as the translation followed by the tree's
+tour.  `evaluate` reads its word once, through `paths.word_from_atoms`, and
+the normal form is read off the trie: `render_element` climbs from each tip
+to the root and joins the letters' texts, building no path.  Each level
+adds one rule to the one below it:
 
 * FREE       -- plain Munn trees: any finite lower set containing the full
                 carrier path; no separation constraints.
@@ -50,6 +54,7 @@ from .paths import (
     Path,
     path_inverse,
     path_range,
+    positive_length,
     positive_part,
     render_path,
     star,
@@ -59,7 +64,6 @@ from .semilattice import (
     LowerSet,
     block_rule_break,
     is_subtree,
-    max_elements,
     merge_tries,
     munn_tree,
     tree_word,
@@ -107,27 +111,36 @@ class Element:
 
 def make_element(graph: SeparatedGraph, tree_paths: Iterable[Path], carrier: Path, level: Level) -> Element:
     """Normalize and validate an element from raw tree data: walk the paths
-    (and the carrier at the free level) from the carrier's source, pruned
-    above the free level.  At the separated level a clash that
-    `block_rule_break` names raises IncompatiblePathsError: the pruning keeps
-    both members, each positively entered or an ancestor of such a node."""
+    (and the carrier at the free level) from the carrier's source, as
+    `_walk_raw` does."""
     paths = list(tree_paths)
     if any(p.base != carrier.base for p in paths):
         raise WordError("tree and carrier disagree on the source vertex")
     word = tree_word(paths)
     if level is Level.FREE:
         word += carrier.letters
-    tree = munn_tree(graph, carrier.base, word, canonical=level is not Level.FREE)[0]
+    return _checked(Element(_walk_raw(graph, carrier.base, word, level)[0], carrier, level))
+
+
+def _walk_raw(graph: SeparatedGraph, base: str, word: Sequence[Letter], level: Level):
+    """`munn_tree` of a word spelling raw or relabelled tree data, pruned
+    above the free level.  At the separated level a clash that
+    `block_rule_break` names raises IncompatiblePathsError: the pruning keeps
+    both members, each positively entered or an ancestor of such a node."""
+    tree, end = munn_tree(graph, base, word, canonical=level is not Level.FREE)
     if level is Level.SEPARATED and (clash := block_rule_break(graph, tree)) is not None:
         raise IncompatiblePathsError(*clash)
-    return _checked(Element(tree, carrier, level))
+    return tree, end
 
 
 def _checked(a: Element) -> Element:
-    anchor = a.carrier if a.level is Level.FREE else positive_part(a.carrier)
-    # child lookups down the trie, one per letter of the anchor: no path,
-    # tip or table of the tree is built
-    if anchor not in a.tree:
+    """a, once its carrier's anchor (the whole carrier at the free level,
+    its positive part above) is a member of its tree: one `reach` down the
+    trie over the carrier's letters, so no path, tip or table is built."""
+    letters = a.carrier.letters
+    cut = len(letters) if a.level is Level.FREE else positive_length(letters)
+    if a.carrier.base != a.tree.base or a.tree.reach(letters)[1] < cut:
+        anchor = Path(a.carrier.base, letters[:cut])
         raise SgisError(f"carrier anchor {anchor!r} missing from tree {a.tree!r}")
     return a
 
@@ -205,12 +218,12 @@ def evaluate(graph: SeparatedGraph, atoms: Sequence["str | Letter"], level: Leve
 
 def render_element(a) -> str:
     """`(p1)(p2)...(pn) | carrier`: the tips in the tree's
-    length-lexicographic order, which `max_elements` reads by climbing from
-    each tip, so no other node is rendered."""
+    length-lexicographic order, read off the trie.  Each tip is climbed to
+    the root once and its letters' `text`s joined (`LowerSet.tip_texts`),
+    so no path is built; a root-only tree prints its base."""
     if a is ZERO:
         return "0"
-    factors = "".join(f"({render_path(p)})" for p in max_elements(a.tree))
-    return f"{factors} | {render_path(a.carrier)}"
+    return f"({')('.join(a.tree.tip_texts())}) | {render_path(a.carrier)}"
 
 
 def normal_form(graph: SeparatedGraph, a) -> str:
@@ -326,13 +339,15 @@ def graph_automorphisms(
 
 
 def apply_automorphism(graph: SeparatedGraph, phi: GraphAutomorphism, a):
-    """Relabel every letter of the tree and the carrier."""
+    """Relabel every letter of the tree and the carrier: the walk of a's
+    word, the tour and then the carrier (2(|T| - 1) + |c| letters), with
+    each letter relabelled, from the image of the carrier's source.  The
+    walk's end is the relabelled carrier."""
     if a is ZERO:
         return ZERO
-    vmap = dict(phi.vertex_map)
-    emap = dict(phi.edge_map)
-
-    def move(p: Path) -> Path:
-        return Path(vmap[p.base], tuple(Letter(emap[x.edge], x.inverse) for x in p.letters))
-
-    return make_element(graph, [move(p) for p in max_elements(a.tree)], move(a.carrier), a.level)
+    move = {
+        Letter(e, inv): Letter(f, inv) for e, f in phi.edge_map for inv in (False, True)
+    }
+    base = dict(phi.vertex_map)[a.carrier.base]
+    tree, end = _walk_raw(graph, base, list(map(move.__getitem__, _word(a))), a.level)
+    return _checked(Element(tree, end, a.level))

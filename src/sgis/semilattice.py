@@ -18,7 +18,7 @@ fills in directly; merged into a tree it adds that path and its prefixes,
 so the spectrum's and the algebra's trees are a tree merged with the chains
 of a few paths, and no word is walked.  The paths (`I.paths`) and the tip
 paths (`max_elements`) are built from the trie on first use and kept on the
-value, outside the fields.  `I.reach` is the one descent of the trie, by
+value, outside the fields; `I.tip_texts()` renders the tips without them.  `I.reach` is the one descent of the trie, by
 child lookups, and `I.configuration(n)` the local configuration at node n.
 Compatibility is the per-node block rule, `block_clash`: the walk checks it
 as it adds a node, the merge across the two tries (`meet` gives None), and
@@ -118,6 +118,21 @@ class LowerSet:
             except ValueError:
                 return n, k
         return n, len(letters)
+
+    def tip_texts(self) -> list[str]:
+        """Each tip as `render_path` renders its path, in tree order: climbed
+        to the root once and its letters' `text`s joined, with no path
+        built; the root as a tip is the base."""
+        parent, entered, base = self.parent, self.entered, self.base
+        out = []
+        for n in self._tip_ids:
+            climb = []
+            while n:
+                climb.append(entered[n].text)
+                n = parent[n]
+            climb.reverse()
+            out.append(" ".join(climb) or base)
+        return out
 
     def children(self, n: int) -> tuple[Letter, ...]:
         """The letters of node n's children, the nodes `_first[n]` to `_first[n + 1] - 1`."""

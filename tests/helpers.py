@@ -22,13 +22,14 @@ from sgis.paths import (
     path_key,
     path_range,
     positive_part,
+    render_path,
     sorted_paths,
     star,
     steps,
     vertex_path,
     word_from_atoms,
 )
-from sgis.semigroup import ZERO, Element, GraphAutomorphism, Level, evaluate, from_letter
+from sgis.semigroup import ZERO, Element, GraphAutomorphism, Level, evaluate, from_letter, make_element
 from sgis.semilattice import (
     LowerSet,
     canonicalize,
@@ -119,6 +120,59 @@ def brute_force_automorphisms(graph: SeparatedGraph) -> list[GraphAutomorphism]:
                 )
     results.sort(key=lambda a: (a.vertex_map, a.edge_map))
     return results
+
+
+def read_atom_by_atom(graph: SeparatedGraph, atoms) -> Path | None:
+    """Second route to `word_from_atoms`, kept for cross-checks: one atom at
+    a time, each checked against the graph's tables as it is read, with no
+    engine.  The running vertex follows the atoms, and the word is None once
+    an atom does not start there."""
+    if not atoms:
+        raise WordError("empty word")
+    letters: list[Letter] = []
+    base = at = None
+    composes = True
+    for a in atoms:
+        if isinstance(a, str):
+            if a not in graph.vertex_index:
+                raise WordError(f"unknown vertex {a!r}")
+            source = target = a
+        else:
+            e = a.edge
+            if e not in graph.edge_index:
+                raise WordError(f"unknown edge {e!r}")
+            source, target = graph.source_of[e], graph.range_of[e]
+            if a.inverse:
+                source, target = target, source
+            letters.append(a)
+        if base is None:
+            base = at = source
+        composes = composes and source == at
+        at = target
+    return Path(base, tuple(letters)) if composes else None
+
+
+def render_by_tips(a) -> str:
+    """Second route to `render_element`, kept for cross-checks: each tip
+    path of `max_elements` through `render_path`."""
+    if a is ZERO:
+        return "0"
+    factors = "".join(f"({render_path(p)})" for p in max_elements(a.tree))
+    return f"{factors} | {render_path(a.carrier)}"
+
+
+def automorphism_by_tips(graph: SeparatedGraph, phi: GraphAutomorphism, a):
+    """Second route to `apply_automorphism`, kept for cross-checks: every
+    tip path and the carrier relabelled and handed to `make_element`, which
+    walks the tips' word (tips x depth letters)."""
+    if a is ZERO:
+        return ZERO
+    vmap, emap = dict(phi.vertex_map), dict(phi.edge_map)
+
+    def move(p: Path) -> Path:
+        return Path(vmap[p.base], tuple(Letter(emap[x.edge], x.inverse) for x in p.letters))
+
+    return make_element(graph, [move(p) for p in max_elements(a.tree)], move(a.carrier), a.level)
 
 
 def make_word(graph: SeparatedGraph, base: str, letters) -> Path:

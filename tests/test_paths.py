@@ -3,11 +3,13 @@ import pickle
 import random
 import sys
 import threading
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import composable_letter_words, make_word, separated_paths
+from conftest import load
+from helpers import composable_letter_words, make_word, read_atom_by_atom, separated_paths
 from sgis.errors import Budget, WordError
 from sgis.paths import (
     Letter,
@@ -96,6 +98,30 @@ def test_letters_are_immutable():
     with pytest.raises(AttributeError):
         del E.edge
     assert (E.edge, E.inverse) == ("e", False)
+
+
+def test_paths_are_immutable_values():
+    """A path is its two fields: equal to another path with equal fields
+    and to nothing else, hashed as the pair, frozen, and copied or pickled
+    to an equal path."""
+    p = Path("v", (E, Fi))
+    assert (p.base, p.letters, len(p)) == ("v", (E, Fi), 2)
+    assert Path("v") == Path(base="v", letters=()) and Path("v").letters == ()
+    assert [repr(q) for q in (p, Path("v"))] == ["e ~f", "v"]
+    assert p == Path("v", (E, Fi)) and p != Path("w", (E, Fi)) and p != Path("v", (E,))
+    for other in (("v", (E, Fi)), "e ~f", None):
+        assert p != other and not p == other
+    assert hash(p) == hash(("v", (E, Fi))) and hash(Path("v")) == hash(("v", ()))
+    assert {p: 1}[Path("v", (E, Fi))] == 1
+    for field in ("base", "letters", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, field, "w")
+        with pytest.raises(FrozenInstanceError):
+            delattr(p, field)
+    assert (p.base, p.letters) == ("v", (E, Fi))
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(q) is Path and q == p and hash(q) == hash(p)
+        assert q.letters[0] is E and q.letters[1] is Fi
 
 
 def test_reduce_basic(rose2f):
@@ -352,3 +378,58 @@ def test_reduce_respects_concatenation(xs, ys):
     # reducing in stages matches reducing in one pass
     staged = reduce_letters(reduce_letters(tuple(xs)) + reduce_letters(tuple(ys)))
     assert staged == reduce_letters(tuple(xs) + tuple(ys))
+
+
+BUNDLED = ("rose1t", "rose2t", "rose2f", "fim2", "fim2inf", "mixed")
+
+
+def _read(read, graph, atoms):
+    try:
+        return read(graph, atoms)
+    except WordError as err:
+        return ("WordError", str(err))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_reader_matches_the_atom_by_atom_reference(name):
+    """`word_from_atoms` reads as the reference that checks one atom at a
+    time: the same path, the same zero, or the same WordError naming the
+    first unknown atom.  The words are walks on the double graph with
+    vertex atoms (at the running vertex or elsewhere), letters of edges
+    the graph lacks, unknown vertex names and non-composing pairs mixed in,
+    also after the word has stopped composing."""
+    graph = load(name)
+    others = [load(n) for n in BUNDLED if n != name]
+    foreign = sorted({e for g in others for e in g.edge_index} - set(graph.edge_index)) + ["ghost"]
+    strangers = [Letter(e, inv) for e in foreign for inv in (False, True)]
+    strangers += sorted({v for g in others for v in g.vertices} - set(graph.vertices)) + ["nowhere"]
+    letters = [Letter(e, inv) for e in graph.edge_index for inv in (False, True)]
+    rng = random.Random(f"reader:{name}")
+    seen = {"path": 0, "zero": 0, "error": 0}
+    for _ in range(1500):
+        at = rng.choice(graph.vertices)
+        atoms: list = []
+        for _ in range(rng.randint(0, 12)):
+            roll = rng.random()
+            if roll < 0.04:
+                atoms.append(rng.choice(strangers))
+            elif roll < 0.16:
+                atoms.append(at if rng.random() < 0.6 else rng.choice(graph.vertices))
+            elif roll < 0.3 and letters:
+                atoms.append(rng.choice(letters))  # may not compose
+            else:
+                options = steps(graph, at)
+                if options:
+                    x, at = rng.choice(options)
+                    atoms.append(x)
+        got, want = _read(word_from_atoms, graph, atoms), _read(read_atom_by_atom, graph, atoms)
+        assert got == want, atoms
+        if isinstance(want, tuple):
+            assert got[1].startswith(("unknown vertex", "unknown edge", "empty word"))
+            seen["error"] += 1
+        else:
+            seen["path" if want is not None else "zero"] += 1
+            assert want is None or type(got.letters) is tuple
+    # on a one-vertex graph every word composes
+    assert seen["path"] > 50 and seen["error"] > 50, seen
+    assert seen["zero"] > 50 or len(graph.vertices) == 1, seen

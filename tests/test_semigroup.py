@@ -4,6 +4,7 @@ import pytest
 
 from conftest import load
 from helpers import (
+    automorphism_by_tips,
     brute_force_automorphisms,
     closure_inverse,
     closure_multiply,
@@ -14,6 +15,7 @@ from helpers import (
     make_word,
     random_lower_set,
     random_separated_graph,
+    render_by_tips,
     tip_word_act,
     tip_word_canonicalize,
     tip_word_inverse,
@@ -33,11 +35,13 @@ from sgis.oracle import random_letter_word, random_walk_word, rewrite_equiv, str
 from sgis.paths import (
     Letter,
     Path,
+    letter_range,
     parse_word_string,
     path_inverse,
     path_range,
     render_free_word,
     sorted_paths,
+    steps,
     vertex_path,
     word_from_atoms,
 )
@@ -60,7 +64,7 @@ from sgis.semigroup import (
     natural_leq,
     normal_form,
 )
-from sgis.semilattice import canonicalize, canonicalize_by_stripping, lower_closure, max_elements
+from sgis.semilattice import canonicalize, canonicalize_by_stripping, lower_closure, max_elements, munn_tree
 
 E = Letter("e", False)
 Ei = Letter("e", True)
@@ -613,7 +617,8 @@ def test_unknown_atom_raises_after_a_zero(rose2t, mixed):
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
 def test_tips_come_in_path_order(name, request):
-    """`render_element` prints the tips as `max_elements` returns them."""
+    """`max_elements` lists the tips in `sorted_paths` order, the order in
+    which `render_element` prints them."""
     graph = request.getfixturevalue(name)
     rng = random.Random(f"tips:{name}")
     for level in Level:
@@ -637,3 +642,106 @@ def test_make_element_validates_at_the_separated_level(rose2t):
     for level in (Level.FREE, Level.TOEPLITZ):
         el = make_element(rose2t, family, vertex_path("v"), level)
         assert el == evaluate(rose2t, [E, Ei, F, Fi], level)
+
+
+def _branching_walk(graph, rng, n, separated=False):
+    """A composable word of up to n letters from a random vertex: a walk
+    over a tree of reduced separated paths, each step down a `steps` letter
+    (positive ones favoured, so that canonical trees grow) and now and then
+    a step back up, so trees branch.  With `separated`, the children of a
+    node use one edge per block, so the tree keeps the block rule and the
+    word is not zero at the separated level."""
+    at = rng.choice(graph.vertices)
+    word, path, ats, chosen = [at], [], [at], {}
+    for _ in range(n):
+        options = steps(graph, ats[-1], path[-1] if path else None)
+        if path and (not options or rng.random() < 0.35):
+            x = ~path.pop()
+            ats.pop()
+        elif options:
+            positive = [o for o in options if not o[0].inverse]
+            x, _ = rng.choice(positive if positive and rng.random() < 0.5 else options)
+            if separated and not x.inverse:
+                x = chosen.setdefault((tuple(path), graph.block_of[x.edge].name), x)
+            path.append(x)
+            ats.append(letter_range(graph, x))
+        else:
+            break
+        word.append(x)
+    return word
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_normal_form_is_read_off_the_trie(name):
+    """`normal_form` equals `render_path` over `max_elements`, at all three
+    levels, on root-only trees, products and inverses, and builds no tip
+    path: the tree's tip cache stays empty."""
+    graph = load(name)
+    rng = random.Random(f"nf:{name}")
+    letters = [Letter(e, inv) for e in graph.edge_index for inv in (False, True)]
+    for level in Level:
+        els = [evaluate(graph, [v], level) for v in graph.vertices]
+        # x ~x for an inverse x is a root-only tree above the free level
+        els += [evaluate(graph, [x, ~x], level) for x in letters]
+        separated = level is Level.SEPARATED
+        els += [evaluate(graph, _branching_walk(graph, rng, 40, separated), level) for _ in range(40)]
+        els += [inverse(graph, a) for a in els[-10:]]
+        els += [multiply(graph, a, b) for a, b in zip(els, els[1:])]
+        roots = 0
+        for a in els:
+            got = normal_form(graph, a)
+            if a is not ZERO:
+                assert "_tips" not in a.tree.__dict__
+                roots += len(a.tree) == 1
+            assert got == render_by_tips(a), (a.tree, a.carrier)
+        assert roots >= len(graph.vertices)
+
+
+def test_normal_form_of_a_long_chain(rose2f):
+    """e^20000 prints its one tip in full at each level, as the tip route
+    does; ~e^20000 is a chain at the free level and the root above it."""
+    for level in Level:
+        for x in (E, Ei):
+            a = evaluate(rose2f, [x] * 20000, level)
+            got = normal_form(rose2f, a)
+            assert got == render_by_tips(a)
+        assert got.startswith("(v) | ~e ~e") is (level is not Level.FREE)
+
+
+def test_apply_automorphism_matches_the_tip_route():
+    """The walk of the relabelled tour and carrier gives the element that
+    relabelling the tips gives, at all three levels, on walks of up to 800
+    letters on the bundled graphs with automorphisms besides the identity."""
+    for name in ALL_GRAPHS:
+        graph = load(name)
+        autos = [phi for phi in graph_automorphisms(graph) if any(v != w for v, w in phi.edge_map)]
+        if not autos:
+            continue
+        rng = random.Random(f"aut:{name}")
+        for level in Level:
+            for n in (0, 3, 40, 200, 800):
+                a = evaluate(graph, _branching_walk(graph, rng, n, level is Level.SEPARATED), level)
+                assert a is not ZERO
+                for phi in rng.sample(autos, min(2, len(autos))):
+                    assert apply_automorphism(graph, phi, a) == automorphism_by_tips(graph, phi, a)
+
+
+def test_apply_automorphism_walks_the_element_word(rose2t, monkeypatch):
+    """The relabelled word is the tour and the carrier: 2(|T| - 1) + |c|
+    letters, linear in the tree."""
+    lengths = []
+
+    def counted(graph, base, word, **kw):
+        lengths.append(len(word))
+        return munn_tree(graph, base, word, **kw)
+
+    phi = next(p for p in graph_automorphisms(rose2t) if any(v != w for v, w in p.edge_map))
+    rng = random.Random(5)
+    for level in Level:
+        for n in (1, 30, 800):
+            a = evaluate(rose2t, _branching_walk(rose2t, rng, n, level is Level.SEPARATED), level)
+            with monkeypatch.context() as patch:
+                patch.setattr("sgis.semigroup.munn_tree", counted)
+                apply_automorphism(rose2t, phi, a)
+            assert lengths == [2 * (len(a.tree) - 1) + len(a.carrier.letters)]
+            lengths.clear()
