@@ -19,7 +19,6 @@ from .graph import Block, SeparatedGraph
 from .paths import (
     Letter,
     Path,
-    compatible,
     compose,
     is_separated_path,
     letter_key,
@@ -46,12 +45,12 @@ from .semilattice import (
     block_rule_break,
     canonicalize,
     chain_tree,
+    chain_unions,
     compatible_with,
     is_canonical,
     is_subtree,
-    lower_closure,
-    lower_closure_unchecked,
     max_elements,
+    meet,
     merge_tries,
 )
 
@@ -218,29 +217,21 @@ def cylinder_idempotent(graph: SeparatedGraph, B) -> AlgebraElement:
         e(Z(I \\ F)) = sum over the subsets S of F of (-1)^|S| e(I u S),
 
     where I u S is I merged with the chain of each member of S, and a union
-    that breaks the block rule is zero.  One depth-first walk over the
-    subsets of F, in its sorted order, merges the tree so far with the next
-    chain; a zero prunes every superset, as the union only grows.  The terms
-    are distinct, so each keeps its coefficient +1 or -1: every f is a
-    one-step branch extension of I, ending in its one positive letter outside
-    I, so f lies in I u S iff f is in S.  B is a cylinder of `make_cylinder`
-    or made from one: I keeps the block rule, and each f is reduced and
-    separated.  The product equals e(I) times one `branch_gap` per f: the
-    head of f, its longest prefix in I, is a member of I, so
+    that breaks the block rule is zero.  The trees are those of
+    `chain_unions(graph, I, F)`, which never builds a superset of a zero.
+    The terms are distinct, so each keeps its coefficient +1 or -1: every f
+    is a one-step branch extension of I, ending in its one positive letter
+    outside I, so f lies in I u S iff f is in S.  B is a cylinder of
+    `make_cylinder` or made from one: I keeps the block rule, and each f is
+    reduced and separated.  The product equals e(I) times one `branch_gap`
+    per f: the head of f, its longest prefix in I, is a member of I, so
     e(I) e(head) = e(I)."""
     I = B.tree if is_canonical(B.tree) else canonicalize(graph, B.tree)
     vertex = vertex_path(I.base)
-    chains = [chain_tree(f) for f in B.excluded]
-    terms: dict[Element, int] = {}
-
-    def walk(tree: LowerSet, start: int, sign: int) -> None:
-        terms[Element(tree, vertex, Level.SEPARATED)] = sign
-        for k in range(start, len(chains)):
-            grown = merge_tries(graph, tree, chains[k], separated=True)
-            if grown is not None:
-                walk(grown, k + 1, -sign)
-
-    walk(I, 0, 1)
+    terms = {
+        Element(tree, vertex, Level.SEPARATED): (-1) ** len(S)
+        for S, tree in chain_unions(graph, I, B.excluded)
+    }
     return AlgebraElement._clean(graph, terms)
 
 
@@ -312,7 +303,11 @@ def bounded_cover_check(
 
     A counterexample exists iff a pairwise-compatible selection of witness
     paths does, one killing each covering tree, so the search runs over
-    witness tuples rather than over all canonical extensions.
+    witness tuples rather than over all canonical extensions.  It carries
+    the tree of I and the witnesses so far, each new witness merged in as
+    its chain: a candidate joins iff it is `compatible_with` that tree, a
+    covering tree is still to be killed iff its `meet` with the tree is
+    not zero, and the counterexample is the tree's canonical form.
     """
     budget = budget or Budget(context="cover counterexample search")
     for Z in covering:
@@ -328,26 +323,23 @@ def bounded_cover_check(
         and not all(compatible_with(graph, Z, p) for Z in covering)
     ]
 
-    def search(chosen: list[Path]) -> list[Path] | None:
+    def search(tree: LowerSet) -> LowerSet | None:
         budget.spend()
-        pending = [Z for Z in covering if all(compatible_with(graph, Z, p) for p in chosen)]
+        pending = [Z for Z in covering if meet(graph, tree, Z) is not None]
         if not pending:
-            return list(chosen)
+            return tree
         target = pending[0]
         for p in candidates:
             if compatible_with(graph, target, p):
                 continue
-            if all(compatible(graph, p, q) for q in chosen):
-                hit = search(chosen + [p])
+            if compatible_with(graph, tree, p):
+                hit = search(merge_tries(graph, tree, chain_tree(p)))
                 if hit is not None:
                     return hit
         return None
 
-    witness = search([])
-    if witness is None:
-        return CoverVerdict(None, max_len)
-    J = canonicalize(graph, lower_closure(graph, max_elements(I) + tuple(witness)))
-    return CoverVerdict(J, max_len)
+    found = search(I)
+    return CoverVerdict(None if found is None else canonicalize(graph, found), max_len)
 
 
 def cover_witness(graph: SeparatedGraph, J: LowerSet, block: Block) -> str:
@@ -408,7 +400,7 @@ def cover_refinement_check(
     lhs = idempotent_of(graph, I) * lhs_sum
     rhs = AlgebraElement.zero(graph)
     for w in extended:
-        rhs = rhs + idempotent_of(graph, lower_closure(graph, max_elements(I) + (w,)))
+        rhs = rhs + idempotent_of(graph, merge_tries(graph, I, chain_tree(w)))
     return lhs == rhs
 
 
@@ -424,11 +416,12 @@ def enumerate_basis(
     At each vertex the separated paths up to max_len are listed once.  The
     trees close the compatible antichains of positive tips among them, taken
     in `sorted_paths` order: a tip joins a tree it leaves at a node other than
-    a chosen tip and is `compatible_with`.  A tree's carriers are the listed
-    paths whose positive part is a member.  The budget pays a unit per path
-    listed, and per node and carrier of each tree.
-    The sort key's carrier part is made once per listed path and its tree
-    part once per tree."""
+    a chosen tip and is `compatible_with`.  Each tree is its parent in the
+    search merged with the new tip's chain, from the vertex's own chain, so
+    no tree is closed from its tips.  A tree's carriers are the listed paths
+    whose positive part is a member.  The budget pays a unit per path
+    listed, and per node and carrier of each tree.  The sort key's carrier
+    part is made once per listed path and its tree part once per tree."""
     budget = budget or Budget(context="basis enumeration")
     keyed: list[tuple] = []  # (element_sort_key, element)
     for v in graph.vertices:
@@ -436,8 +429,7 @@ def enumerate_basis(
         tips = sorted_paths(graph, [p for p in every if p.letters and not p.letters[-1].inverse])
         anchored = [(positive_part(c), c, _carrier_key(graph, c)) for c in every]
 
-        def extend(start: int, chosen: list[Path]) -> None:
-            tree = lower_closure_unchecked(graph, [vertex_path(v), *chosen])
+        def extend(start: int, tree: LowerSet) -> None:
             carriers = [(c, key) for a, c, key in anchored if a in tree]
             budget.spend(len(tree) + len(carriers))
             size, trie = _tree_key(graph, tree)
@@ -447,8 +439,8 @@ def enumerate_basis(
                 # p sorts after the chosen tips: one is its prefix iff p stops at it, a leaf
                 n = tree.reach(p.letters)[0]
                 if (n == 0 or tree.children(n)) and compatible_with(graph, tree, p):
-                    extend(j + 1, chosen + [p])
+                    extend(j + 1, merge_tries(graph, tree, chain_tree(p)))
 
-        extend(0, [])
+        extend(0, chain_tree(vertex_path(v)))
     keyed.sort(key=itemgetter(0))
     return [el for _, el in keyed]

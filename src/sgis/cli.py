@@ -29,11 +29,12 @@ from .paths import (
     is_reduced,
     is_separated_path,
     parse_word_string,
+    positive_part,
     render_path,
     vertex_path,
     word_from_atoms,
 )
-from .semilattice import LowerSet, canonicalize, lower_closure, render_lower_set
+from .semilattice import LowerSet, canonicalize, chain_tree, lower_closure, render_lower_set
 from .semigroup import Level, evaluate, normal_form
 from .spectrum import (
     branch_extensions,
@@ -161,7 +162,7 @@ def cmd_enumerate(args) -> int:
     else:  # nc-paths: the one-step branch extensions at each vertex
         total = 0
         for v in graph.vertices:
-            root = LowerSet(v, (vertex_path(v),))
+            root = chain_tree(vertex_path(v))
             for p in branch_extensions(graph, root, args.max_len, budget):
                 print(f"{v}: {render_path(p)}")
                 total += 1
@@ -229,17 +230,14 @@ def cmd_cover(args) -> int:
         raise SgisError(f"no block {args.block!r} at vertex {args.vertex!r}")
     if block.infinite:
         raise SgisError("cover verification needs a finite block")
-    root = lower_closure(graph, [vertex_path(args.vertex)])
-    covering = [
-        lower_closure(graph, [Path(args.vertex, (Letter(e, False),))])
-        for e in block.edges
-    ]
+    root = chain_tree(vertex_path(args.vertex))
+    covering = [chain_tree(Path(args.vertex, (Letter(e, False),))) for e in block.edges]
     budget = Budget(args.budget, "cover verification")
     verdict = algebra.bounded_cover_check(graph, root, covering, args.max_len, budget)
     print(f"cover by block {block.name}: {verdict.render()}")
     demos = 0
     for p in algebra.separated_paths_upto(graph, args.vertex, args.max_len, budget):
-        J = canonicalize(graph, lower_closure(graph, [p]))
+        J = chain_tree(positive_part(p))  # the canonical form of p's closure
         e = algebra.cover_witness(graph, J, block)
         if demos < args.demos:
             print(f"witness {render_lower_set(J)} -> {e}")

@@ -23,7 +23,6 @@ path renders as its letters' `text`s.
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import FrozenInstanceError
 from itertools import filterfalse
 from operator import attrgetter
@@ -334,15 +333,12 @@ def parse_word_string(graph: SeparatedGraph, text: str) -> list[str | Letter]:
     return atoms
 
 
-_ENDS: weakref.WeakKeyDictionary[SeparatedGraph, tuple[dict, dict]] = weakref.WeakKeyDictionary()
-
-
 def _atom_ends(graph: SeparatedGraph) -> tuple[dict, dict]:
     """The graph's table of atom ends: from each vertex name and each
     interned letter of its edges, one dict to the atom's source and one to
     its range, v to v for a vertex v.  A graph is immutable, so its table
-    is made on the first read of a word on it and kept while it lives."""
-    table = _ENDS.get(graph)
+    is made on the first read of a word on it and kept on the graph."""
+    table = graph.__dict__.get("_atom_ends")
     if table is None:
         sources = {v: v for v in graph.vertices}
         ranges = dict(sources)
@@ -350,7 +346,7 @@ def _atom_ends(graph: SeparatedGraph) -> tuple[dict, dict]:
             x = Letter(e, False)
             sources[x] = ranges[~x] = s
             ranges[x] = sources[~x] = r
-        table = _ENDS[graph] = (sources, ranges)
+        table = graph._atom_ends = (sources, ranges)
     return table
 
 

@@ -16,10 +16,13 @@ idempotents (`meet`, and the engine's product of two idempotents).  The tree
 of one reduced path is a chain trie, one node per prefix, which `chain_tree`
 fills in directly; merged into a tree it adds that path and its prefixes,
 so the spectrum's and the algebra's trees are a tree merged with the chains
-of a few paths, and no word is walked.  The paths (`I.paths`) and the tip
-paths (`max_elements`) are built from the trie on first use and kept on the
-value, outside the fields; `I.tip_texts()` renders the tips without them.  `I.reach` is the one descent of the trie, by
-child lookups, and `I.configuration(n)` the local configuration at node n.
+of a few paths, and no word is walked.  `chain_unions` is the one walk over
+the unions of a tree with the chains of each subset of a family of paths.
+The paths (`I.paths`) and the tip paths (`max_elements`) are built from the
+trie on first use and kept on the value, outside the fields;
+`I.tip_texts()` renders the tips without them.  `I.reach` is the one descent
+of the trie, by child lookups, and `I.configuration(n)` the local
+configuration at node n.
 Compatibility is the per-node block rule, `block_clash`: the walk checks it
 as it adds a node, the merge across the two tries (`meet` gives None), and
 `compatible_with`, the one test of a path against a tree, at the node where
@@ -510,11 +513,31 @@ def merge_tries(
 def meet(graph: SeparatedGraph, I: LowerSet, J: LowerSet) -> LowerSet | None:
     """e(I) e(J) = e(I u J) in the semilattice: the union when the two trees
     lie over one vertex and together keep the block rule, else None (the
-    zero).  I and J are trees of the semilattice, each keeping the rule; the
-    union is `merge_tries` under the rule."""
+    zero).  The union is `merge_tries` under the rule, which checks it only
+    across the two trees: the precondition is that I and J each keep the
+    rule, as every tree made under `separated=True` does."""
     if I.base != J.base:
         return None
     return merge_tries(graph, I, J, separated=True)
+
+
+def chain_unions(graph: SeparatedGraph, I: LowerSet, paths: Sequence[Path]):
+    """Each index set S of `paths` whose union I u {S} keeps the block rule,
+    with that union, as `(S, tree)`: by size, then by index, the empty set
+    first.  A level is grown from the survivors of the level below, each
+    merged with the `chain_tree` of one later path under the rule, so a
+    clash drops every superset unseen.  I keeps the rule, and each path is
+    reduced and separated, from I's base."""
+    chains = [chain_tree(p) for p in paths]
+    level = [((), I)]
+    while level:
+        yield from level
+        level = [
+            (S + (k,), grown)
+            for S, tree in level
+            for k in range(S[-1] + 1 if S else 0, len(chains))
+            if (grown := merge_tries(graph, tree, chains[k], separated=True)) is not None
+        ]
 
 
 def class_eq(graph: SeparatedGraph, I: LowerSet, J: LowerSet) -> bool:

@@ -34,6 +34,7 @@ from .semilattice import (
     block_clash,
     block_rule_break,
     chain_tree,
+    chain_unions,
     is_canonical,
     is_subtree,
     lower_closure,
@@ -278,10 +279,10 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
 
     Every tree is a merge of tries: I1 with the chain of each grown rung
     (each rung ends in a positive letter, so the union of canonical trees
-    stays canonical), and the tree of H is the tree of H less its last
-    member, I1 u I2 for the empty H, merged with that member's chain under
-    the block rule; a clash drops H and every H that contains it.  B1 and
-    B2 are cylinders of `make_cylinder` or made from them.
+    stays canonical), and the trees of the nonempty H are those of
+    `chain_unions` over I1 u I2 and the sorted F2 \\ F1, in its order: a
+    clash drops H and every H that contains it.  B1 and B2 are cylinders of
+    `make_cylinder` or made from them.
     """
     inter = cylinder_intersect(graph, B1, B2)
     if inter is None:
@@ -316,18 +317,7 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
                 continue
             out.append(_cylinder(graph, In, [*F1, *forced_next]))
 
-    chains = [chain_tree(h) for h in sorted_paths(graph, F2 - F1)]
-    # the trees of the subsets H of one size, by index, from those one
-    # smaller; an H whose union clashes is left out, and so are its supersets
-    below = {(): inter.tree}  # I1 u I2
-    for r in range(1, len(chains) + 1):
-        level = {}
-        for H in itertools.combinations(range(len(chains)), r):
-            JH = below.get(H[:-1])
-            if JH is not None:
-                JH = merge_tries(graph, JH, chains[H[-1]], separated=True)
-            if JH is not None:
-                level[H] = JH
-                out.append(_cylinder(graph, JH, F1 | F2))
-        below = level
+    for H, JH in chain_unions(graph, inter.tree, sorted_paths(graph, F2 - F1)):
+        if H:  # the empty H is B1 n B2, not a part of the difference
+            out.append(_cylinder(graph, JH, F1 | F2))
     return out

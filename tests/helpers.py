@@ -5,8 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from sgis.algebra import AlgebraElement, branch_gap, idempotent_of, separated_paths_upto
-from sgis.errors import IncompatiblePathsError, LevelMismatchError, SgisError, WordError
+from sgis.algebra import AlgebraElement, CoverVerdict, branch_gap, idempotent_of, separated_paths_upto
+from sgis.errors import Budget, IncompatiblePathsError, LevelMismatchError, SgisError, WordError
 from sgis.graph import Block, SeparatedGraph
 from sgis.paths import (
     Letter,
@@ -32,11 +32,15 @@ from sgis.paths import (
 from sgis.semigroup import ZERO, Element, GraphAutomorphism, Level, evaluate, from_letter, make_element
 from sgis.semilattice import (
     LowerSet,
+    block_rule_break,
     canonicalize,
     canonicalize_by_stripping,
+    compatible_with,
     is_separated_compatible_family,
+    is_subtree,
     lower_close_paths,
     lower_closure,
+    lower_closure_unchecked,
     max_elements,
     munn_tree,
     tree_word,
@@ -376,6 +380,19 @@ def checked_closure_tree(graph: SeparatedGraph, paths) -> LowerSet:
     return tree
 
 
+def chain_unions_by_sets(graph: SeparatedGraph, I: LowerSet, paths) -> list[tuple[tuple[int, ...], LowerSet]]:
+    """Set route to `chain_unions`: every index set S of the paths, by size
+    and then by index, closed with I's tips by `lower_closure_unchecked` and
+    kept iff the union keeps the block rule; no set is pruned unseen."""
+    out = []
+    for r in range(len(paths) + 1):
+        for S in itertools.combinations(range(len(paths)), r):
+            tree = lower_closure_unchecked(graph, [*max_elements(I), *(paths[k] for k in S)])
+            if block_rule_break(graph, tree) is None:
+                out.append((S, tree))
+    return out
+
+
 def tips_by_parents(I: LowerSet) -> tuple[Path, ...]:
     """Reference route to the tips that `munn_tree` marks: in a lower set a
     member is a tip iff it is no member's parent, in tree order."""
@@ -546,6 +563,46 @@ def cylinder_difference_by_walks(graph: SeparatedGraph, B1: Cylinder, B2: Cylind
             if JH is not None:
                 out.append(cylinder(JH, F1 | F2))
     return out
+
+
+def cover_check_by_pairs(
+    graph: SeparatedGraph, I: LowerSet, covering, max_len: int, budget=None
+) -> CoverVerdict:
+    """Pairwise route to `bounded_cover_check`: the same search over witness
+    tuples, holding the witnesses as a list.  A covering tree is pending
+    while every witness is `compatible_with` it, a candidate joins iff it is
+    `compatible` with each witness, and the counterexample is closed from
+    I's tips and the witnesses."""
+    budget = budget or Budget(context="cover counterexample search")
+    for Z in covering:
+        if not is_subtree(I, Z):
+            raise SgisError("covering trees must extend the covered tree")
+    if not covering:
+        raise SgisError("empty covering family")
+    candidates = [
+        p
+        for p in separated_paths_upto(graph, I.base, max_len, budget)
+        if compatible_with(graph, I, p) and not all(compatible_with(graph, Z, p) for Z in covering)
+    ]
+
+    def search(chosen: list[Path]) -> list[Path] | None:
+        budget.spend()
+        pending = [Z for Z in covering if all(compatible_with(graph, Z, p) for p in chosen)]
+        if not pending:
+            return list(chosen)
+        for p in candidates:
+            if compatible_with(graph, pending[0], p):
+                continue
+            if all(compatible(graph, p, q) for q in chosen):
+                hit = search(chosen + [p])
+                if hit is not None:
+                    return hit
+        return None
+
+    witness = search([])
+    if witness is None:
+        return CoverVerdict(None, max_len)
+    return CoverVerdict(canonicalize(graph, lower_closure(graph, max_elements(I) + tuple(witness))), max_len)
 
 
 def basis_by_anchor_runs(graph: SeparatedGraph, max_len: int, budget) -> list[Element]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from helpers import (
     basis_by_anchor_runs,
     composable_letter_words,
+    cover_check_by_pairs,
     cylinder_idempotent_by_gaps,
     cylinder_idempotent_by_products,
     distinct_elements,
@@ -13,6 +15,8 @@ from helpers import (
     random_lower_set,
     random_separated_graph,
     sample_cylinders,
+    separated_paths,
+    trie_fields,
 )
 from sgis.algebra import (
     AlgebraElement,
@@ -32,7 +36,7 @@ from conftest import load
 from sgis.errors import Budget, BudgetExceededError, IncompatiblePathsError, SgisError
 from sgis.paths import Letter, Path, vertex_path
 from sgis.semigroup import ZERO, Element, Level, evaluate, is_idempotent, multiply
-from sgis.semilattice import LowerSet, canonicalize, lower_closure, max_elements
+from sgis.semilattice import LowerSet, canonicalize, chain_tree, lower_closure, max_elements, merge_tries
 from sgis.spectrum import branch_extensions, cylinder_difference, make_cylinder
 
 E = Letter("e", False)
@@ -319,6 +323,46 @@ def test_cover_check_counterexample_is_valid(mixed):
         not all(compatible(mixed, p, q) for p in J.paths for q in Ia.paths)
         for _ in [0]
     )
+
+
+def _cover_cases(graph, rng):
+    """Covered trees with covering families at each vertex: the root under
+    each nonempty set of edges of each block (the criterion's covers among
+    them), each edge under the edges of each block at its range, and the
+    root under 12 seeded pairs of separated paths of length <= 2."""
+    for v in graph.vertices:
+        root = chain_tree(vertex_path(v))
+        for block in graph.blocks_at[v]:
+            for r in range(1, len(block.edges) + 1):
+                for edges in itertools.combinations(block.edges, r):
+                    yield root, [chain_tree(Path(v, (Letter(e, False),))) for e in edges]
+        for e in graph.out_edges[v]:
+            I = chain_tree(Path(v, (Letter(e, False),)))
+            for block in graph.blocks_at[graph.range_of[e]]:
+                steps = [Path(v, (Letter(e, False), Letter(x, False))) for x in block.edges]
+                yield I, [merge_tries(graph, I, chain_tree(p)) for p in steps]
+        pool = separated_paths(graph, v, 2)[1:]
+        for _ in range(12 if len(pool) > 1 else 0):
+            yield root, [chain_tree(p) for p in rng.sample(pool, 2)]
+
+
+@pytest.mark.parametrize("name", ["rose1t", "rose2t", "rose2f", "fim2", "fim2inf", "mixed"])
+def test_cover_check_matches_the_pairwise_search(name):
+    """The search that carries the tree of I and the witnesses gives the
+    verdict, the counterexample and the budget of the pairwise search, at
+    max-len 2 to 4; some families fail to cover, on the graphs with a block
+    of two edges."""
+    graph = load(name)
+    failed = 0
+    for I, covering in _cover_cases(graph, random.Random(f"cover:{name}")):
+        for max_len in (2, 3, 4):
+            got_budget, want_budget = Budget(), Budget()
+            got = bounded_cover_check(graph, I, covering, max_len, got_budget)
+            want = cover_check_by_pairs(graph, I, covering, max_len, want_budget)
+            assert got == want and trie_fields(got.counterexample) == trie_fields(want.counterexample)
+            assert got_budget.used == want_budget.used, (I, covering, max_len)
+            failed += not got.covered
+    assert failed > 0 or name not in ("rose2t", "mixed")
 
 
 def test_cover_witness(rose2t):

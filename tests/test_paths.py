@@ -13,6 +13,7 @@ from helpers import composable_letter_words, make_word, read_atom_by_atom, separ
 from sgis.errors import Budget, WordError
 from sgis.paths import (
     Letter,
+    _atom_ends,
     Path,
     compatible,
     compatible_by_reduction,
@@ -343,6 +344,18 @@ def test_word_tokens(rose2f, fim2):
     assert word_from_atoms(fim2, atoms) is None
     with pytest.raises(WordError):
         parse_word_string(rose2f, "e ghost")
+
+
+def test_atom_ends_table_is_kept_on_its_graph():
+    """The reader's table of atom ends is made on the first word read on a
+    graph and kept there: a second read finds the same table, and another
+    graph, even one parsed from the same file, gets its own."""
+    graph, twin = load("rose2f"), load("rose2f")
+    table = _atom_ends(graph)
+    assert word_from_atoms(graph, [E, "v", F]) == w(graph, E, F)
+    assert _atom_ends(graph) is table
+    assert _atom_ends(twin) is not table and _atom_ends(twin) == table
+    assert _atom_ends(load("fim2")) != table
 
 
 def test_make_word_raises_on_what_the_reader_rejects(rose2f, fim2):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    chain_unions_by_sets,
     checked_closure_tree,
     closure_element,
     closure_tree,
@@ -54,6 +55,7 @@ from sgis.semilattice import (
     block_clash,
     block_rule_break,
     chain_tree,
+    chain_unions,
     canonicalize,
     canonicalize_by_stripping,
     class_eq,
@@ -478,6 +480,56 @@ def test_meet_merges_as_the_walk_on_generated_graphs():
         for i in range(60)
     )
     assert zeros > 0
+
+
+def _chain_unions_against_sets(graph, rng, count) -> int:
+    """`chain_unions` against the set route on `count` seeded trees, each
+    with up to five separated paths of length <= 3 from its base: the same
+    index sets in the same order, with the same tries.  Returns how many
+    index sets a clash dropped."""
+    dropped = 0
+    for _ in range(count):
+        v = rng.choice(graph.vertices)
+        I = random_lower_set(graph, v, rng, max_len=3)
+        pool = separated_paths(graph, v, 3)[1:]
+        paths = rng.sample(pool, min(len(pool), rng.randint(0, 5)))
+        got = [(S, trie_fields(tree)) for S, tree in chain_unions(graph, I, paths)]
+        want = [(S, trie_fields(tree)) for S, tree in chain_unions_by_sets(graph, I, paths)]
+        assert got == want, (I, paths)
+        dropped += 2 ** len(paths) - len(got)
+    return dropped
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_chain_unions_match_the_set_route(name, request):
+    """The walk over the unions of a tree with the chains of each subset, by
+    size then index, keeps the sets and trees of the set route, 150 seeded
+    cases per graph; on the graphs with a block of two edges some unions
+    clash."""
+    graph = request.getfixturevalue(name)
+    dropped = _chain_unions_against_sets(graph, random.Random(f"unions:{name}"), 150)
+    if name in ("rose2t", "mixed"):
+        assert dropped > 0
+
+
+def test_chain_unions_match_the_set_route_on_generated_graphs():
+    """As above on 60 generated graphs (graph seeds 0..59), 15 cases each."""
+    dropped = sum(
+        _chain_unions_against_sets(
+            random_separated_graph(random.Random(i), 4), random.Random(f"unions:{i}"), 15
+        )
+        for i in range(60)
+    )
+    assert dropped > 0
+
+
+def test_chain_unions_examples(rose2t):
+    """On rose2t, {e} and {f} each keep the rule with the root, and their
+    union clashes; e e joins either, and its clash with f drops {f, e e}."""
+    root = chain_tree(vertex_path("v"))
+    paths = [make_word(rose2t, "v", (E,)), make_word(rose2t, "v", (F,)), make_word(rose2t, "v", (E, E))]
+    assert [S for S, _ in chain_unions(rose2t, root, paths)] == [(), (0,), (1,), (2,), (0, 2)]
+    assert list(chain_unions(rose2t, root, [])) == [((), root)]
 
 
 def test_class_relations(rose2f):
