@@ -12,6 +12,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sgis.algebra import enumerate_basis
+from sgis.cli import COUNT, POSITIVE
 from sgis.errors import Budget, BudgetExceededError
 from sgis.graph import parse_graph
 from sgis.semigroup import is_idempotent
@@ -21,8 +22,8 @@ GRAPH_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-len", type=int, default=2)
-    ap.add_argument("--budget", type=int, default=10**6)
+    ap.add_argument("--max-len", type=COUNT, default=2)
+    ap.add_argument("--budget", type=POSITIVE, default=10**6)
     args = ap.parse_args()
 
     print(f"{'graph':<10} {'bound':>5} {'elements':>9} {'idempotents':>12}")

@@ -11,6 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from sgis.cli import COUNT, POSITIVE
 from sgis.graph import parse_graph
 from sgis.oracle import crosscheck
 
@@ -19,8 +20,8 @@ GRAPH_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--samples", type=int, default=2000)
-    ap.add_argument("--len", type=int, default=10)
+    ap.add_argument("--samples", type=COUNT, default=2000)
+    ap.add_argument("--len", type=POSITIVE, default=10)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

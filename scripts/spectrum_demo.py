@@ -12,6 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from sgis.cli import COUNT
 from sgis.graph import parse_graph
 from sgis.paths import Letter, Path as GPath, path_range, steps, vertex_path
 from sgis.semilattice import lower_closure
@@ -58,7 +59,7 @@ def grow_window(graph, v, depth, rng):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--depth", type=int, default=3)
+    ap.add_argument("--depth", type=COUNT, default=3)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
     rng = random.Random(args.seed)

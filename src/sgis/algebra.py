@@ -19,8 +19,7 @@ from .graph import Block, SeparatedGraph
 from .paths import (
     Letter,
     Path,
-    compose,
-    is_separated_path,
+    checked_path,
     letter_key,
     path_key,
     path_range,
@@ -188,25 +187,21 @@ def idempotent_of(graph: SeparatedGraph, I: LowerSet) -> AlgebraElement:
 
 
 def path_element(graph: SeparatedGraph, p: Path) -> AlgebraElement:
-    """The image of a separated path as a single partial isometry."""
-    if not is_separated_path(graph, p):
-        raise WordError(f"{render_path(p)!r} is not a separated path")
-    el = make_element(graph, [p], p, Level.SEPARATED)
+    """The image of a separated path as a single partial isometry; p is
+    checked by `checked_path`."""
+    el = make_element(graph, [checked_path(graph, p)], p, Level.SEPARATED)
     return AlgebraElement.of(graph, el)
 
 
 def branch_gap(graph: SeparatedGraph, head: Path, tail_letters: Sequence[Letter]) -> AlgebraElement:
     """head*head^star minus the longer projection head.tail (tail an inverse
-    run closed by one positive edge); the defect of one branch extension."""
+    run closed by one positive edge); the defect of one branch extension.
+    The extended path is checked by `checked_path`, and with it the head."""
     if not tail_letters or tail_letters[-1].inverse or not all(
         x.inverse for x in tail_letters[:-1]
     ):
         raise WordError("tail must be an inverse run closed by one positive edge")
-    whole = compose(graph, head, Path(path_range(graph, head), tuple(tail_letters)))
-    if whole is None or len(whole.letters) != len(head.letters) + len(tail_letters):
-        raise WordError("tail does not extend the head reducedly")
-    if not is_separated_path(graph, whole):
-        raise WordError("extended path is not separated")
+    whole = checked_path(graph, Path(head.base, head.letters + tuple(tail_letters)))
     return idempotent_of(graph, chain_tree(head)) - idempotent_of(graph, chain_tree(whole))
 
 
@@ -370,8 +365,9 @@ def cover_refinement_check(
     """Exact identity: e(I) * sum_f (head.run.f)(head.run.f)* equals the sum
     of e(I u {head.run.f}) over the edges f of a finite block.
 
-    Preconditions: head is a member of I, run is an inverse-letter word, each
-    extended path is separated, lies outside I, and is compatible with I.
+    Preconditions: head is a member of I, run is an inverse-letter word, and
+    each extended path passes `checked_path`, lies outside I, and is
+    compatible with I.
     """
     if block.infinite:
         raise SgisError("refinement requires a finite block")
@@ -381,12 +377,7 @@ def cover_refinement_check(
         raise SgisError("run must consist of inverse letters")
     extended: list[Path] = []
     for e in block.edges:
-        tail = tuple(run) + (Letter(e, False),)
-        whole = compose(graph, head, Path(path_range(graph, head), tail))
-        if whole is None or len(whole.letters) != len(head.letters) + len(tail):
-            raise SgisError("run does not extend the head reducedly")
-        if not is_separated_path(graph, whole):
-            raise SgisError(f"extension {render_path(whole)!r} is not separated")
+        whole = checked_path(graph, Path(head.base, head.letters + tuple(run) + (Letter(e, False),)))
         if whole in I:
             raise SgisError(f"extension {render_path(whole)!r} already lies in the tree")
         if not compatible_with(graph, I, whole):

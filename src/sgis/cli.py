@@ -26,8 +26,7 @@ from .graph import (
 from .paths import (
     Letter,
     Path,
-    is_reduced,
-    is_separated_path,
+    checked_path,
     parse_word_string,
     positive_part,
     render_path,
@@ -81,15 +80,10 @@ POSITIVE = _int_at_least(1)
 
 
 def _parse_path(graph: SeparatedGraph, text: str):
-    atoms = parse_word_string(graph, text)
-    word = word_from_atoms(graph, atoms)
+    word = word_from_atoms(graph, parse_word_string(graph, text))
     if word is None:
         raise SgisError(f"word {text!r} is not composable")
-    if not is_reduced(word):
-        raise SgisError(f"word {text!r} is not reduced")
-    if not is_separated_path(graph, word):
-        raise SgisError(f"word {text!r} is not a separated path")
-    return word
+    return checked_path(graph, word)
 
 
 def _parse_path_set(graph: SeparatedGraph, text: str):

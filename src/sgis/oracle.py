@@ -390,6 +390,9 @@ def crosscheck(
     counts agreements and collects any disagreeing words (must stay empty)."""
     from .semigroup import Level, evaluate, normal_form
 
+    if max_len < 1:
+        raise SgisError(f"max_len must be at least 1, got {max_len}")
+
     rng = random.Random(seed)
     report = {
         "samples": 0,

@@ -16,8 +16,10 @@ extensions are built on it.  `word_from_atoms` is the one reader of words,
 and `parse_word_string` the command line's grammar for their atoms.  The
 reader reads a word through the graph's table of atom ends, made once per
 graph: one lookup of each atom's source and one of its range, and one
-comparison of the two lists for composability, with no loop in Python.  A
-path renders as its letters' `text`s.
+comparison of the two lists for composability, with no loop in Python.
+`checked_path` is the one check of a path given from outside: read by that
+reader, then reduced and separated; nothing built from it is checked again.
+A path renders as its letters' `text`s.
 """
 
 from __future__ import annotations
@@ -375,6 +377,19 @@ def word_from_atoms(
     if sources[1:] != ranges[:-1]:
         return None
     return Path(sources[0], tuple(filterfalse(graph.vertex_index.__contains__, atoms)))
+
+
+def checked_path(graph: SeparatedGraph, p: Path) -> Path:
+    """p, once `word_from_atoms` reads its base and letters (an unknown atom
+    raises its WordError) and they compose, are reduced and are separated;
+    each other failure is a WordError naming p."""
+    if word_from_atoms(graph, [p.base, *p.letters]) is None:
+        raise WordError(f"path {render_path(p)!r} does not compose")
+    if not is_reduced(p):
+        raise WordError(f"path {render_path(p)!r} is not reduced")
+    if not is_separated_path(graph, p):
+        raise WordError(f"path {render_path(p)!r} is not separated")
+    return p
 
 
 def _unknown_atom(known: dict, atoms: Sequence[str | Letter]) -> WordError:

@@ -111,26 +111,20 @@ class Element:
 
 def make_element(graph: SeparatedGraph, tree_paths: Iterable[Path], carrier: Path, level: Level) -> Element:
     """Normalize and validate an element from raw tree data: walk the paths
-    (and the carrier at the free level) from the carrier's source, as
-    `_walk_raw` does."""
+    (and the carrier at the free level) from the carrier's source, pruned
+    above the free level.  At the separated level a clash that
+    `block_rule_break` names raises IncompatiblePathsError: the pruning keeps
+    both members, each positively entered or an ancestor of such a node."""
     paths = list(tree_paths)
     if any(p.base != carrier.base for p in paths):
         raise WordError("tree and carrier disagree on the source vertex")
     word = tree_word(paths)
     if level is Level.FREE:
         word += carrier.letters
-    return _checked(Element(_walk_raw(graph, carrier.base, word, level)[0], carrier, level))
-
-
-def _walk_raw(graph: SeparatedGraph, base: str, word: Sequence[Letter], level: Level):
-    """`munn_tree` of a word spelling raw or relabelled tree data, pruned
-    above the free level.  At the separated level a clash that
-    `block_rule_break` names raises IncompatiblePathsError: the pruning keeps
-    both members, each positively entered or an ancestor of such a node."""
-    tree, end = munn_tree(graph, base, word, canonical=level is not Level.FREE)
+    tree = munn_tree(graph, carrier.base, word, canonical=level is not Level.FREE)[0]
     if level is Level.SEPARATED and (clash := block_rule_break(graph, tree)) is not None:
         raise IncompatiblePathsError(*clash)
-    return tree, end
+    return _checked(Element(tree, carrier, level))
 
 
 def _checked(a: Element) -> Element:
@@ -342,12 +336,15 @@ def apply_automorphism(graph: SeparatedGraph, phi: GraphAutomorphism, a):
     """Relabel every letter of the tree and the carrier: the walk of a's
     word, the tour and then the carrier (2(|T| - 1) + |c| letters), with
     each letter relabelled, from the image of the carrier's source.  The
-    walk's end is the relabelled carrier."""
+    walk's end is the relabelled carrier.  Automorphisms keep blocks, so
+    only a hand-made tree that breaks the block rule has no image."""
     if a is ZERO:
         return ZERO
     move = {
         Letter(e, inv): Letter(f, inv) for e, f in phi.edge_map for inv in (False, True)
     }
     base = dict(phi.vertex_map)[a.carrier.base]
-    tree, end = _walk_raw(graph, base, list(map(move.__getitem__, _word(a))), a.level)
+    tree, end = _walk(graph, base, list(map(move.__getitem__, _word(a))), a.level)
+    if tree is None:
+        raise SgisError(f"the image of {a!r} broke the separated rule")
     return _checked(Element(tree, end, a.level))

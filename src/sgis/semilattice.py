@@ -44,9 +44,9 @@ from .graph import SeparatedGraph
 from .paths import (
     Letter,
     Path,
+    checked_path,
     compatible,
     is_prefix,
-    is_reduced,
     is_separated_path,
     letter_key,
     path_range,
@@ -354,18 +354,12 @@ def lower_closure_unchecked(graph: SeparatedGraph, paths: Iterable[Path]) -> Low
 def lower_closure(graph: SeparatedGraph, paths: Iterable[Path]) -> LowerSet:
     """Prefix closure of a compatible family of separated paths.
 
-    Raises WordError for a member that is not reduced or not separated, or
-    for mixed sources, and IncompatiblePathsError naming the first two
-    members of the closure that break the block rule (`block_rule_break`),
-    whatever order the paths come in.
+    Raises WordError for a member that `checked_path` rejects, or for mixed
+    sources, and IncompatiblePathsError naming the first two members of the
+    closure that break the block rule (`block_rule_break`), whatever order
+    the paths come in.
     """
-    paths = list(paths)
-    for p in paths:
-        if not is_reduced(p):
-            raise WordError(f"path {render_path(p)!r} is not reduced")
-        if not is_separated_path(graph, p):
-            raise WordError(f"path {render_path(p)!r} is not separated")
-    tree = lower_closure_unchecked(graph, paths)
+    tree = lower_closure_unchecked(graph, [checked_path(graph, p) for p in paths])
     clash = block_rule_break(graph, tree)
     if clash is not None:
         raise IncompatiblePathsError(*clash)

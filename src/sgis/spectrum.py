@@ -11,18 +11,16 @@ quantifies over the named edges only and the certificate records that caveat.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import Budget, CylinderError, SgisError
+from .errors import Budget, CylinderError, SgisError, WordError
 from .graph import Block, SeparatedGraph, isolated_vertices
 from .paths import (
     Letter,
     Path,
+    checked_path,
     inverse_runs,
-    is_reduced,
-    is_separated_path,
     path_range,
     render_path,
     sorted_paths,
@@ -35,6 +33,7 @@ from .semilattice import (
     block_rule_break,
     chain_tree,
     chain_unions,
+    compatible_with,
     is_canonical,
     is_subtree,
     lower_closure,
@@ -188,11 +187,11 @@ def render_cylinder(B: Cylinder) -> str:
 
 
 def is_branch_extension(graph: SeparatedGraph, I: LowerSet, f: Path) -> bool:
-    """Membership in the one-step extension family of I: the part of f after
-    its longest prefix in I, read by one descent, is an inverse run ending in
-    a single positive edge, and adjoining f keeps the tree canonical and
-    compatible (`compatible_with`)."""
-    if f.base != I.base or not is_separated_path(graph, f):
+    """Membership in the one-step extension family of I of a path f that
+    `checked_path` passed or `steps` built: the part of f after its longest
+    prefix in I, read by one descent, is an inverse run ending in a single
+    positive edge, and adjoining f keeps the tree canonical and compatible."""
+    if f.base != I.base:
         return False
     n, k = I.reach(f.letters)
     tail = f.letters[k:]
@@ -211,19 +210,22 @@ def make_cylinder(graph: SeparatedGraph, I: LowerSet, excluded: Iterable[Path]) 
     if clash is not None:
         p, q = map(render_path, clash)
         raise CylinderError(f"tree {I!r} breaks the block rule at {p!r}, {q!r}")
-    exc = sorted_paths(graph, set(excluded))
+    try:
+        exc = sorted_paths(graph, {checked_path(graph, f) for f in excluded})
+    except WordError as err:
+        raise CylinderError(str(err)) from None
     for f in exc:
-        if not is_reduced(f) or not is_branch_extension(graph, I, f):
-            raise CylinderError(
-                f"{render_path(f)!r} is not a one-step branch extension of {I!r}"
-            )
+        if not is_branch_extension(graph, I, f):
+            raise CylinderError(f"{render_path(f)!r} is not a one-step branch extension of {I!r}")
     return Cylinder(I, exc)
 
 
 def _cylinder(graph: SeparatedGraph, I: LowerSet, candidates: Iterable[Path]) -> Cylinder:
-    """Z(I \\ F) for a canonical I made here, F the candidates that are branch
-    extensions of I; `make_cylinder` checks trees and paths from outside."""
-    return Cylinder(I, sorted_paths(graph, {f for f in candidates if is_branch_extension(graph, I, f)}))
+    """Z(I \\ F) for a canonical I made here, F the candidates `compatible_with`
+    I.  That suffices: each is a branch extension of a subtree of I lying
+    outside I, so its tail past I is still an inverse run closed by one
+    positive edge, and it was checked as separated where it entered."""
+    return Cylinder(I, sorted_paths(graph, {f for f in candidates if compatible_with(graph, I, f)}))
 
 
 def branch_extensions(
@@ -277,12 +279,14 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
     that, for every eligible subset H of F2 \\ F1, force H inside and
     exclude the still-active constraints from F1 u F2.
 
-    Every tree is a merge of tries: I1 with the chain of each grown rung
-    (each rung ends in a positive letter, so the union of canonical trees
-    stays canonical), and the trees of the nonempty H are those of
-    `chain_unions` over I1 u I2 and the sorted F2 \\ F1, in its order: a
-    clash drops H and every H that contains it.  B1 and B2 are cylinders of
-    `make_cylinder` or made from them.
+    Every tree is a merge of tries.  One walk grows a list of (tree, next
+    rungs) from I1, one missing tip at a time, in `itertools.product` order:
+    each choice of rung is one merge with its chain, built once per rung
+    (a rung ends positively, so canonical trees stay so).  Its last entry,
+    every ladder at its top, is B1 n Z(I2) and is dropped.  The trees of the
+    nonempty H are those of `chain_unions` over I1 u I2 and the sorted
+    F2 \\ F1, in its order: a clash drops H and every H containing it.  B1
+    and B2 are cylinders of `make_cylinder` or made from them.
     """
     inter = cylinder_intersect(graph, B1, B2)
     if inter is None:
@@ -292,32 +296,26 @@ def cylinder_difference(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> li
     I2, F2 = B2.tree, set(B2.excluded)
     out: list[Cylinder] = []
 
-    missing = sorted_paths(graph, [h for h in max_elements(I2) if h not in I1])
-    ladders: list[list[Path]] = []
-    for h in missing:
+    choices = [(I1, [])]  # (tree, next rungs) per choice of rungs so far
+    for h in sorted_paths(graph, [h for h in max_elements(I2) if h not in I1]):
         # the rungs: h cut after each positive letter past its longest prefix in I1
         k = I1.reach(h.letters)[1]
-        cuts = [i + 1 for i in range(k, len(h.letters)) if not h.letters[i].inverse]
-        ladders.append([Path(h.base, h.letters[:c]) for c in cuts])
-    rung_chains = [[chain_tree(rung) for rung in rungs] for rungs in ladders]
+        rungs = [Path(h.base, h.letters[: i + 1]) for i in range(k, len(h.letters)) if not h.letters[i].inverse]
+        chains = [chain_tree(rung) for rung in rungs]
+        choices = [
+            (merge_tries(graph, tree, chains[i - 1]) if i else tree, nexts + rungs[i : i + 1])
+            for tree, nexts in choices
+            for i in range(len(rungs) + 1)
+        ]
+    for In, forced_next in choices[:-1]:
+        if any(f in In for f in forced_next):
+            # ladders sharing a rung: the exclusion is forced inside the
+            # tree, so this choice names the empty set
+            continue
+        out.append(_cylinder(graph, In, [*F1, *forced_next]))
 
-    if missing:
-        index_ranges = [range(len(r) + 1) for r in ladders]
-        for choice in itertools.product(*index_ranges):
-            if all(i == len(r) for i, r in zip(choice, ladders)):
-                continue  # the all-top tuple reproduces B1 n Z(I2)
-            In = I1
-            for i, rungs in zip(choice, rung_chains):
-                if i > 0:
-                    In = merge_tries(graph, In, rungs[i - 1])
-            forced_next = [rungs[i] for i, rungs in zip(choice, ladders) if i < len(rungs)]
-            if any(f in In for f in forced_next):
-                # ladders sharing a rung: the exclusion is forced inside the
-                # tree, so this index tuple names the empty set
-                continue
-            out.append(_cylinder(graph, In, [*F1, *forced_next]))
-
-    for H, JH in chain_unions(graph, inter.tree, sorted_paths(graph, F2 - F1)):
+    fresh = sorted_paths(graph, F2 - F1)
+    for H, JH in chain_unions(graph, inter.tree, fresh):
         if H:  # the empty H is B1 n B2, not a part of the difference
-            out.append(_cylinder(graph, JH, F1 | F2))
+            out.append(_cylinder(graph, JH, (F1 | F2).difference(map(fresh.__getitem__, H))))
     return out

@@ -33,7 +33,7 @@ from sgis.algebra import (
     render_algebra_element,
 )
 from conftest import load
-from sgis.errors import Budget, BudgetExceededError, IncompatiblePathsError, SgisError
+from sgis.errors import Budget, BudgetExceededError, IncompatiblePathsError, SgisError, WordError
 from sgis.paths import Letter, Path, vertex_path
 from sgis.semigroup import ZERO, Element, Level, evaluate, is_idempotent, multiply
 from sgis.semilattice import LowerSet, canonicalize, chain_tree, lower_closure, max_elements, merge_tries
@@ -401,6 +401,24 @@ def test_cover_refinement_precondition_errors(fim2):
         cover_refinement_check(
             fim2, I, vertex_path("v"), (), blk
         )
+
+
+def test_outside_paths_enter_through_the_door(rose2f, mixed):
+    """`path_element`, `branch_gap` and `cover_refinement_check` read the
+    paths they are given through `checked_path`: an unreduced path, an
+    unknown edge, or a head and tail whose letters do not compose raise
+    WordError, and no KeyError leaves."""
+    A, D = Letter("a"), Letter("d")
+    with pytest.raises(WordError, match="not reduced"):
+        path_element(rose2f, Path("v", (E, Ei)))
+    with pytest.raises(WordError, match="unknown edge 'zzz'"):
+        path_element(rose2f, Path("v", (E, Letter("zzz"))))
+    with pytest.raises(WordError, match="does not compose"):
+        branch_gap(mixed, Path("v", (A,)), (Letter("c", True), D))
+    below_d = lower_closure(mixed, [Path("w", (D,))])
+    vc = next(b for b in mixed.blocks if b.name == "VC")
+    with pytest.raises(WordError, match="does not compose"):
+        cover_refinement_check(mixed, below_d, Path("w", (D,)), (Letter("a", True),), vc)
 
 
 def test_enumerate_basis_small(rose1t, rose2f, fim2):

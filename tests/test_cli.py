@@ -174,6 +174,34 @@ def test_spectrum_cylinder_ops(capsys):
 
 
 @pytest.mark.parametrize(
+    "graph, text, err",
+    [
+        (ROSE2F, "e ~e", "path 'e ~e' is not reduced"),
+        (ROSE2T, "~e f", "path '~e f' is not separated"),
+        (FIM2, "e1 ~f2", "word 'e1 ~f2' is not composable"),
+    ],
+)
+def test_spectrum_rejects_a_path_at_the_door(capsys, graph, text, err):
+    """A path given on the command line is checked once, by `checked_path`,
+    after the word is read; a word that does not compose keeps its own
+    message."""
+    got = run(capsys, "spectrum", graph, "cylinder", "--op", "intersect", "--i1", text, "--i2", "v")
+    assert got == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "script, flag",
+    [("run_crosscheck.py", "--len=0"), ("run_crosscheck.py", "--samples=-1"), ("basis_growth.py", "--budget=0"),
+     ("basis_growth.py", "--max-len=-1"), ("spectrum_demo.py", "--depth=-1")],
+)
+def test_script_flag_out_of_range_exit_code(script, flag):
+    """The scripts' numbers are range-checked as the command line's are."""
+    path = FilePath(__file__).resolve().parents[1] / "scripts" / script
+    done = subprocess.run([sys.executable, str(path), flag], capture_output=True, text=True)
+    assert done.returncode == 2 and "must be at least" in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
     "flags, missing",
     [
         (["--i1", "v", "--i2", "e"], "--op"),

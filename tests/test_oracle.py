@@ -183,6 +183,12 @@ def test_crosscheck_report(rose2f):
     assert report["disagreements"] == []
 
 
+def test_crosscheck_needs_a_positive_length(rose2f):
+    for max_len in (0, -1):
+        with pytest.raises(SgisError, match="max_len must be at least 1"):
+            crosscheck(rose2f, samples=3, max_len=max_len)
+
+
 def _sgis_modules(node) -> set[str]:
     """The sgis modules an import statement names."""
     if isinstance(node, ast.ImportFrom):

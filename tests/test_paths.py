@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 import sys
@@ -15,6 +16,7 @@ from sgis.paths import (
     Letter,
     _atom_ends,
     Path,
+    checked_path,
     compatible,
     compatible_by_reduction,
     compose,
@@ -366,6 +368,43 @@ def test_make_word_raises_on_what_the_reader_rejects(rose2f, fim2):
     with pytest.raises(WordError, match="do not compose"):
         make_word(fim2, "v", (Letter("e1", False), Letter("e2", False)))
     assert make_word(rose2f, "v", (E, Ei)).letters == (E, Ei)  # unreduced is kept
+
+
+def test_checked_path_is_the_door():
+    """`checked_path` passes every reduced separated path of length <= 4 on
+    the six graphs, and rejects each of them, saying why, once one letter is
+    changed so that the letters stop composing, being reduced or being
+    separated.  The reference is the list of `separated_paths` and a read
+    atom by atom."""
+    why_seen = set()
+    for name in ("rose1t", "rose2t", "rose2f", "fim2", "fim2inf", "mixed"):
+        graph = load(name)
+        letters = [Letter(e, inv) for e in graph.edge_index for inv in (False, True)]
+        for v in graph.vertices:
+            good = set(separated_paths(graph, v, 4))
+            for p in good:
+                assert checked_path(graph, p) is p
+                for i, x in itertools.product(range(len(p.letters)), letters):
+                    q = Path(v, p.letters[:i] + (x,) + p.letters[i + 1 :])
+                    if q in good:
+                        continue
+                    if read_atom_by_atom(graph, [v, *q.letters]) is None:
+                        why = "does not compose"
+                    elif any(a.edge == b.edge and a.inverse != b.inverse for a, b in zip(q.letters, q.letters[1:])):
+                        why = "is not reduced"
+                    else:
+                        why = "is not separated"
+                    with pytest.raises(WordError, match=f"path {render_path(q)!r} {why}"):
+                        checked_path(graph, q)
+                    why_seen.add(why)
+    assert len(why_seen) == 3
+
+
+def test_checked_path_names_an_unknown_atom(rose2f):
+    with pytest.raises(WordError, match="unknown edge 'zzz'"):
+        checked_path(rose2f, Path("v", (E, Letter("zzz"))))
+    with pytest.raises(WordError, match="unknown vertex 'w'"):
+        checked_path(rose2f, Path("w", (E,)))
 
 
 def test_render_roundtrip(rose2f):

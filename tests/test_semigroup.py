@@ -28,6 +28,7 @@ from sgis.errors import (
     BudgetExceededError,
     IncompatiblePathsError,
     LevelMismatchError,
+    SgisError,
     WordError,
 )
 from sgis.graph import free_separation
@@ -64,7 +65,14 @@ from sgis.semigroup import (
     natural_leq,
     normal_form,
 )
-from sgis.semilattice import canonicalize, canonicalize_by_stripping, lower_closure, max_elements, munn_tree
+from sgis.semilattice import (
+    LowerSet,
+    canonicalize,
+    canonicalize_by_stripping,
+    lower_closure,
+    max_elements,
+    munn_tree,
+)
 
 E = Letter("e", False)
 Ei = Letter("e", True)
@@ -724,6 +732,17 @@ def test_apply_automorphism_matches_the_tip_route():
                 assert a is not ZERO
                 for phi in rng.sample(autos, min(2, len(autos))):
                     assert apply_automorphism(graph, phi, a) == automorphism_by_tips(graph, phi, a)
+
+
+def test_apply_automorphism_of_a_hand_made_tree_that_breaks_the_rule(rose2t):
+    """A separated element made by hand whose tree uses both edges of
+    rose2t's block has no image: SgisError, as for its inverse."""
+    v = vertex_path("v")
+    bad = LowerSet("v", sorted_paths(rose2t, [v, Path("v", (E,)), Path("v", (F,))]))
+    a = Element(bad, v, Level.SEPARATED)
+    for phi in graph_automorphisms(rose2t):
+        with pytest.raises(SgisError, match="broke the separated rule"):
+            apply_automorphism(rose2t, phi, a)
 
 
 def test_apply_automorphism_walks_the_element_word(rose2t, monkeypatch):

@@ -99,6 +99,15 @@ def test_lower_closure_rejects_unreduced_member(rose2f):
         lower_closure(rose2f, [Path("v", (E, Ei))])
 
 
+def test_lower_closure_reads_each_path_through_the_door(rose2f, mixed):
+    """An unknown edge, or letters that do not compose, raise WordError,
+    and no KeyError leaves."""
+    with pytest.raises(WordError, match="unknown edge 'zzz'"):
+        lower_closure(rose2f, [Path("v", (Letter("zzz"),))])
+    with pytest.raises(WordError, match="does not compose"):
+        lower_closure(mixed, [Path("w", (Letter("d"), Letter("a", True), Letter("c")))])
+
+
 def test_lower_closure_mixed_sources(fim2):
     with pytest.raises(WordError):
         lower_closure(fim2, [vertex_path("v"), vertex_path("x1")])

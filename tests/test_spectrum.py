@@ -9,6 +9,7 @@ from helpers import (
     make_word,
     random_filter_truncation,
     random_lower_set,
+    random_separated_graph,
     sample_cylinders,
     separated_paths,
 )
@@ -21,6 +22,7 @@ from sgis.semilattice import (
     is_compatible_set_by_configs,
     is_separated_compatible_family,
     lower_closure,
+    max_elements,
     meet,
 )
 from sgis.spectrum import (
@@ -222,6 +224,18 @@ def test_make_cylinder_validates(rose2f):
         make_cylinder(rose2f, J, [Path("v", (Ei, E))])  # not reduced
 
 
+def test_make_cylinder_reads_each_excluded_path_through_the_door(mixed):
+    """An excluded path whose letters do not compose, or that names an
+    unknown edge, is rejected as `checked_path` rejects it, as a
+    CylinderError."""
+    A, C, D = Letter("a"), Letter("c", True), Letter("d")
+    I = make_cylinder(mixed, lower_closure(mixed, [Path("v", (A,))]), []).tree
+    with pytest.raises(CylinderError, match="does not compose"):
+        make_cylinder(mixed, I, [Path("v", (A, C, D))])
+    with pytest.raises(CylinderError, match="unknown edge 'zzz'"):
+        make_cylinder(mixed, I, [Path("v", (A, Letter("zzz")))])
+
+
 def test_make_cylinder_rejects_a_tree_that_breaks_the_block_rule(rose2t, mixed):
     """A canonical tree whose members use two edges of one block, at one node
     or through the letter back to a node's parent, names no cylinder: its
@@ -276,24 +290,49 @@ def test_cylinder_difference_simple(rose2f):
     assert parts[0].tree == B1.tree and parts[0].excluded == (Path("v", (E,)),)
 
 
-@pytest.mark.parametrize("name", ["rose1t", "rose2t", "rose2f", "fim2", "fim2inf", "mixed"])
+def _rungs(B1, B2) -> list[int]:
+    """The number of rungs of each ladder of B1 minus B2: the positive
+    letters of each tip of I2 past its longest prefix in I1."""
+    I1 = B1.tree
+    return [
+        sum(not x.inverse for x in h.letters[I1.reach(h.letters)[1] :])
+        for h in max_elements(B2.tree)
+        if h not in I1
+    ]
+
+
+@pytest.mark.parametrize("name", ["rose1t", "rose2t", "rose2f", "fim2", "fim2inf", "mixed", "generated"])
 def test_cylinder_difference_matches_the_walk_route(name, request):
     """Trees merged from chains give the parts that walking tip words gives,
-    in the same order, on 300 sampled pairs per graph.  On the graphs with a
-    block of two edges some H clashes with I1 u I2 and names no part."""
-    graph = request.getfixturevalue(name)
-    rng = random.Random(f"difference:{name}")
-    cylinders = sample_cylinders(graph, rng, 40) + sample_cylinders(graph, rng, 20, max_len=3)
-    clashes = 0
-    for _ in range(300):
-        B1, B2 = rng.choice(cylinders), rng.choice(cylinders)
-        assert cylinder_difference(graph, B1, B2) == cylinder_difference_by_walks(graph, B1, B2), (B1, B2)
-        J = meet(graph, B1.tree, B2.tree)
-        if J is not None:
-            H = set(B2.excluded) - set(B1.excluded)
-            clashes += any(meet(graph, J, lower_closure(graph, [h])) is None for h in H)
-    if name in ("rose2t", "mixed"):
+    in the same order, on 300 sampled pairs per graph, and on 30 pairs at a
+    vertex of each of 60 generated graphs (graph seeds 0..59) with trees of
+    depth 3, where ladders of two rungs and more occur.  On the graphs with
+    a block of two edges some H clashes with I1 u I2 and names no part."""
+    if name == "generated":
+        cases = []
+        for seed in range(60):
+            graph = random_separated_graph(random.Random(seed), 4)
+            rng = random.Random(f"difference:{seed}")
+            v = rng.choice(graph.vertices)
+            cases.append((graph, rng, sample_cylinders(graph, rng, 12, max_len=3, v=v), 30))
+    else:
+        graph = request.getfixturevalue(name)
+        rng = random.Random(f"difference:{name}")
+        cases = [(graph, rng, sample_cylinders(graph, rng, 40) + sample_cylinders(graph, rng, 20, max_len=3), 300)]
+    clashes = tall = 0
+    for graph, rng, cylinders, pairs in cases:
+        for _ in range(pairs):
+            B1, B2 = rng.choice(cylinders), rng.choice(cylinders)
+            assert cylinder_difference(graph, B1, B2) == cylinder_difference_by_walks(graph, B1, B2), (B1, B2)
+            J = meet(graph, B1.tree, B2.tree)
+            if J is not None:
+                H = set(B2.excluded) - set(B1.excluded)
+                clashes += any(meet(graph, J, lower_closure(graph, [h])) is None for h in H)
+                tall += max(_rungs(B1, B2), default=0) >= 2
+    if name in ("rose2t", "mixed", "generated"):
         assert clashes > 0
+    if name == "generated":
+        assert tall > 0
 
 
 def _sample_cylinders(graph, rng, n, max_len=2):
