@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .errors import Budget, IncompatiblePathsError, SgisError, WordError
+from .errors import Budget, SgisError, WordError
 from .graph import Block, SeparatedGraph
 from .paths import (
     Letter,
@@ -41,15 +41,13 @@ from .semigroup import (
 )
 from .semilattice import (
     LowerSet,
-    block_rule_break,
     canonicalize,
     chain_tree,
     chain_unions,
+    checked_tree,
     compatible_with,
-    is_canonical,
     is_subtree,
     max_elements,
-    meet,
     merge_tries,
 )
 
@@ -173,23 +171,19 @@ def render_algebra_element(graph: SeparatedGraph, a: AlgebraElement) -> str:
 
 
 def idempotent_of(graph: SeparatedGraph, I: LowerSet) -> AlgebraElement:
-    """The basis idempotent whose tree is the canonical form of I; a
-    canonical I is its own canonical form, and no walk is made.  I may come
-    from outside, so the block rule is checked first: a tree that breaks it
-    raises IncompatiblePathsError with two members that clash, as its
-    idempotent is zero."""
-    clash = block_rule_break(graph, I)
-    if clash is not None:
-        raise IncompatiblePathsError(*clash)
-    tree = I if is_canonical(I) else canonicalize(graph, I)
+    """The basis idempotent whose tree is the canonical form of I.  I may
+    come from outside, so it enters through `checked_tree`: a tree that
+    breaks the block rule raises IncompatiblePathsError with two members
+    that clash, as its idempotent is zero."""
+    tree = canonicalize(graph, checked_tree(graph, I))
     el = Element(tree, vertex_path(tree.base), Level.SEPARATED)
     return AlgebraElement.of(graph, el)
 
 
 def path_element(graph: SeparatedGraph, p: Path) -> AlgebraElement:
     """The image of a separated path as a single partial isometry; p is
-    checked by `checked_path`."""
-    el = make_element(graph, [checked_path(graph, p)], p, Level.SEPARATED)
+    checked by `make_element`'s `checked_path`."""
+    el = make_element(graph, [p], p, Level.SEPARATED)
     return AlgebraElement.of(graph, el)
 
 
@@ -217,15 +211,14 @@ def cylinder_idempotent(graph: SeparatedGraph, B) -> AlgebraElement:
     The terms are distinct, so each keeps its coefficient +1 or -1: every f
     is a one-step branch extension of I, ending in its one positive letter
     outside I, so f lies in I u S iff f is in S.  B is a cylinder of
-    `make_cylinder` or made from one: I keeps the block rule, and each f is
-    reduced and separated.  The product equals e(I) times one `branch_gap`
-    per f: the head of f, its longest prefix in I, is a member of I, so
-    e(I) e(head) = e(I)."""
-    I = B.tree if is_canonical(B.tree) else canonicalize(graph, B.tree)
-    vertex = vertex_path(I.base)
+    `make_cylinder` or made from one: I is canonical and keeps the block
+    rule, and each f is reduced and separated.  The product equals e(I)
+    times one `branch_gap` per f: the head of f, its longest prefix in I, is
+    a member of I, so e(I) e(head) = e(I)."""
+    vertex = vertex_path(B.tree.base)
     terms = {
         Element(tree, vertex, Level.SEPARATED): (-1) ** len(S)
-        for S, tree in chain_unions(graph, I, B.excluded)
+        for S, tree in chain_unions(graph, B.tree, B.excluded)
     }
     return AlgebraElement._clean(graph, terms)
 
@@ -301,12 +294,14 @@ def bounded_cover_check(
     witness tuples rather than over all canonical extensions.  It carries
     the tree of I and the witnesses so far, each new witness merged in as
     its chain: a candidate joins iff it is `compatible_with` that tree, a
-    covering tree is still to be killed iff its `meet` with the tree is
-    not zero, and the counterexample is the tree's canonical form.
+    covering tree is still to be killed iff its `merge_tries` with the tree
+    under the block rule is not zero, and the counterexample is the tree's
+    canonical form.  I and the covering trees enter through `checked_tree`.
     """
     budget = budget or Budget(context="cover counterexample search")
+    checked_tree(graph, I)
     for Z in covering:
-        if not is_subtree(I, Z):
+        if not is_subtree(I, checked_tree(graph, Z)):
             raise SgisError("covering trees must extend the covered tree")
     if not covering:
         raise SgisError("empty covering family")
@@ -320,7 +315,7 @@ def bounded_cover_check(
 
     def search(tree: LowerSet) -> LowerSet | None:
         budget.spend()
-        pending = [Z for Z in covering if meet(graph, tree, Z) is not None]
+        pending = [Z for Z in covering if merge_tries(graph, tree, Z, separated=True) is not None]
         if not pending:
             return tree
         target = pending[0]

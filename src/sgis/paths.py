@@ -19,6 +19,7 @@ graph: one lookup of each atom's source and one of its range, and one
 comparison of the two lists for composability, with no loop in Python.
 `checked_path` is the one check of a path given from outside: read by that
 reader, then reduced and separated; nothing built from it is checked again.
+`reduced_path` is its first half, for paths that need not be separated.
 A path renders as its letters' `text`s.
 """
 
@@ -379,15 +380,20 @@ def word_from_atoms(
     return Path(sources[0], tuple(filterfalse(graph.vertex_index.__contains__, atoms)))
 
 
-def checked_path(graph: SeparatedGraph, p: Path) -> Path:
+def reduced_path(graph: SeparatedGraph, p: Path) -> Path:
     """p, once `word_from_atoms` reads its base and letters (an unknown atom
-    raises its WordError) and they compose, are reduced and are separated;
-    each other failure is a WordError naming p."""
+    raises its WordError) and they compose and are reduced; each other
+    failure is a WordError naming p.  For paths that need not be separated."""
     if word_from_atoms(graph, [p.base, *p.letters]) is None:
         raise WordError(f"path {render_path(p)!r} does not compose")
     if not is_reduced(p):
         raise WordError(f"path {render_path(p)!r} is not reduced")
-    if not is_separated_path(graph, p):
+    return p
+
+
+def checked_path(graph: SeparatedGraph, p: Path) -> Path:
+    """p, once it passes `reduced_path` and is separated, else a WordError."""
+    if not is_separated_path(graph, reduced_path(graph, p)):
         raise WordError(f"path {render_path(p)!r} is not separated")
     return p
 

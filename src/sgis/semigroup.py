@@ -15,8 +15,10 @@ tree data (`make_element`) is walked as `tree_word` reads it, and a
 translated tree (`act_on_tree`) as the translation followed by the tree's
 tour.  `evaluate` reads its word once, through `paths.word_from_atoms`, and
 the normal form is read off the trie: `render_element` climbs from each tip
-to the root and joins the letters' texts, building no path.  Each level
-adds one rule to the one below it:
+to the root and joins the letters' texts, building no path.  A tree and a
+carrier from outside enter by one door, `make_element`; a walk always keeps
+its end's anchor, so the operations trust the elements they build.  Each
+level adds one rule to the one below it:
 
 * FREE       -- plain Munn trees: any finite lower set containing the full
                 carrier path; no separation constraints.
@@ -42,7 +44,6 @@ from typing import Iterable, Sequence
 from .errors import (
     ActionDomainError,
     Budget,
-    IncompatiblePathsError,
     LevelMismatchError,
     SgisError,
     WordError,
@@ -52,17 +53,19 @@ from .paths import (
     FreeGroupWord,
     Letter,
     Path,
+    checked_path,
     path_inverse,
     path_range,
     positive_length,
     positive_part,
+    reduced_path,
     render_path,
     star,
     word_from_atoms,
 )
 from .semilattice import (
     LowerSet,
-    block_rule_break,
+    checked_tree,
     is_subtree,
     merge_tries,
     munn_tree,
@@ -93,6 +96,8 @@ ZERO = ZeroElement()
 
 @dataclass(frozen=True)
 class Element:
+    """Made by the engine or by `make_element`, and trusted by every operation."""
+
     tree: LowerSet
     carrier: Path
     level: Level
@@ -110,33 +115,29 @@ class Element:
 
 
 def make_element(graph: SeparatedGraph, tree_paths: Iterable[Path], carrier: Path, level: Level) -> Element:
-    """Normalize and validate an element from raw tree data: walk the paths
-    (and the carrier at the free level) from the carrier's source, pruned
-    above the free level.  At the separated level a clash that
-    `block_rule_break` names raises IncompatiblePathsError: the pruning keeps
-    both members, each positively entered or an ancestor of such a node."""
-    paths = list(tree_paths)
+    """The element of raw tree data: the paths and the carrier read by
+    `checked_path` at the separated level and by `reduced_path` below it,
+    walked from the carrier's source (with the carrier at the free level)
+    and pruned above it.  A separated tree enters through `checked_tree`:
+    the pruning keeps both members of a clash, each positively entered or
+    an ancestor of such a node.  The carrier's anchor (the whole carrier at
+    the free level, its positive part above) must be in the tree."""
+    read = checked_path if level is Level.SEPARATED else reduced_path
+    carrier = read(graph, carrier)
+    paths = [read(graph, p) for p in tree_paths]
     if any(p.base != carrier.base for p in paths):
         raise WordError("tree and carrier disagree on the source vertex")
     word = tree_word(paths)
     if level is Level.FREE:
         word += carrier.letters
     tree = munn_tree(graph, carrier.base, word, canonical=level is not Level.FREE)[0]
-    if level is Level.SEPARATED and (clash := block_rule_break(graph, tree)) is not None:
-        raise IncompatiblePathsError(*clash)
-    return _checked(Element(tree, carrier, level))
-
-
-def _checked(a: Element) -> Element:
-    """a, once its carrier's anchor (the whole carrier at the free level,
-    its positive part above) is a member of its tree: one `reach` down the
-    trie over the carrier's letters, so no path, tip or table is built."""
-    letters = a.carrier.letters
-    cut = len(letters) if a.level is Level.FREE else positive_length(letters)
-    if a.carrier.base != a.tree.base or a.tree.reach(letters)[1] < cut:
-        anchor = Path(a.carrier.base, letters[:cut])
-        raise SgisError(f"carrier anchor {anchor!r} missing from tree {a.tree!r}")
-    return a
+    if level is Level.SEPARATED:
+        checked_tree(graph, tree)
+    letters = carrier.letters
+    cut = len(letters) if level is Level.FREE else positive_length(letters)
+    if tree.reach(letters)[1] < cut:
+        raise SgisError(f"carrier anchor {Path(carrier.base, letters[:cut])!r} missing from tree {tree!r}")
+    return Element(tree, carrier, level)
 
 
 def from_letter(graph: SeparatedGraph, atom: "str | Letter", level: Level) -> Element:
@@ -175,7 +176,7 @@ def multiply(graph: SeparatedGraph, a, b):
         tree = merge_tries(graph, a.tree, b.tree, separated=a.level is Level.SEPARATED)
         return ZERO if tree is None else Element(tree, a.carrier, a.level)
     tree, end = _walk(graph, a.carrier.base, _word(a) + _word(b), a.level)
-    return ZERO if tree is None else _checked(Element(tree, end, a.level))
+    return ZERO if tree is None else Element(tree, end, a.level)
 
 
 def inverse(graph: SeparatedGraph, a):
@@ -185,7 +186,7 @@ def inverse(graph: SeparatedGraph, a):
     tree, end = _walk(graph, path_range(graph, a.carrier), star(_word(a)), a.level)
     if tree is None:
         raise SgisError(f"the inverse of {a!r} broke the separated rule")
-    return _checked(Element(tree, end, a.level))
+    return Element(tree, end, a.level)
 
 
 def is_idempotent(a) -> bool:
@@ -207,7 +208,7 @@ def evaluate(graph: SeparatedGraph, atoms: Sequence["str | Letter"], level: Leve
     if word is None:
         return ZERO
     tree, end = _walk(graph, word.base, word.letters, level)
-    return ZERO if tree is None else _checked(Element(tree, end, level))
+    return ZERO if tree is None else Element(tree, end, level)
 
 
 def render_element(a) -> str:
@@ -246,15 +247,16 @@ def grading(a) -> FreeGroupWord:
 
 
 def action_domain_contains(graph: SeparatedGraph, g: Path, tree: LowerSet) -> bool:
-    """Membership in the domain ideal indexed by g: the tree sits at the
-    source of g and contains g's positive part."""
-    return tree.base == g.base and positive_part(g) in tree
+    """Membership in the domain ideal indexed by g, a path read by
+    `reduced_path`: the tree sits at the source of g and contains g's
+    positive part."""
+    return reduced_path(graph, g).base == tree.base and positive_part(g) in tree
 
 
 def act_on_tree(graph: SeparatedGraph, g: Path, tree: LowerSet) -> LowerSet:
-    """Translate a canonical tree by g; defined when the tree lies in the
-    domain of the inverse direction."""
-    g_inv = path_inverse(graph, g)
+    """Translate a canonical tree by g, a path read by `reduced_path`;
+    defined when the tree lies in the domain of the inverse direction."""
+    g_inv = path_inverse(graph, reduced_path(graph, g))
     if not action_domain_contains(graph, g_inv, tree):
         raise ActionDomainError(
             f"tree {tree!r} is outside the domain of translation by {g!r}"
@@ -347,4 +349,4 @@ def apply_automorphism(graph: SeparatedGraph, phi: GraphAutomorphism, a):
     tree, end = _walk(graph, base, list(map(move.__getitem__, _word(a))), a.level)
     if tree is None:
         raise SgisError(f"the image of {a!r} broke the separated rule")
-    return _checked(Element(tree, end, a.level))
+    return Element(tree, end, a.level)

@@ -26,9 +26,10 @@ configuration at node n.
 Compatibility is the per-node block rule, `block_clash`: the walk checks it
 as it adds a node, the merge across the two tries (`meet` gives None), and
 `compatible_with`, the one test of a path against a tree, at the node where
-the path leaves it.  `block_rule_break` reads the rule at every node and
-names the first two members that clash: for a tree given from outside, and
-for `lower_closure` and `make_element`, which close the family first.
+the path leaves it.  A tree from outside enters through one door,
+`checked_tree`, which reads the rule at every node (`block_rule_break`) and
+names the first two members that clash; the engine's own unions call
+`merge_tries` on trees it checked or built, and check nothing again.
 Containment is `is_subtree`, a test of one tree's tips against the other
 tree; the class order and the engine's natural order both use it.
 """
@@ -323,6 +324,15 @@ def block_rule_break(graph: SeparatedGraph, I: LowerSet) -> tuple[Path, Path] | 
     return None
 
 
+def checked_tree(graph: SeparatedGraph, I: LowerSet) -> LowerSet:
+    """I, once it keeps the block rule, the one check of a tree from
+    outside; else IncompatiblePathsError names the clash `block_rule_break` finds."""
+    clash = block_rule_break(graph, I)
+    if clash is not None:
+        raise IncompatiblePathsError(*clash)
+    return I
+
+
 def block_clash(graph: SeparatedGraph, letters: Iterable[Letter], x: Letter) -> str | None:
     """The block rule at one node: the edge of x's block that another
     positive letter among `letters` already uses, or None.  An inverse x
@@ -356,14 +366,10 @@ def lower_closure(graph: SeparatedGraph, paths: Iterable[Path]) -> LowerSet:
 
     Raises WordError for a member that `checked_path` rejects, or for mixed
     sources, and IncompatiblePathsError naming the first two members of the
-    closure that break the block rule (`block_rule_break`), whatever order
-    the paths come in.
+    closure that break the block rule (`checked_tree`), whatever order the
+    paths come in.
     """
-    tree = lower_closure_unchecked(graph, [checked_path(graph, p) for p in paths])
-    clash = block_rule_break(graph, tree)
-    if clash is not None:
-        raise IncompatiblePathsError(*clash)
-    return tree
+    return checked_tree(graph, lower_closure_unchecked(graph, [checked_path(graph, p) for p in paths]))
 
 
 def is_separated_compatible_family(
@@ -421,9 +427,9 @@ def is_subtree(J: LowerSet, I: LowerSet) -> bool:
 
 
 def canonicalize(graph: SeparatedGraph, I: LowerSet) -> LowerSet:
-    """Largest member of the congruence class: the walk of the tips that
-    keeps only the prefixes of their positive parts."""
-    return munn_tree(graph, I.base, I.tour(), canonical=True)[0]
+    """Largest member of the congruence class: the walk of the tour that
+    keeps the positive parts' prefixes; a canonical I is returned as it is."""
+    return I if is_canonical(I) else munn_tree(graph, I.base, I.tour(), canonical=True)[0]
 
 
 def is_canonical(I: LowerSet) -> bool:
@@ -507,9 +513,9 @@ def merge_tries(
 def meet(graph: SeparatedGraph, I: LowerSet, J: LowerSet) -> LowerSet | None:
     """e(I) e(J) = e(I u J) in the semilattice: the union when the two trees
     lie over one vertex and together keep the block rule, else None (the
-    zero).  The union is `merge_tries` under the rule, which checks it only
-    across the two trees: the precondition is that I and J each keep the
-    rule, as every tree made under `separated=True` does."""
+    zero).  I and J enter through `checked_tree`, so `merge_tries` under the
+    rule need check only across them."""
+    I, J = checked_tree(graph, I), checked_tree(graph, J)
     if I.base != J.base:
         return None
     return merge_tries(graph, I, J, separated=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import Budget, CylinderError, SgisError, WordError
+from .errors import Budget, CylinderError, IncompatiblePathsError, SgisError, WordError
 from .graph import Block, SeparatedGraph, isolated_vertices
 from .paths import (
     Letter,
@@ -30,15 +30,14 @@ from .semilattice import (
     LowerSet,
     canonicalize,
     block_clash,
-    block_rule_break,
     chain_tree,
     chain_unions,
+    checked_tree,
     compatible_with,
     is_canonical,
     is_subtree,
     lower_closure,
     max_elements,
-    meet,
     merge_tries,
 )
 
@@ -171,7 +170,8 @@ def extend_inverse_tails(graph: SeparatedGraph, Z: Truncation, depth: int) -> Tr
 
 @dataclass(frozen=True)
 class Cylinder:
-    """Filters containing `tree` and avoiding each member of `excluded`."""
+    """Filters containing `tree` and avoiding each member of `excluded`;
+    made by `make_cylinder` or from its cylinders, and trusted."""
 
     tree: LowerSet
     excluded: tuple[Path, ...] = ()
@@ -204,14 +204,16 @@ def is_branch_extension(graph: SeparatedGraph, I: LowerSet, f: Path) -> bool:
 
 
 def make_cylinder(graph: SeparatedGraph, I: LowerSet, excluded: Iterable[Path]) -> Cylinder:
+    """Z(I \\ F) from outside: I canonical and through `checked_tree`, F
+    through `checked_path` and branch extensions of I; else CylinderError."""
     if not is_canonical(I):
         raise CylinderError(f"tree {I!r} is not canonical")
-    clash = block_rule_break(graph, I)
-    if clash is not None:
-        p, q = map(render_path, clash)
-        raise CylinderError(f"tree {I!r} breaks the block rule at {p!r}, {q!r}")
     try:
+        checked_tree(graph, I)
         exc = sorted_paths(graph, {checked_path(graph, f) for f in excluded})
+    except IncompatiblePathsError as err:
+        p, q = map(render_path, err.pair)
+        raise CylinderError(f"tree {I!r} breaks the block rule at {p!r}, {q!r}") from None
     except WordError as err:
         raise CylinderError(str(err)) from None
     for f in exc:
@@ -261,8 +263,9 @@ def cylinder_member(graph: SeparatedGraph, Z: Truncation, B: Cylinder) -> bool:
 def cylinder_intersect(graph: SeparatedGraph, B1: Cylinder, B2: Cylinder) -> Cylinder | None:
     """Z(I1\\F1) n Z(I2\\F2) = Z(I1 u I2 \\ F1 u F2), with the early exits:
     incompatible union, or an excluded path forced inside.  Constraints made
-    vacuous by incompatibility with the union are dropped."""
-    J = meet(graph, B1.tree, B2.tree)
+    vacuous by incompatibility with the union are dropped.  Both trees keep
+    the block rule, so their union is one `merge_tries` under it."""
+    J = merge_tries(graph, B1.tree, B2.tree, separated=True) if B1.tree.base == B2.tree.base else None
     if J is None:
         return None
     excluded = set(B1.excluded) | set(B2.excluded)

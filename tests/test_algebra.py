@@ -310,6 +310,18 @@ def test_cover_check_examples(rose2t, rose2f):
     assert bounded_cover_check(rose2f, root_f, [Ie_f], 3).covered
 
 
+def test_cover_check_rejects_a_tree_that_breaks_the_rule(rose2t):
+    """T = {v, f, e} uses both edges of rose2t's block, so its idempotent is
+    zero: as a covering tree, or as the covered one, it is turned away at
+    entry, where a search would report a cover by zero."""
+    v = vertex_path("v")
+    T = LowerSet("v", (v, Path("v", (F,)), Path("v", (E,))))
+    for I, covering in ((chain_tree(v), [T]), (T, [T])):
+        with pytest.raises(IncompatiblePathsError) as err:
+            bounded_cover_check(rose2t, I, covering, 3)
+        assert err.value.pair == (Path("v", (F,)), Path("v", (E,)))
+
+
 def test_cover_check_counterexample_is_valid(mixed):
     # {aa*} does not cover v in the mixed graph: b and c escape
     root = lower_closure(mixed, [vertex_path("v")])

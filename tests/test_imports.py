@@ -139,3 +139,45 @@ def test_dead_code_guard_examples():
     source = "import a.b\nfrom c import d\ndef f(): f(); g.h; 'k'\nclass C: pass\n"
     assert referenced_names(source) == {"b", "d", "g", "h", "k"}
     assert referenced_names("def f(): return f()\ndef g(): f()\n") == {"f"}
+
+
+def callers_of(source: str, name: str) -> set[str]:
+    """The top-level definitions that call `name`, as a name or as an
+    attribute; a call outside every definition counts as `<module>`."""
+    out = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                    out.add(getattr(top, "name", "<module>"))
+    return out
+
+
+def test_a_tree_from_outside_is_checked_at_one_door():
+    """In the package only `semilattice.checked_tree` reads the block rule of
+    a whole tree (`block_rule_break`); nothing calls `meet`, the door for two
+    trees from outside, as the engine joins its own trees by `merge_tries`;
+    and no module defines `_checked`, a re-check of elements the engine
+    built."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+
+    def callers(name):
+        return {f"{module}.{d}" for module, text in sources.items() for d in callers_of(text, name)}
+
+    assert callers("block_rule_break") == {"semilattice.checked_tree"}
+    assert callers("meet") == set()
+    defined = [
+        module
+        for module, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_checked"
+    ]
+    assert defined == []
+
+
+def test_door_guard_examples():
+    source = "def f(): g(); m.h()\nclass C:\n    def k(self): h(1)\nh()\n"
+    assert callers_of(source, "h") == {"f", "C", "<module>"}
+    assert callers_of(source, "g") == {"f"}
+    assert callers_of(source, "k") == set()

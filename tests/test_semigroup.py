@@ -40,6 +40,7 @@ from sgis.paths import (
     parse_word_string,
     path_inverse,
     path_range,
+    positive_part,
     render_free_word,
     sorted_paths,
     steps,
@@ -69,6 +70,7 @@ from sgis.semilattice import (
     LowerSet,
     canonicalize,
     canonicalize_by_stripping,
+    chain_tree,
     lower_closure,
     max_elements,
     munn_tree,
@@ -650,6 +652,46 @@ def test_make_element_validates_at_the_separated_level(rose2t):
     for level in (Level.FREE, Level.TOEPLITZ):
         el = make_element(rose2t, family, vertex_path("v"), level)
         assert el == evaluate(rose2t, [E, Ei, F, Fi], level)
+
+
+def test_outside_paths_of_elements_and_translations_pass_the_doors(rose2f):
+    """On rose2f, a tree path with an unknown edge (at the separated and at
+    the free level) and an unreduced carrier make no element, and an
+    unknown edge in a translation leaks no KeyError: each is a WordError."""
+    v, zzz = vertex_path("v"), Path("v", (Letter("zzz"),))
+    for paths, carrier, level in (
+        ([zzz], v, Level.SEPARATED),
+        ([Path("v", (E, Letter("zzz")))], v, Level.FREE),
+        ([Path("v", (E,))], Path("v", (E, Ei)), Level.SEPARATED),
+    ):
+        with pytest.raises(WordError):
+            make_element(rose2f, paths, carrier, level)
+    for act in (act_on_tree, action_domain_contains):
+        with pytest.raises(WordError, match="unknown edge 'zzz'"):
+            act(rose2f, zzz, chain_tree(v))
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_every_walk_keeps_its_carriers_anchor(name):
+    """The elements that `evaluate`, `multiply`, `inverse` and
+    `apply_automorphism` build are checked by no code: their carrier's
+    anchor (the whole carrier at the free level, its positive part above)
+    is a member of the tree, on seeded words at the three levels."""
+    graph = load(name)
+    rng = random.Random(f"anchor:{name}")
+    autos = graph_automorphisms(graph)
+    for level in Level:
+        separated = level is Level.SEPARATED
+        els = [evaluate(graph, random_walk_word(graph, rng, 12), level) for _ in range(40)]
+        els += [evaluate(graph, _branching_walk(graph, rng, 60, separated), level) for _ in range(20)]
+        els += [inverse(graph, a) for a in els if a is not ZERO]
+        els += [multiply(graph, a, b) for a in els for b in rng.sample(els, 3)]
+        els += [apply_automorphism(graph, phi, a) for a in els[:60] for phi in autos[:3]]
+        built = [a for a in els if a is not ZERO]
+        assert len(built) > 100
+        for a in built:
+            anchor = a.carrier if level is Level.FREE else positive_part(a.carrier)
+            assert anchor in a.tree, (level, a)
 
 
 def _branching_walk(graph, rng, n, separated=False):

@@ -27,7 +27,8 @@ from helpers import (
     union_meet,
     walked_union,
 )
-from sgis.errors import IncompatiblePathsError, SgisError, WordError
+from sgis.algebra import bounded_cover_check, idempotent_of
+from sgis.errors import CylinderError, IncompatiblePathsError, SgisError, WordError
 from sgis.oracle import random_walk_word, string_normal_form
 from sgis.paths import (
     Letter,
@@ -72,7 +73,7 @@ from sgis.semilattice import (
     munn_tree,
     render_lower_set,
 )
-from sgis.spectrum import Truncation, extend_inverse_tails, trim_inverse_tails
+from sgis.spectrum import Truncation, extend_inverse_tails, make_cylinder, trim_inverse_tails
 
 ALL_GRAPHS = ("rose1t", "rose2t", "rose2f", "fim2", "fim2inf", "mixed")
 
@@ -448,6 +449,54 @@ def test_meet_examples(rose2t, rose2f):
     If2 = lower_closure(rose2f, [make_word(rose2f, "v", (F,))])
     got = meet(rose2f, Ie2, If2)
     assert {p.letters for p in got.paths} == {(), (E,), (F,)}
+
+
+def test_meet_checks_both_trees(rose2t):
+    """T = {v, f, e} uses both edges of rose2t's block, so it stands for
+    zero: `meet` rejects it as either operand and names (f, e), where the
+    merge alone, which checks only across the two trees, returns T."""
+    v = vertex_path("v")
+    T = LowerSet("v", (v, Path("v", (F,)), Path("v", (E,))))
+    for I, J in ((T, chain_tree(v)), (chain_tree(v), T)):
+        with pytest.raises(IncompatiblePathsError) as err:
+            meet(rose2t, I, J)
+        assert err.value.pair == (Path("v", (F,)), Path("v", (E,)))
+
+
+@pytest.mark.parametrize("name", ("rose2t", "mixed"))
+def test_every_door_rejects_a_tree_that_breaks_the_rule(name, request):
+    """Trees closed from seeded families of separated paths, with no
+    compatibility filter, on the graphs with a block of two edges.  Each
+    tree that breaks the block rule is turned away at every door: its paths
+    by `lower_closure` and `make_element`; the tree by `idempotent_of`, by
+    `meet` on either side and as a covering tree of `bounded_cover_check`;
+    and its canonical form, which keeps both members of the clash, by
+    `make_cylinder`."""
+    graph = request.getfixturevalue(name)
+    rng = random.Random(f"doors:{name}")
+    breaks, v = 0, "v"  # the block of two edges leaves v
+    root = chain_tree(vertex_path(v))
+    for _ in range(200):
+        fam = [random_separated_path(graph, v, rng, 4) for _ in range(rng.randint(2, 4))]
+        T = closure_tree(graph, fam)
+        if block_rule_break(graph, T) is None:
+            continue
+        breaks += 1
+        for enter in (
+            lambda: lower_closure(graph, fam),
+            lambda: make_element(graph, fam, vertex_path(v), Level.SEPARATED),
+            lambda: idempotent_of(graph, T),
+            lambda: meet(graph, T, root),
+            lambda: meet(graph, root, T),
+            lambda: bounded_cover_check(graph, root, [T], 2),
+        ):
+            with pytest.raises(IncompatiblePathsError):
+                enter()
+        C = canonicalize(graph, T)
+        assert block_rule_break(graph, C) is not None, T
+        with pytest.raises(CylinderError, match="breaks the block rule"):
+            make_cylinder(graph, C, [])
+    assert breaks >= 20, breaks
 
 
 def test_meet_distinct_vertices_is_zero(fim2):
