@@ -30,14 +30,18 @@ level adds one rule to the one below it:
                 compatible; the walk checks this node by node and the
                 element is zero when it fails.
 
-Equality of elements is structural equality of (canonical tree, carrier,
-level); normal-form uniqueness makes this semantic equality.
+An `Element` is an immutable value, slotted as `paths.Path` is: its slots
+are set once, assigning one raises FrozenInstanceError, and copies and
+pickles are equal to it.  Equality of elements is structural equality of
+(level, carrier, canonical tree), the level compared by identity; normal-form
+uniqueness makes this semantic equality.  The hash is computed on first use
+and kept on the element, as the algebra's term dicts key by elements.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -94,24 +98,58 @@ class ZeroElement:
 ZERO = ZeroElement()
 
 
-@dataclass(frozen=True)
 class Element:
-    """Made by the engine or by `make_element`, and trusted by every operation."""
+    """A tree, a carrier and a level: an immutable value, made by the engine
+    or by `make_element`, and trusted by every operation.
 
-    tree: LowerSet
-    carrier: Path
-    level: Level
+    The three slots are set once, through their member descriptors, so a
+    construction runs no generated code; assigning or deleting any slot
+    raises FrozenInstanceError, and copying or pickling an element gives an
+    equal one.  Two elements are equal when their levels are the same
+    member and their carriers and then their trees are equal.  The hash is
+    that of the trie's two arrays and the carrier's fields, which equality
+    reads, computed on first use and kept in a fourth slot: elements key the
+    algebra's term dicts, while most elements of words and products are
+    never hashed."""
+
+    __slots__ = ("tree", "carrier", "level", "_hash")
+
+    def __init__(self, tree: LowerSet, carrier: Path, level: Level):
+        _set_tree(self, tree)
+        _set_carrier(self, carrier)
+        _set_level(self, level)
+        _set_hash(self, None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Element, (self.tree, self.carrier, self.level)
+
+    def __eq__(self, other):
+        if other.__class__ is Element:
+            return self.level is other.level and self.carrier == other.carrier and self.tree == other.tree
+        return NotImplemented
 
     def __hash__(self) -> int:
-        # elements key the algebra's term dicts, so the deep hash is cached
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
-            h = hash((self.tree, self.carrier, self.level))
-            object.__setattr__(self, "_hash", h)
+            tree, carrier = self.tree, self.carrier
+            h = hash((tree.parent, tree.entered, carrier.base, carrier.letters))
+            _set_hash(self, h)
         return h
 
     def __repr__(self) -> str:
         return f"<{render_element(self)}>"
+
+
+_set_tree = Element.tree.__set__
+_set_carrier = Element.carrier.__set__
+_set_level = Element.level.__set__
+_set_hash = Element._hash.__set__
 
 
 def make_element(graph: SeparatedGraph, tree_paths: Iterable[Path], carrier: Path, level: Level) -> Element:

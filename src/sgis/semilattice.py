@@ -93,7 +93,10 @@ class LowerSet:
             index[p.letters] = i
             parent.append(up)
             entered.append(p.letters[-1])
-        first, tips = _runs(parent)
+        # node n's children are one run of the nondecreasing `parent`, from
+        # first[n] to first[n + 1] - 1; a tip's run is empty
+        first = tuple([bisect_left(parent, n, 1) for n in range(len(parent) + 1)])
+        tips = tuple([n for n in range(len(parent)) if first[n] == first[n + 1]])
         self.__dict__.update(
             base=base, parent=tuple(parent), entered=tuple(entered), _paths=paths, _first=first, _tip_ids=tips
         )
@@ -179,14 +182,6 @@ def _trie(base: str, parent: tuple, entered: tuple, first: tuple, tips: tuple) -
     tree = object.__new__(LowerSet)
     tree.__dict__.update(base=base, parent=parent, entered=entered, _first=first, _tip_ids=tips)
     return tree
-
-
-def _runs(parent: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Where the children of each node start, and the tips, of a trie whose
-    `parent` list is nondecreasing: the children of node n are one run of
-    it, from first[n] to first[n + 1] - 1, and a tip's run is empty."""
-    first = tuple([bisect_left(parent, n, 1) for n in range(len(parent) + 1)])
-    return first, tuple([n for n in range(len(parent)) if first[n] == first[n + 1]])
 
 
 def render_lower_set(I: LowerSet) -> str:
@@ -471,7 +466,14 @@ def merge_tries(
     under a node of I whose children hold a different positive edge of its
     block gives None: each tree keeps the block rule on its own, and a node
     of both is entered by the same letter in both, so this cross check is
-    the whole rule.  A union of canonical trees is canonical."""
+    the whole rule.  A union of canonical trees is canonical.
+
+    Where each node's children start is marked on the way.  The union's
+    parents arrive in nondecreasing order, so a node appended under a parent
+    p whose children have not started yet is p's first child, and the first
+    of every unmarked node before p, which has none.  After the walk the
+    nodes still unmarked start at the length, and the tips are the nodes
+    whose run of children is empty."""
     parent1, entered1 = I.parent, I.entered
     parent2, entered2 = J.parent, J.entered
     end1, end2 = len(parent1), len(parent2)
@@ -479,35 +481,43 @@ def merge_tries(
     of1 = [0]  # a node of the union -> its node in I, -1 for none
     parent: list[int] = [-1]
     entered: list[Letter | None] = [None]
+    first: list[int] = []  # where the children of nodes 0 .. marked - 1 start
+    marked = 0
     done = end1 + end2  # the parent of a finished cursor: after every node
     i = j = 1
     while i < end1 or j < end2:
+        n = len(parent)
         p = at1[parent1[i]] if i < end1 else done
         q = at2[parent2[j]] if j < end2 else done
         if p != q:
             mine = p < q
         elif entered1[i] is entered2[j]:  # a node of both, taken once as I's
-            at2[j] = len(parent)
+            at2[j] = n
             j += 1
             mine = True
         else:
             mine = letter_key(graph, entered1[i]) < letter_key(graph, entered2[j])
         if mine:
-            at1[i] = len(parent)
+            x = entered1[i]
+            at1[i] = n
             of1.append(i)
-            parent.append(p)
-            entered.append(entered1[i])
             i += 1
-            continue
-        y, k = entered2[j], of1[q]
-        if separated and k >= 0 and block_clash(graph, I.children(k), y) is not None:
-            return None
-        at2[j] = len(parent)
-        of1.append(-1)
-        parent.append(q)
-        entered.append(y)
-        j += 1
-    return _trie(I.base, tuple(parent), tuple(entered), *_runs(parent))
+        else:
+            x, p = entered2[j], q
+            if separated and (k := of1[q]) >= 0 and block_clash(graph, I.children(k), x) is not None:
+                return None
+            at2[j] = n
+            of1.append(-1)
+            j += 1
+        if p >= marked:  # n is p's first child, and the nodes between have none
+            first += [n] * (p + 1 - marked)
+            marked = p + 1
+        parent.append(p)
+        entered.append(x)
+    n = len(parent)
+    first += [n] * (n + 1 - marked)
+    tips = tuple([m for m in range(n) if first[m] == first[m + 1]])
+    return _trie(I.base, tuple(parent), tuple(entered), tuple(first), tips)
 
 
 def meet(graph: SeparatedGraph, I: LowerSet, J: LowerSet) -> LowerSet | None:

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -23,6 +26,7 @@ from helpers import (
     trie_fields,
     walked_union,
 )
+from sgis.algebra import enumerate_basis
 from sgis.errors import (
     ActionDomainError,
     BudgetExceededError,
@@ -652,6 +656,48 @@ def test_make_element_validates_at_the_separated_level(rose2t):
     for level in (Level.FREE, Level.TOEPLITZ):
         el = make_element(rose2t, family, vertex_path("v"), level)
         assert el == evaluate(rose2t, [E, Ei, F, Fi], level)
+
+
+def test_an_element_is_an_immutable_value(rose2f):
+    """Every slot of an element refuses assignment and deletion, the cached
+    hash's included, before and after the hash is taken; a shallow copy, a
+    deep copy and a pickle round trip each give an equal element with an
+    equal hash; an element is never equal to ZERO; and repr is `<` the
+    normal form `>`."""
+    a = evaluate(rose2f, [E, F, Ei])
+    for hashed in (False, True):
+        if hashed:
+            hash(a)
+        for name in ("tree", "carrier", "level", "_hash"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(a, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(a, name)
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert b == a and a == b and hash(b) == hash(a), b
+    assert a != ZERO and ZERO != a and not a == ZERO
+    assert repr(a) == "<(e f) | e f ~e>"
+    assert repr(evaluate(rose2f, ["v"])) == "<(v) | v>"
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_equal_elements_from_every_maker_are_one_key(name):
+    """Each basis element of length <= 1, also made by `make_element` from
+    its tips and carrier, by `evaluate` of its tour and carrier, and by
+    `multiply` of its tree's idempotent with its carrier's element: all four
+    compare equal, hash equal and are one key of a dict."""
+    graph = load(name)
+    basis = enumerate_basis(graph, 1)
+    assert basis
+    for b in basis:
+        base, carrier = b.tree.base, b.carrier
+        made = make_element(graph, max_elements(b.tree), carrier, Level.SEPARATED)
+        walked = evaluate(graph, [base, *_word(b)])
+        product = multiply(graph, evaluate(graph, [base, *b.tree.tour()]), evaluate(graph, [base, *carrier.letters]))
+        for c in (made, walked, product):
+            assert c == b and b == c and hash(c) == hash(b), (b, c)
+        assert len({b: 0, made: 1, walked: 2, product: 3}) == 1
+    assert len(set(basis)) == len(basis)
 
 
 def test_outside_paths_of_elements_and_translations_pass_the_doors(rose2f):

@@ -70,6 +70,7 @@ from sgis.semilattice import (
     lower_closure_unchecked,
     max_elements,
     meet,
+    merge_tries,
     munn_tree,
     render_lower_set,
 )
@@ -538,6 +539,60 @@ def test_meet_merges_as_the_walk_on_generated_graphs():
         for i in range(60)
     )
     assert zeros > 0
+
+
+def _merge_marks_at_the_edges(graph, rng: random.Random) -> int:
+    """`merge_tries` marks where each node's children start and the tips as
+    it walks; at each vertex they must be the marks `LowerSet` makes from
+    the union's members.  The cases: a root-only tree with itself; seeded
+    trees I with themselves; a chain one letter past I's last node (a tip,
+    as the last node has no child), either way round; the tree of every
+    reduced step past that tip, so J's new nodes all hang under it; and a
+    chain merged without the rule, as the ladder of `cylinder_difference`
+    merges.  Returns how many unions were compared."""
+    compared = 0
+
+    def check(I, J, separated):
+        nonlocal compared
+        got = merge_tries(graph, I, J, separated=separated)
+        if got is not None:
+            assert trie_fields(got) == trie_fields(LowerSet(I.base, got.paths)), (I, J, separated)
+            compared += 1
+
+    for v in graph.vertices:
+        root = chain_tree(vertex_path(v))
+        check(root, root, True)
+        for _ in range(4):
+            I = random_lower_set(graph, v, rng, max_len=3)
+            check(I, I, True)
+            last = I.paths[-1]
+            past = [
+                Path(v, last.letters + (x,))
+                for x, _ in steps(graph, path_range(graph, last), last.letters[-1] if last.letters else None)
+            ]
+            for p in past:
+                for separated in (True, False):
+                    check(I, chain_tree(p), separated)
+                    check(chain_tree(p), I, separated)
+            if past:
+                under = lower_closure_unchecked(graph, past)
+                check(I, under, True)
+                check(I, under, False)
+            check(I, chain_tree(random_separated_path(graph, v, rng, 4)), False)
+    return compared
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_merge_marks_at_the_edges(name, request):
+    graph = request.getfixturevalue(name)
+    assert _merge_marks_at_the_edges(graph, random.Random(f"marks:{name}")) > 0
+
+
+def test_merge_marks_at_the_edges_on_generated_graphs():
+    """As above on 60 generated graphs (graph seeds 0..59)."""
+    for i in range(60):
+        graph = random_separated_graph(random.Random(i), 4)
+        assert _merge_marks_at_the_edges(graph, random.Random(f"marks:{i}")) > 0, i
 
 
 def _chain_unions_against_sets(graph, rng, count) -> int:
