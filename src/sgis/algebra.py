@@ -20,13 +20,12 @@ from .paths import (
     Letter,
     Path,
     checked_path,
+    extensions,
     letter_key,
     path_key,
-    path_range,
     positive_part,
     render_path,
     sorted_paths,
-    steps,
     vertex_path,
 )
 from .semigroup import (
@@ -262,23 +261,6 @@ class CoverVerdict:
         return f"counterexample {self.counterexample!r}"
 
 
-def separated_paths_upto(graph: SeparatedGraph, v: str, max_len: int, budget: Budget) -> list[Path]:
-    out = [vertex_path(v)]
-    frontier = [vertex_path(v)]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            if len(p.letters) >= max_len:
-                continue
-            last = p.letters[-1] if p.letters else None
-            for x, _ in steps(graph, path_range(graph, p), last):
-                budget.spend()
-                nxt.append(Path(v, p.letters + (x,)))
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
 def bounded_cover_check(
     graph: SeparatedGraph,
     I: LowerSet,
@@ -308,7 +290,7 @@ def bounded_cover_check(
 
     candidates = [
         p
-        for p in separated_paths_upto(graph, I.base, max_len, budget)
+        for p in extensions(graph, vertex_path(I.base), max_len, budget)
         if compatible_with(graph, I, p)
         and not all(compatible_with(graph, Z, p) for Z in covering)
     ]
@@ -334,11 +316,12 @@ def bounded_cover_check(
 
 def cover_witness(graph: SeparatedGraph, J: LowerSet, block: Block) -> str:
     """An edge of the block compatible with J: the first letter of a maximal
-    member when it lies in the block, else the block's first edge."""
+    member when it lies in the block, else the block's first edge.  J enters
+    through `checked_tree`."""
     if J.base != block.source:
         raise SgisError("tree and block live at different vertices")
     pick = None
-    for m in max_elements(J):
+    for m in max_elements(checked_tree(graph, J)):
         if m.letters and not m.letters[0].inverse and m.letters[0].edge in block.edges:
             pick = m.letters[0].edge
             break
@@ -406,12 +389,13 @@ def enumerate_basis(
     search merged with the new tip's chain, from the vertex's own chain, so
     no tree is closed from its tips.  A tree's carriers are the listed paths
     whose positive part is a member.  The budget pays a unit per path
-    listed, and per node and carrier of each tree.  The sort key's carrier
-    part is made once per listed path and its tree part once per tree."""
+    listed, the vertex path included, and per node and carrier of each
+    tree.  The sort key's carrier part is made once per listed path and its
+    tree part once per tree."""
     budget = budget or Budget(context="basis enumeration")
     keyed: list[tuple] = []  # (element_sort_key, element)
     for v in graph.vertices:
-        every = separated_paths_upto(graph, v, max_len, budget)
+        every = extensions(graph, vertex_path(v), max_len, budget)
         tips = sorted_paths(graph, [p for p in every if p.letters and not p.letters[-1].inverse])
         anchored = [(positive_part(c), c, _carrier_key(graph, c)) for c in every]
 

@@ -27,6 +27,7 @@ from .paths import (
     Letter,
     Path,
     checked_path,
+    extensions,
     parse_word_string,
     positive_part,
     render_path,
@@ -230,7 +231,7 @@ def cmd_cover(args) -> int:
     verdict = algebra.bounded_cover_check(graph, root, covering, args.max_len, budget)
     print(f"cover by block {block.name}: {verdict.render()}")
     demos = 0
-    for p in algebra.separated_paths_upto(graph, args.vertex, args.max_len, budget):
+    for p in extensions(graph, vertex_path(args.vertex), args.max_len, budget):
         J = chain_tree(positive_part(p))  # the canonical form of p's closure
         e = algebra.cover_witness(graph, J, block)
         if demos < args.demos:

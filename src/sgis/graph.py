@@ -125,8 +125,6 @@ class SeparatedGraph:
             missing = [e for e in self.out_edges[v] if e not in covered]
             if missing:
                 raise GraphError(f"edges {missing} at {v!r} belong to no block")
-            if not self.out_edges[v] and self.blocks_at[v]:
-                raise GraphError(f"sink {v!r} has blocks")
 
         if not allow_isolated:
             iso = isolated_vertices(self)

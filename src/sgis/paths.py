@@ -10,17 +10,20 @@ is passed explicitly.
 Three primitives are shared across the layers.  `steps` is the one stepping
 rule on the double graph: which letters may follow a given one in a reduced
 separated path.  `sorted_paths` is the one path order (length-lexicographic,
-as fixed by `path_key`) used for trees, tips and enumerations.  `inverse_runs`
-is the one walk by inverse letters: the spectrum's inverse tails and branch
-extensions are built on it.  `word_from_atoms` is the one reader of words,
-and `parse_word_string` the command line's grammar for their atoms.  The
-reader reads a word through the graph's table of atom ends, made once per
-graph: one lookup of each atom's source and one of its range, and one
-comparison of the two lists for composability, with no loop in Python.
+as fixed by `path_key`) used for trees, tips and enumerations.  `extensions`
+is the one walk of the double graph: from a path, breadth first over
+`steps`, by every letter (the basis, the cover search, `sgis cover`) or by
+inverse letters only (the spectrum's inverse tails and branch extensions).
+`word_from_atoms` is the one reader of words, and `parse_word_string` the
+command line's grammar for their atoms.  The reader reads a word through
+the graph's table of atom ends, made once per graph: one lookup of each
+atom's source and one of its range, and one comparison of the two lists for
+composability, with no loop in Python.
 `checked_path` is the one check of a path given from outside: read by that
 reader, then reduced and separated; nothing built from it is checked again.
 `reduced_path` is its first half, for paths that need not be separated.
-A path renders as its letters' `text`s.
+A path renders as its letters' `text`s.  `Letter`, `Path` and the engine's
+`Element` are `Frozen`: slotted values whose slots are set once.
 """
 
 from __future__ import annotations
@@ -37,7 +40,21 @@ from .graph import SeparatedGraph
 _INTERNING = threading.Lock()
 
 
-class Letter:
+class Frozen:
+    """Base of the slotted immutable values: a subclass sets its slots once,
+    through their member descriptors, and assigning or deleting any
+    attribute afterwards raises FrozenInstanceError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Letter(Frozen):
     """An edge, or its formal inverse.
 
     Letters are interned: `Letter(e, inverse)` returns the one shared
@@ -66,12 +83,6 @@ class Letter:
                     cls._interned[edge, inv] = a
             return cls._interned[edge, inverse]
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
         return Letter, (self.edge, self.inverse)
 
@@ -82,7 +93,7 @@ class Letter:
         return self.text
 
 
-class Path:
+class Path(Frozen):
     """A source vertex and a tuple of letters, immutable.
 
     Two paths are equal when both fields are, and hash as the pair
@@ -95,12 +106,6 @@ class Path:
     def __init__(self, base: str, letters: tuple[Letter, ...] = ()):
         _set_base(self, base)
         _set_letters(self, letters)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return Path, (self.base, self.letters)
@@ -184,25 +189,29 @@ def steps(
     return out
 
 
-def inverse_runs(
-    graph: SeparatedGraph, p: Path, max_len: int, budget: Budget | None = None
+def extensions(
+    graph: SeparatedGraph, p: Path, max_len: int, budget: Budget | None = None, *, inverse: bool = False
 ) -> list[Path]:
-    """p and then every reduced separated path that extends p by inverse
-    letters only, up to `max_len` letters, breadth first in `steps` order.
+    """p, then every reduced separated path that extends p up to `max_len`
+    letters, breadth first in `steps` order; with `inverse=True` only the
+    extensions by inverse letters, p's inverse runs.
 
-    A given budget is charged once per path, as the walk reaches it.
+    A given budget is charged once per path before it is listed, p
+    included, so it bounds the list.
     """
-    runs = [p]
-    for q in runs:
-        if budget is not None:
-            budget.spend()
+    if budget is not None:
+        budget.spend()
+    out = [p]
+    for q in out:  # the list grows as it is walked
         if len(q.letters) >= max_len:
             continue
         last = q.letters[-1] if q.letters else None
         for x, _ in steps(graph, path_range(graph, q), last):
-            if x.inverse:
-                runs.append(Path(q.base, q.letters + (x,)))
-    return runs
+            if x.inverse or not inverse:
+                if budget is not None:
+                    budget.spend()
+                out.append(Path(q.base, q.letters + (x,)))
+    return out
 
 
 def star(letters: Sequence[Letter]) -> tuple[Letter, ...]:

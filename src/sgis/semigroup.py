@@ -30,7 +30,7 @@ level adds one rule to the one below it:
                 compatible; the walk checks this node by node and the
                 element is zero when it fails.
 
-An `Element` is an immutable value, slotted as `paths.Path` is: its slots
+An `Element` is a `paths.Frozen` value, as `paths.Path` is: its slots
 are set once, assigning one raises FrozenInstanceError, and copies and
 pickles are equal to it.  Equality of elements is structural equality of
 (level, carrier, canonical tree), the level compared by identity; normal-form
@@ -41,7 +41,7 @@ and kept on the element, as the algebra's term dicts key by elements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -55,6 +55,7 @@ from .errors import (
 from .graph import SeparatedGraph
 from .paths import (
     FreeGroupWord,
+    Frozen,
     Letter,
     Path,
     checked_path,
@@ -98,14 +99,14 @@ class ZeroElement:
 ZERO = ZeroElement()
 
 
-class Element:
+class Element(Frozen):
     """A tree, a carrier and a level: an immutable value, made by the engine
     or by `make_element`, and trusted by every operation.
 
     The three slots are set once, through their member descriptors, so a
-    construction runs no generated code; assigning or deleting any slot
-    raises FrozenInstanceError, and copying or pickling an element gives an
-    equal one.  Two elements are equal when their levels are the same
+    construction runs no generated code; `Frozen` makes assigning or
+    deleting any slot raise FrozenInstanceError, and copying or pickling an
+    element gives an equal one.  Two elements are equal when their levels are the same
     member and their carriers and then their trees are equal.  The hash is
     that of the trie's two arrays and the carrier's fields, which equality
     reads, computed on first use and kept in a fourth slot: elements key the
@@ -119,12 +120,6 @@ class Element:
         _set_carrier(self, carrier)
         _set_level(self, level)
         _set_hash(self, None)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return Element, (self.tree, self.carrier, self.level)

@@ -20,7 +20,7 @@ from .paths import (
     Letter,
     Path,
     checked_path,
-    inverse_runs,
+    extensions,
     path_range,
     render_path,
     sorted_paths,
@@ -159,9 +159,9 @@ def trim_inverse_tails(graph: SeparatedGraph, Z: Truncation) -> Truncation:
 
 def extend_inverse_tails(graph: SeparatedGraph, Z: Truncation, depth: int) -> Truncation:
     """Adjoin every inverse-letter extension g x1^-1...xn^-1 of a member g up
-    to the depth bound: the `inverse_runs` of the members, merged.  Inverse to
-    trimming below depth."""
-    tails = {q for g in Z.paths.paths for q in inverse_runs(graph, g, depth)}
+    to the depth bound: the inverse `extensions` of the members, merged.
+    Inverse to trimming below depth."""
+    tails = {q for g in Z.paths.paths for q in extensions(graph, g, depth, inverse=True)}
     return Truncation(LowerSet(Z.base, sorted_paths(graph, tails)), depth)
 
 
@@ -235,11 +235,12 @@ def branch_extensions(
 ) -> list[Path]:
     """All one-step extensions of I with length <= max_len: each inverse run
     from a member, closed by one positive edge, kept when it passes
-    `is_branch_extension`.  The budget is charged once per run."""
+    `is_branch_extension`.  I enters through `checked_tree`.  The budget is
+    charged once per run."""
     budget = budget or Budget(context="branch extension enumeration")
     found: set[Path] = set()
-    for g in I.paths:
-        for p in inverse_runs(graph, g, max_len - 1, budget):
+    for g in checked_tree(graph, I).paths:
+        for p in extensions(graph, g, max_len - 1, budget, inverse=True):
             if len(p.letters) < max_len:
                 last = p.letters[-1] if p.letters else None
                 found.update(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from sgis.algebra import AlgebraElement, CoverVerdict, branch_gap, idempotent_of, separated_paths_upto
+from sgis.algebra import AlgebraElement, CoverVerdict, branch_gap, idempotent_of
 from sgis.errors import Budget, IncompatiblePathsError, LevelMismatchError, SgisError, WordError
 from sgis.graph import Block, SeparatedGraph
 from sgis.paths import (
@@ -13,7 +13,7 @@ from sgis.paths import (
     Path,
     compatible,
     compose,
-    inverse_runs,
+    extensions,
     is_prefix,
     is_reduced,
     is_separated_path,
@@ -581,7 +581,7 @@ def cover_check_by_pairs(
         raise SgisError("empty covering family")
     candidates = [
         p
-        for p in separated_paths_upto(graph, I.base, max_len, budget)
+        for p in extensions(graph, vertex_path(I.base), max_len, budget)
         if compatible_with(graph, I, p) and not all(compatible_with(graph, Z, p) for Z in covering)
     ]
 
@@ -608,12 +608,12 @@ def cover_check_by_pairs(
 def basis_by_anchor_runs(graph: SeparatedGraph, max_len: int, budget) -> list[Element]:
     """Anchor-run route to `enumerate_basis`: at each vertex every tree of the
     antichain search, closed as a set, is charged a unit per member; then each
-    tree's carriers are walked by `inverse_runs` from its anchors (members not
-    ending in an inverse letter), a unit per carrier.  Elements are sorted by
+    tree's carriers are walked as the inverse `extensions` of its anchors
+    (members not ending in an inverse letter), a unit per carrier.  Elements are sorted by
     carrier, tree size and then the member paths of the tree."""
     out: list[Element] = []
     for v in graph.vertices:
-        every = separated_paths_upto(graph, v, max_len, budget)
+        every = extensions(graph, vertex_path(v), max_len, budget)
         tips = sorted_paths(graph, [p for p in every if p.letters and not p.letters[-1].inverse])
         trees: list[LowerSet] = []
 
@@ -631,7 +631,7 @@ def basis_by_anchor_runs(graph: SeparatedGraph, max_len: int, budget) -> list[El
         extend(0, [])
         for tree in trees:
             anchors = [p for p in tree.paths if not p.letters or not p.letters[-1].inverse]
-            runs = [c for a in anchors for c in inverse_runs(graph, a, max_len, budget)]
+            runs = [c for a in anchors for c in extensions(graph, a, max_len, budget, inverse=True)]
             out.extend(Element(tree, c, Level.SEPARATED) for c in sorted_paths(graph, runs))
 
     def path_order(p: Path):

@@ -142,18 +142,24 @@ def test_idempotent_invariant_under_canonicalization(rose2f):
     assert idempotent_of(rose2f, I) == idempotent_of(rose2f, J)
 
 
-def test_idempotent_of_rejects_a_tree_that_breaks_the_block_rule(rose2t):
+def test_idempotent_of_rejects_a_tree_that_breaks_the_block_rule(rose2t, mixed):
     """On rose2t, e and f are one block: the tree {v, f, e}, given by its
     members, has a zero idempotent, so no basis element stands for it; nor
-    for {v, ~e, ~e f}, whose f clashes with the letter e back to v."""
+    for {v, ~e, ~e f}, whose f clashes with the letter e back to v; nor, on
+    mixed, for {v, b, a}, whose a and b share block VAB.  `branch_extensions`
+    turns the same trees away, where it would list extensions of a zero."""
     v = vertex_path("v")
-    for members in (
-        (v, Path("v", (F,)), Path("v", (E,))),
-        (v, Path("v", (Ei,)), Path("v", (Ei, F))),
+    A, B = Letter("a"), Letter("b")
+    for graph, members in (
+        (rose2t, (v, Path("v", (F,)), Path("v", (E,)))),
+        (rose2t, (v, Path("v", (Ei,)), Path("v", (Ei, F)))),
+        (mixed, (v, Path("v", (B,)), Path("v", (A,)))),
     ):
-        with pytest.raises(IncompatiblePathsError) as caught:
-            idempotent_of(rose2t, LowerSet("v", members))
-        assert caught.value.pair == members[1:]
+        T = LowerSet("v", members)
+        for door in (idempotent_of, lambda g, I: branch_extensions(g, I, 2)):
+            with pytest.raises(IncompatiblePathsError) as caught:
+                door(graph, T)
+            assert caught.value.pair == members[1:]
 
 
 def test_vertex_idempotent(rose2f):
@@ -186,6 +192,9 @@ def test_branch_gap_and_cylinder_idempotent(rose2f):
         rose2f, lower_closure(rose2f, [head])
     ) * gap
     assert cylinder_idempotent(rose2f, B).is_idempotent()
+    for tail in ((), (E, Fi), (E, E)):  # empty, ending inverse, positive inside
+        with pytest.raises(WordError, match="tail must be"):
+            branch_gap(rose2f, head, tail)
 
 
 def test_cylinder_idempotent_matches_the_branch_gap_product(rose2t, rose2f, fim2, mixed):
@@ -281,8 +290,13 @@ def test_or_join(rose2t):
     assert or_join(ee, ee) == ee
     assert or_join(ee, ff) == ee + ff
     assert or_join(or_join(ee, ff), ee) == ee + ff
-    with pytest.raises(SgisError):
-        or_join(e, ee)  # e is not idempotent
+    with pytest.raises(SgisError, match="commuting"):
+        or_join(e, ee)  # e does not commute with ee
+    with pytest.raises(SgisError, match="idempotent operands"):
+        or_join(2 * ee, ee)  # they commute, but 2ee is not idempotent
+    with pytest.raises(SgisError, match="different graphs"):
+        # a second parse of the file is another graph
+        or_join(ee, idempotent_of(load("rose2t"), chain_tree(vertex_path("v"))))
 
 
 def test_or_join_rejects_noncommuting(rose1t):
@@ -308,18 +322,30 @@ def test_cover_check_examples(rose2t, rose2f):
     root_f = lower_closure(rose2f, [vertex_path("v")])
     Ie_f = lower_closure(rose2f, [Path("v", (E,))])
     assert bounded_cover_check(rose2f, root_f, [Ie_f], 3).covered
+    with pytest.raises(SgisError, match="empty covering family"):
+        bounded_cover_check(rose2t, root_t, [], 4)
+    with pytest.raises(SgisError, match="must extend the covered tree"):
+        bounded_cover_check(rose2t, Ie, [If], 4)
 
 
-def test_cover_check_rejects_a_tree_that_breaks_the_rule(rose2t):
+def test_cover_check_rejects_a_tree_that_breaks_the_rule(rose2t, mixed):
     """T = {v, f, e} uses both edges of rose2t's block, so its idempotent is
     zero: as a covering tree, or as the covered one, it is turned away at
-    entry, where a search would report a cover by zero."""
+    entry, where a search would report a cover by zero.  `cover_witness`
+    turns it away too, as it does mixed's {v, b, a} at block VAB, where it
+    would name a witness for a zero."""
     v = vertex_path("v")
     T = LowerSet("v", (v, Path("v", (F,)), Path("v", (E,))))
     for I, covering in ((chain_tree(v), [T]), (T, [T])):
         with pytest.raises(IncompatiblePathsError) as err:
             bounded_cover_check(rose2t, I, covering, 3)
         assert err.value.pair == (Path("v", (F,)), Path("v", (E,)))
+    A, B = Path("v", (Letter("a"),)), Path("v", (Letter("b"),))
+    vab = next(b for b in mixed.blocks if b.name == "VAB")
+    for graph, members, block in ((rose2t, T.paths, rose2t.blocks[0]), (mixed, (v, B, A), vab)):
+        with pytest.raises(IncompatiblePathsError) as err:
+            cover_witness(graph, LowerSet("v", members), block)
+        assert err.value.pair == members[1:]
 
 
 def test_cover_check_counterexample_is_valid(mixed):
@@ -377,12 +403,15 @@ def test_cover_check_matches_the_pairwise_search(name):
     assert failed > 0 or name not in ("rose2t", "mixed")
 
 
-def test_cover_witness(rose2t):
+def test_cover_witness(rose2t, mixed):
     block = rose2t.blocks[0]
     root = lower_closure(rose2t, [vertex_path("v")])
     assert cover_witness(rose2t, root, block) == "e"  # first edge by declaration
     J = lower_closure(rose2t, [make_word(rose2t, "v", (F, F))])
     assert cover_witness(rose2t, J, block) == "f"  # first letter of a maximal member
+    wd = next(b for b in mixed.blocks if b.name == "WD")
+    with pytest.raises(SgisError, match="different vertices"):
+        cover_witness(mixed, chain_tree(vertex_path("v")), wd)
 
 
 def test_cover_refinement_identity_basic(rose2t, fim2):
@@ -396,9 +425,17 @@ def test_cover_refinement_identity_basic(rose2t, fim2):
     )
 
 
-def test_cover_refinement_precondition_errors(fim2):
-    I = lower_closure(fim2, [make_word(fim2, "v", (Letter("e1", False),))])
+def test_cover_refinement_precondition_errors(fim2, fim2inf):
+    e1 = make_word(fim2, "v", (Letter("e1", False),))
+    I = lower_closure(fim2, [e1])
     blk = next(b for b in fim2.blocks if b.edges == ("e1",))
+    for graph, head, run, block, why in (
+        (fim2inf, vertex_path("v"), (), fim2inf.blocks[0], "finite block"),
+        (fim2, make_word(fim2, "v", (Letter("f1", False),)), (), blk, "head must be a member"),
+        (fim2, e1, (Letter("f1", True), Letter("e1", False)), blk, "inverse letters"),
+    ):
+        with pytest.raises(SgisError, match=why):
+            cover_refinement_check(graph, I, head, run, block)
     with pytest.raises(SgisError):
         # extension e1 ~e1 e1 is not reduced: the run cancels into the head
         cover_refinement_check(
@@ -466,14 +503,15 @@ def test_enumerate_basis_matches_word_reachability(rose1t):
     assert reachable == set(enumerate_basis(rose1t, 2))
 
 
-BASIS_BUDGET_AT_2 = {"rose1t": 22, "rose2t": 96, "rose2f": 1916, "fim2": 1656, "fim2inf": 1656, "mixed": 2334}
+BASIS_BUDGET_AT_2 = {"rose1t": 23, "rose2t": 97, "rose2f": 1917, "fim2": 1659, "fim2inf": 1659, "mixed": 2336}
 
 
 @pytest.mark.parametrize("name", ["rose1t", "rose2t", "rose2f", "fim2", "fim2inf", "mixed"])
 def test_enumerate_basis_budget_pays_for_every_path_kept(name):
-    """The budget pays a unit per path listed, and a unit per element and per
-    path of each tree kept, so it bounds the memory an enumeration holds.
-    The totals are pinned: a change to what is charged shows here."""
+    """The budget pays a unit per path listed, the vertex path included, and
+    a unit per element and per path of each tree kept, so it bounds the
+    memory an enumeration holds.  The totals are pinned: a change to what is
+    charged shows here."""
     graph = load(name)
     budget = Budget()
     items = enumerate_basis(graph, 2, budget)

@@ -146,6 +146,9 @@ def test_spectrum_check(capsys):
         capsys, "spectrum", ROSE2F, "--check", "ultra", "--set", "e, f, ~e, ~f", "--depth", "2"
     )
     assert (code, out) == (0, "FAIL witness=f\n")
+    # neither a check nor the cylinder mode: nothing to do
+    code, out, err = run(capsys, "spectrum", FIM2INF, "--set", "v")
+    assert (code, out) == (2, "") and "--check and --set are required" in err
 
 
 def test_spectrum_cylinder_ops(capsys):
@@ -171,6 +174,11 @@ def test_spectrum_cylinder_ops(capsys):
         "--i1", "e", "--set", "e e, f", "--depth", "4",
     )
     assert code == 0 and out == "true\n"
+    # Z({v, e}) lies inside Z({v}): the difference has no part
+    code, out, _ = run(
+        capsys, "spectrum", ROSE2F, "cylinder", "--op", "diff", "--i1", "e", "--i2", "v"
+    )
+    assert code == 0 and out == "EMPTY\n"
 
 
 @pytest.mark.parametrize(
@@ -179,6 +187,7 @@ def test_spectrum_cylinder_ops(capsys):
         (ROSE2F, "e ~e", "path 'e ~e' is not reduced"),
         (ROSE2T, "~e f", "path '~e f' is not separated"),
         (FIM2, "e1 ~f2", "word 'e1 ~f2' is not composable"),
+        (ROSE2F, " , ", "empty path set"),
     ],
 )
 def test_spectrum_rejects_a_path_at_the_door(capsys, graph, text, err):
@@ -209,6 +218,7 @@ def test_script_flag_out_of_range_exit_code(script, flag):
         (["--op", "diff", "--i1", "v"], "--i2"),
         (["--op", "intersect", "--i1", "v"], "--i2"),
         (["--op", "member", "--set", "v"], "--i1"),
+        (["--op", "member", "--i1", "v"], "--set (the truncation)"),
     ],
 )
 def test_spectrum_cylinder_missing_flag_exit_code(capsys, flags, missing):
@@ -270,6 +280,9 @@ def test_cover_unknown_block(capsys):
         capsys, "cover", ROSE2T, "--vertex", "v", "--block", "nope", "--max-len", "3"
     )
     assert code == 2
+    # an infinite block has no finite cover to verify
+    code, out, err = run(capsys, "cover", FIM2INF, "--vertex", "v", "--block", "B1", "--max-len", "3")
+    assert (code, out) == (2, "") and "needs a finite block" in err
 
 
 def test_aut(capsys):

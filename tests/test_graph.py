@@ -76,9 +76,21 @@ def test_unknown_identifier():
 
 
 def test_syntax_error_has_line_number():
-    with pytest.raises(GraphParseError) as err:
-        parse_graph("vertex v\nedgy e v v\n")
-    assert "line 2" in str(err.value)
+    """An unknown directive, a wrong argument count, a `block` line after
+    `separation` and a repeated `separation` are each refused at their line."""
+    for text, why in (
+        ("vertex v\nedgy e v v\n", "unknown directive"),
+        ("vertex v\nvertex w x\n", "expected: vertex"),
+        ("vertex v\nedge e v\n", "expected: edge"),
+        ("vertex v\nblock B finite\n", "expected: block"),
+        ("vertex v\nseparation\n", "expected: separation"),
+        ("vertex v\nseparation trivial free\n", "expected: separation"),
+        ("separation free\nblock B finite e\n", "mutually exclusive with `separation`"),
+        ("separation free\nseparation free\n", "repeated `separation`"),
+    ):
+        with pytest.raises(GraphParseError, match=why) as err:
+            parse_graph(text)
+        assert err.value.line_no == 2 and "line 2" in str(err.value)
 
 
 def test_separation_and_blocks_exclusive():
@@ -163,3 +175,29 @@ def test_bad_identifier_characters():
     for bad in ("a|b", "a(", "x~y", "p,q"):
         with pytest.raises(GraphParseError):
             parse_graph(f"vertex {bad}\n")
+
+
+LOOP = [("e", "v", "v")]
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, blocks, why",
+    [
+        (["a|b"], [], [], "invalid vertex identifier 'a|b'"),
+        (["v", "v"], [], [], "duplicate identifier 'v'"),
+        (["v"], LOOP * 2, [], "duplicate identifier 'e'"),
+        (["v"], [("e", "w", "v")], [], "unknown source vertex 'w'"),
+        (["v"], LOOP, [Block("B", "v", ("e",))] * 2, "duplicate block 'B'"),
+        (["v"], LOOP, [Block("B", "w", ("e",))], "unknown vertex 'w'"),
+        (["v"], LOOP, [Block("B", "v", ("e", "e"))], "repeats an edge"),
+        (["v"], LOOP, [Block("B", "v", ("e", "g"))], "unknown edge 'g'"),
+        (["v", "w"], [("e", "v", "w"), ("g", "w", "v")], [Block("B", "v", ("e", "g"))],
+         "edge 'g' has source 'w'"),
+    ],
+)
+def test_constructor_rejects_a_bad_graph(vertices, edges, blocks, why):
+    """`SeparatedGraph` built directly, past the parser's own line checks,
+    refuses a bad identifier, duplicate names, unknown vertices and edges, and blocks that
+    repeat an edge or take one from another source."""
+    with pytest.raises(GraphError, match=why):
+        SeparatedGraph(vertices, edges, blocks)

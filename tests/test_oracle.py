@@ -8,7 +8,7 @@ import pytest
 from helpers import composable_letter_words, random_separated_graph
 import sgis.algebra
 import sgis.oracle
-from sgis.errors import Budget, BudgetExceededError, SgisError
+from sgis.errors import Budget, BudgetExceededError, SgisError, WordError
 from sgis.oracle import (
     CONNECTED,
     UNKNOWN,
@@ -155,6 +155,9 @@ def test_fim_basics():
     assert fim_value(GENS, ("x", "~x")) != fim_value(GENS, ("x",))
     tree, end = fim_value(GENS, ("x", "~x"))
     assert end == () and len(tree) == 2
+    for word in (("z",), ("x", "~z")):
+        with pytest.raises(WordError, match="unknown free generator 'z'"):
+            fim_value(GENS, word)
 
 
 def test_fim_embedding_agrees_exhaustively():

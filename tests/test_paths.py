@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import load
 from helpers import composable_letter_words, make_word, read_atom_by_atom, separated_paths
-from sgis.errors import Budget, WordError
+from sgis.errors import Budget, BudgetExceededError, WordError
 from sgis.paths import (
     Letter,
     _atom_ends,
@@ -20,7 +20,7 @@ from sgis.paths import (
     compatible,
     compatible_by_reduction,
     compose,
-    inverse_runs,
+    extensions,
     is_prefix,
     is_reduced,
     is_separated_path,
@@ -198,24 +198,30 @@ def test_steps_matches_definition(rose1t, rose2t, rose2f, fim2, fim2inf, mixed):
                 assert steps(graph, at, last) == expected
 
 
-def test_inverse_runs_matches_definition(rose1t, rose2t, rose2f, fim2, fim2inf, mixed):
-    """`inverse_runs` is p followed by the reduced separated paths that extend
-    p by inverse letters only, up to max_len letters, in the breadth-first
-    order of the engine-free enumeration; the budget pays once per run."""
+def test_extensions_match_definition(rose1t, rose2t, rose2f, fim2, fim2inf, mixed):
+    """`extensions` is p followed by the reduced separated paths that extend
+    p up to max_len letters, by every letter or, with `inverse=True`, by
+    inverse letters only, in the breadth-first order of the engine-free
+    enumeration.  The budget pays once per path listed, p included, so a
+    budget one short of the list ends the walk."""
     for graph in (rose1t, rose2t, rose2f, fim2, fim2inf, mixed):
         every = separated_paths(graph, "v", 4)
         for p in separated_paths(graph, "v", 2):
             for max_len in range(5):
-                expected = [p] + [
-                    q
-                    for q in every
-                    if len(p.letters) < len(q.letters) <= max_len
-                    and is_prefix(p, q)
-                    and all(x.inverse for x in q.letters[len(p.letters):])
-                ]
-                budget = Budget()
-                assert inverse_runs(graph, p, max_len, budget) == expected
-                assert budget.used == len(expected)
+                for inverse in (False, True):
+                    expected = [p] + [
+                        q
+                        for q in every
+                        if len(p.letters) < len(q.letters) <= max_len
+                        and is_prefix(p, q)
+                        and (not inverse or all(x.inverse for x in q.letters[len(p.letters):]))
+                    ]
+                    budget = Budget()
+                    assert extensions(graph, p, max_len, budget, inverse=inverse) == expected
+                    assert budget.used == len(expected)
+                    with pytest.raises(BudgetExceededError):
+                        extensions(graph, p, max_len, Budget(len(expected) - 1), inverse=inverse)
+                    extensions(graph, p, max_len, Budget(len(expected)), inverse=inverse)
 
 
 def test_compatibility_examples(rose2t, rose2f):
@@ -227,8 +233,9 @@ def test_compatibility_examples(rose2t, rose2f):
 def test_compatibility_source_mismatch_is_error(fim2):
     a = make_word(fim2, "v", (Letter("e1", False),))
     b = make_word(fim2, "x1", (Letter("e1", True),))
-    with pytest.raises(WordError):
-        compatible(fim2, a, b)
+    for route in (compatible, compatible_by_reduction):
+        with pytest.raises(WordError, match="across vertices"):
+            route(fim2, a, b)
 
 
 def test_vertex_compatible_with_everything(rose2t):
@@ -344,8 +351,14 @@ def test_word_tokens(rose2f, fim2):
     # mixing non-composable tokens is legal input, denoting zero downstream
     atoms = parse_word_string(fim2, "e1 e2")
     assert word_from_atoms(fim2, atoms) is None
-    with pytest.raises(WordError):
-        parse_word_string(rose2f, "e ghost")
+    for text, why in (
+        ("e ghost", "unknown token"),
+        ("", "empty word"),
+        ("  ", "empty word"),
+        ("e ~zzz", "unknown edge 'zzz'"),
+    ):
+        with pytest.raises(WordError, match=why):
+            parse_word_string(rose2f, text)
 
 
 def test_atom_ends_table_is_kept_on_its_graph():

@@ -140,8 +140,9 @@ def test_multiply_idempotents(rose2t, rose2f):
 def test_level_mismatch(rose2f):
     a = evaluate_tokens(rose2f, "e", Level.FREE)
     b = evaluate_tokens(rose2f, "e", Level.SEPARATED)
-    with pytest.raises(LevelMismatchError):
-        multiply(rose2f, a, b)
+    for op in (multiply, natural_leq):
+        with pytest.raises(LevelMismatchError):
+            op(rose2f, a, b)
 
 
 def test_golden_word(rose2f):
@@ -250,6 +251,8 @@ def test_grading_properties(rose2f, fim2):
             assert grading(ab) == reduce_letters(grading(a) + grading(b))
         for a in els:
             assert (grading(a) == ()) == is_idempotent(a)
+    with pytest.raises(SgisError, match="no grading"):
+        grading(ZERO)
 
 
 def test_idempotents_commute_small(rose2t, rose2f, fim2):
@@ -645,9 +648,10 @@ def test_tips_come_in_path_order(name, request):
                 assert tips == sorted_paths(graph, tips)
 
 
-def test_make_element_validates_at_the_separated_level(rose2t):
+def test_make_element_validates_at_the_separated_level(rose2t, mixed):
     """e and f share block B1, so the tree {v, e, f} is zero at the
-    separated level, as the word e ~e f ~f is; the levels below accept it."""
+    separated level, as the word e ~e f ~f is; the levels below accept it.
+    A tree and a carrier at two vertices are refused at every level."""
     family = [Path("v", (E,)), Path("v", (F,))]
     with pytest.raises(IncompatiblePathsError) as err:
         make_element(rose2t, family, vertex_path("v"), Level.SEPARATED)
@@ -656,6 +660,9 @@ def test_make_element_validates_at_the_separated_level(rose2t):
     for level in (Level.FREE, Level.TOEPLITZ):
         el = make_element(rose2t, family, vertex_path("v"), level)
         assert el == evaluate(rose2t, [E, Ei, F, Fi], level)
+    for level in Level:
+        with pytest.raises(WordError, match="disagree on the source vertex"):
+            make_element(mixed, [Path("v", (Letter("a"),))], vertex_path("w"), level)
 
 
 def test_an_element_is_an_immutable_value(rose2f):
@@ -831,6 +838,8 @@ def test_apply_automorphism_of_a_hand_made_tree_that_breaks_the_rule(rose2t):
     for phi in graph_automorphisms(rose2t):
         with pytest.raises(SgisError, match="broke the separated rule"):
             apply_automorphism(rose2t, phi, a)
+    with pytest.raises(SgisError, match="broke the separated rule"):
+        inverse(rose2t, a)
 
 
 def test_apply_automorphism_walks_the_element_word(rose2t, monkeypatch):

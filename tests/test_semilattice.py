@@ -111,8 +111,10 @@ def test_lower_closure_reads_each_path_through_the_door(rose2f, mixed):
 
 
 def test_lower_closure_mixed_sources(fim2):
-    with pytest.raises(WordError):
+    with pytest.raises(WordError, match="several vertices"):
         lower_closure(fim2, [vertex_path("v"), vertex_path("x1")])
+    with pytest.raises(WordError, match="at least its base vertex"):
+        lower_closure(fim2, [])
 
 
 def test_max_elements(rose2f):
@@ -749,6 +751,10 @@ def test_compatible_set_examples(rose2t, rose2f):
     assert not is_compatible_set_by_configs(rose2t, tri)
     assert is_separated_compatible_family(rose2f, tri)
     assert is_compatible_set_by_configs(rose2f, tri)
+    # ~e f is not separated on rose2t: both routes refuse the set at once
+    unseparated = (vertex_path("v"), Path("v", (Ei,)), Path("v", (Ei, F)))
+    assert not is_separated_compatible_family(rose2t, unseparated)
+    assert not is_compatible_set_by_configs(rose2t, unseparated)
 
 
 def test_render(rose2f):

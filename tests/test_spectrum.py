@@ -14,7 +14,7 @@ from helpers import (
     separated_paths,
 )
 from sgis.errors import CylinderError, SgisError
-from sgis.graph import is_finitely_separated
+from sgis.graph import is_finitely_separated, parse_graph
 from sgis.paths import Letter, Path, sorted_paths, vertex_path
 from sgis.semilattice import (
     LowerSet,
@@ -122,6 +122,10 @@ def test_certificates(rose2f, fim2, fim2inf):
     tight = certify_finite_maximal(fim2inf, Vi)
     assert tight.passed
     assert "named edges" in " ".join(tight.caveats)
+    # an isolated vertex, kept by allow_isolated, has no spectrum to window
+    lonely = parse_graph("vertex v\nvertex w\nedge e v v\nseparation trivial\n", allow_isolated=True)
+    with pytest.raises(SgisError, match="isolated"):
+        make_truncation(lonely, [vertex_path("w")], 1)
 
 
 def test_trim_extend_inverse_tails(rose2f, fim2):
@@ -234,6 +238,9 @@ def test_make_cylinder_reads_each_excluded_path_through_the_door(mixed):
         make_cylinder(mixed, I, [Path("v", (A, C, D))])
     with pytest.raises(CylinderError, match="unknown edge 'zzz'"):
         make_cylinder(mixed, I, [Path("v", (A, Letter("zzz")))])
+    # a separated path from w passes the door but extends no tree at v
+    with pytest.raises(CylinderError, match="not a one-step branch extension"):
+        make_cylinder(mixed, I, [Path("w", (D,))])
 
 
 def test_make_cylinder_rejects_a_tree_that_breaks_the_block_rule(rose2t, mixed):
