@@ -46,7 +46,6 @@ from .semilattice import (
     checked_tree,
     compatible_with,
     is_subtree,
-    max_elements,
     merge_tries,
 )
 
@@ -297,10 +296,11 @@ def bounded_cover_check(
 
     def search(tree: LowerSet) -> LowerSet | None:
         budget.spend()
-        pending = [Z for Z in covering if merge_tries(graph, tree, Z, separated=True) is not None]
-        if not pending:
+        target = next(
+            (Z for Z in covering if merge_tries(graph, tree, Z, separated=True) is not None), None
+        )
+        if target is None:
             return tree
-        target = pending[0]
         for p in candidates:
             if compatible_with(graph, target, p):
                 continue
@@ -315,22 +315,14 @@ def bounded_cover_check(
 
 
 def cover_witness(graph: SeparatedGraph, J: LowerSet, block: Block) -> str:
-    """An edge of the block compatible with J: the first letter of a maximal
-    member when it lies in the block, else the block's first edge.  J enters
-    through `checked_tree`."""
+    """An edge of the block compatible with J, read off the root: a tree
+    that keeps the block rule uses at most one edge of the block there, and
+    that edge, or the block's first edge when the root uses none, is
+    compatible with J.  J enters through `checked_tree`."""
     if J.base != block.source:
         raise SgisError("tree and block live at different vertices")
-    pick = None
-    for m in max_elements(checked_tree(graph, J)):
-        if m.letters and not m.letters[0].inverse and m.letters[0].edge in block.edges:
-            pick = m.letters[0].edge
-            break
-    if pick is None:
-        pick = block.edges[0]
-    probe = Path(J.base, (Letter(pick, False),))
-    if not compatible_with(graph, J, probe):
-        raise SgisError(f"witness {pick!r} fails compatibility with {J!r}")
-    return pick
+    root = checked_tree(graph, J).children(0)
+    return next((x.edge for x in root if not x.inverse and x.edge in block.edges), block.edges[0])
 
 
 def cover_refinement_check(
@@ -345,10 +337,11 @@ def cover_refinement_check(
 
     Preconditions: head is a member of I, run is an inverse-letter word, and
     each extended path passes `checked_path`, lies outside I, and is
-    compatible with I.
+    compatible with I.  I enters through `checked_tree`.
     """
     if block.infinite:
         raise SgisError("refinement requires a finite block")
+    checked_tree(graph, I)
     if head not in I:
         raise SgisError("head must be a member of the tree")
     if any(not x.inverse for x in run):

@@ -231,7 +231,8 @@ def cmd_cover(args) -> int:
     verdict = algebra.bounded_cover_check(graph, root, covering, args.max_len, budget)
     print(f"cover by block {block.name}: {verdict.render()}")
     demos = 0
-    for p in extensions(graph, vertex_path(args.vertex), args.max_len, budget):
+    # the check has paid for this list; the witnesses walk it again unbudgeted
+    for p in extensions(graph, vertex_path(args.vertex), args.max_len):
         J = chain_tree(positive_part(p))  # the canonical form of p's closure
         e = algebra.cover_witness(graph, J, block)
         if demos < args.demos:

@@ -399,7 +399,6 @@ def crosscheck(
         "agreements": 0,
         "disagreements": [],
         "zero_words": 0,
-        "budgets_hit": 0,
     }
     for i in range(samples):
         if i % 2 == 1:

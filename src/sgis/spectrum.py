@@ -64,7 +64,6 @@ class Truncation:
 
 @dataclass(frozen=True)
 class Certificate:
-    kind: str
     passed: bool
     depth: int
     witness: Path | None = None
@@ -135,8 +134,8 @@ def _certify(graph: SeparatedGraph, Z: Truncation, kind: str) -> Certificate:
             continue
         letters = frozenset(Z.paths.configuration(n))
         if not is_complete(graph, LocalConfig(at=path_range(graph, g), letters=letters)):
-            return Certificate(kind, False, Z.depth, witness=g, caveats=tuple(caveats))
-    return Certificate(kind, True, Z.depth, caveats=tuple(caveats))
+            return Certificate(False, Z.depth, witness=g, caveats=tuple(caveats))
+    return Certificate(True, Z.depth, caveats=tuple(caveats))
 
 
 def certify_maximal(graph: SeparatedGraph, Z: Truncation) -> Certificate:

@@ -605,6 +605,16 @@ def cover_check_by_pairs(
     return CoverVerdict(canonicalize(graph, lower_closure(graph, max_elements(I) + tuple(witness))), max_len)
 
 
+def cover_witness_by_tips(graph: SeparatedGraph, J: LowerSet, block: Block) -> str:
+    """Reference route to `cover_witness`: the first letter of the first
+    maximal member of J that starts with an edge of the block, else the
+    block's first edge."""
+    for m in max_elements(J):
+        if m.letters and not m.letters[0].inverse and m.letters[0].edge in block.edges:
+            return m.letters[0].edge
+    return block.edges[0]
+
+
 def basis_by_anchor_runs(graph: SeparatedGraph, max_len: int, budget) -> list[Element]:
     """Anchor-run route to `enumerate_basis`: at each vertex every tree of the
     antichain search, closed as a set, is charged a unit per member; then each

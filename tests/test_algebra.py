@@ -8,6 +8,7 @@ from helpers import (
     basis_by_anchor_runs,
     composable_letter_words,
     cover_check_by_pairs,
+    cover_witness_by_tips,
     cylinder_idempotent_by_gaps,
     cylinder_idempotent_by_products,
     distinct_elements,
@@ -34,7 +35,8 @@ from sgis.algebra import (
 )
 from conftest import load
 from sgis.errors import Budget, BudgetExceededError, IncompatiblePathsError, SgisError, WordError
-from sgis.paths import Letter, Path, vertex_path
+from sgis.graph import parse_graph
+from sgis.paths import Letter, Path, compatible, vertex_path
 from sgis.semigroup import ZERO, Element, Level, evaluate, is_idempotent, multiply
 from sgis.semilattice import LowerSet, canonicalize, chain_tree, lower_closure, max_elements, merge_tries
 from sgis.spectrum import branch_extensions, cylinder_difference, make_cylinder
@@ -54,6 +56,12 @@ def test_vector_space_operations(rose2f):
     assert (Fraction(1, 2) * (s + s)) == s
     assert (0 * s).is_zero()
     assert (-s) + s == AlgebraElement.zero(rose2f)
+    assert s * Fraction(1, 2) == Fraction(1, 2) * s
+    with pytest.raises(TypeError):
+        "x" * s
+    assert AlgebraElement.of(rose2f, ZERO) == AlgebraElement.zero(rose2f)
+    assert hash(s) == hash(f + e) and len({s, f + e, e}) == 2
+    assert repr(s) == "1·[(f) | f] + 1·[(e) | e]"
 
 
 def test_orthogonality_makes_cross_terms_vanish(rose2t):
@@ -317,7 +325,7 @@ def test_cover_check_examples(rose2t, rose2f):
     If = lower_closure(rose2t, [Path("v", (F,))])
     assert bounded_cover_check(rose2t, root_t, [Ie, If], 4).covered
     bad = bounded_cover_check(rose2t, root_t, [Ie], 4)
-    assert not bad.covered
+    assert not bad.covered and bad.render() == "counterexample {v, f}"
     assert {p.letters for p in bad.counterexample.paths} == {(), (F,)}
     root_f = lower_closure(rose2f, [vertex_path("v")])
     Ie_f = lower_closure(rose2f, [Path("v", (E,))])
@@ -333,7 +341,8 @@ def test_cover_check_rejects_a_tree_that_breaks_the_rule(rose2t, mixed):
     zero: as a covering tree, or as the covered one, it is turned away at
     entry, where a search would report a cover by zero.  `cover_witness`
     turns it away too, as it does mixed's {v, b, a} at block VAB, where it
-    would name a witness for a zero."""
+    would name a witness for a zero; so does `cover_refinement_check`,
+    before it tests the head or the extensions against the tree."""
     v = vertex_path("v")
     T = LowerSet("v", (v, Path("v", (F,)), Path("v", (E,))))
     for I, covering in ((chain_tree(v), [T]), (T, [T])):
@@ -346,6 +355,9 @@ def test_cover_check_rejects_a_tree_that_breaks_the_rule(rose2t, mixed):
         with pytest.raises(IncompatiblePathsError) as err:
             cover_witness(graph, LowerSet("v", members), block)
         assert err.value.pair == members[1:]
+    with pytest.raises(IncompatiblePathsError) as err:
+        cover_refinement_check(mixed, LowerSet("v", (v, B, A)), v, (), vab)
+    assert err.value.pair == (B, A)
 
 
 def test_cover_check_counterexample_is_valid(mixed):
@@ -355,8 +367,6 @@ def test_cover_check_counterexample_is_valid(mixed):
     verdict = bounded_cover_check(mixed, root, [Ia], 3)
     assert not verdict.covered
     J = verdict.counterexample
-    from sgis.paths import compatible
-
     assert all(
         not all(compatible(mixed, p, q) for p in J.paths for q in Ia.paths)
         for _ in [0]
@@ -412,6 +422,46 @@ def test_cover_witness(rose2t, mixed):
     wd = next(b for b in mixed.blocks if b.name == "WD")
     with pytest.raises(SgisError, match="different vertices"):
         cover_witness(mixed, chain_tree(vertex_path("v")), wd)
+
+
+# loops e and f in block X and g in block Y: {v, ~f, ~f g} uses no edge of X
+# at its root, but an inverse letter of one
+LOOPS = "vertex v\nedge e v v\nedge f v v\nedge g v v\nblock X finite e f\nblock Y finite g\n"
+
+
+def _witness_trees(graph, v, max_len, draws, rng):
+    """Criterion 08's trees at v: the principal tree of each separated path
+    up to max_len, and the trees of sampled compatible pairs of them."""
+    pool = separated_paths(graph, v, max_len)
+    yield from (canonicalize(graph, lower_closure(graph, [p])) for p in pool)
+    for _ in range(draws):
+        p, q = rng.choice(pool), rng.choice(pool)
+        if compatible(graph, p, q):
+            yield canonicalize(graph, lower_closure(graph, [p, q]))
+
+
+def test_cover_witness_matches_the_tip_scan():
+    """The block rule at the root names the witness that the scan of the
+    maximal members finds, for every block at the base: on criterion 08's
+    trees of the six graphs, on smaller families of 60 generated graphs, and
+    on a tree whose root holds an inverse letter of the block's edge."""
+    loops = parse_graph(LOOPS)
+    names = ("rose1t", "rose2t", "rose2f", "fim2", "fim2inf", "mixed")
+    graphs = [(load(name), 4, 4000) for name in names]
+    graphs += [(random_separated_graph(random.Random(i), 4), 3, 100) for i in range(60)]
+    graphs.append((loops, 3, 400))
+    cases = 0
+    for graph, max_len, draws in graphs:
+        rng = random.Random(208)
+        for v in graph.vertices:
+            for J in _witness_trees(graph, v, max_len, draws, rng):
+                for block in graph.blocks_at[v]:
+                    assert cover_witness(graph, J, block) == cover_witness_by_tips(graph, J, block)
+                    cases += 1
+    assert cases > 80_000
+    X = next(b for b in loops.blocks if b.name == "X")
+    J = lower_closure(loops, [Path("v", (Fi, Letter("g")))])
+    assert cover_witness(loops, J, X) == cover_witness_by_tips(loops, J, X) == "e"
 
 
 def test_cover_refinement_identity_basic(rose2t, fim2):

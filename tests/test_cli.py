@@ -8,7 +8,10 @@ import pytest
 
 from conftest import GRAPH_DIR
 import sgis.cli
+import sgis.oracle
 from sgis.cli import main
+from sgis.paths import parse_word_string
+from sgis.semigroup import evaluate, normal_form
 
 ROSE2F = str(GRAPH_DIR / "rose2f.sg")
 ROSE2T = str(GRAPH_DIR / "rose2t.sg")
@@ -113,6 +116,9 @@ def test_enumerate_basis(capsys):
     code, out, _ = run(capsys, "enumerate", ROSE1T, "--max-len", "1", "--what", "basis")
     assert code == 0
     assert out.splitlines()[-1] == "count: 5"
+    # the idempotents are the basis elements whose carrier is a vertex
+    code, out, _ = run(capsys, "enumerate", ROSE1T, "--max-len", "1", "--what", "idempotents")
+    assert (code, out) == (0, "(v) | v\n(e) | v\ncount: 2\n")
 
 
 def test_enumerate_budget_exit_code(capsys):
@@ -259,10 +265,12 @@ def test_cover(capsys):
 
 def test_cover_two_edge_block(capsys):
     """Compatibility against a two-edge block: the witnesses pick the edge a
-    tree already uses, and the first edge otherwise."""
-    code, out, _ = run(
-        capsys, "cover", MIXED, "--vertex", "v", "--block", "VAB", "--max-len", "3"
-    )
+    tree already uses, and the first edge otherwise.  The witnesses walk the
+    path list that the check has paid for, so the check's 60 paths and 11
+    search nodes are the whole budget; one unit less stops the check before
+    it prints."""
+    argv = ("cover", MIXED, "--vertex", "v", "--block", "VAB", "--max-len", "3")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.splitlines() == [
         "cover by block VAB: no counterexample up to max-len=3",
@@ -273,6 +281,9 @@ def test_cover_two_edge_block(capsys):
         "witness {v} -> a",
         "witness check: 60 trees validated",
     ]
+    assert run(capsys, *argv, "--budget", "71")[:2] == (0, out)
+    code, out, err = run(capsys, *argv, "--budget", "70")
+    assert (code, out) == (3, "") and "budget" in err
 
 
 def test_cover_unknown_block(capsys):
@@ -304,13 +315,30 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err == "internal error: RuntimeError('boom')\n"
 
 
-def test_oracle_crosscheck(capsys):
+def test_oracle_crosscheck(capsys, monkeypatch):
+    """A clean report exits 0.  An oracle that disagrees with the engine is
+    a property violation: exit 1, and the report records the word, which
+    reads back to the atoms the oracle was given, with both normal forms."""
     code, out, _ = run(
         capsys, "oracle", "crosscheck", ROSE2T, "--samples", "60", "--len", "6"
     )
     assert code == 0
     report = json.loads(out)
     assert report["samples"] == 60 and report["disagreements"] == []
+    given = []
+
+    def wrong(graph, atoms):
+        given.append(list(atoms))
+        return "wrong"
+
+    monkeypatch.setattr(sgis.oracle, "string_normal_form", wrong)
+    code, out, _ = run(capsys, "oracle", "crosscheck", ROSE2T, "--samples", "1", "--len", "6")
+    assert code == 1
+    [record] = json.loads(out)["disagreements"]
+    graph = sgis.cli._load_graph(ROSE2T)
+    assert parse_word_string(graph, record["word"]) == given[0]
+    assert record["engine"] == normal_form(graph, evaluate(graph, given[0])) != "wrong"
+    assert record["oracle"] == "wrong"
 
 
 def test_output_is_deterministic(capsys):

@@ -9,6 +9,7 @@ from helpers import composable_letter_words, random_separated_graph
 import sgis.algebra
 import sgis.oracle
 from sgis.errors import Budget, BudgetExceededError, SgisError, WordError
+from sgis.graph import parse_graph
 from sgis.oracle import (
     CONNECTED,
     UNKNOWN,
@@ -18,6 +19,7 @@ from sgis.oracle import (
     fim_graph,
     fim_value,
     random_letter_word,
+    random_walk_word,
     rewrite_closure,
     rewrite_equiv,
     string_normal_form,
@@ -38,6 +40,10 @@ def test_string_algorithm_zero_and_vertex(rose2t):
     assert string_normal_form(rose2t, parse_word_string(rose2t, "~e f")) == "0"
     assert string_normal_form(rose2t, parse_word_string(rose2t, "v")) == "(v) | v"
     assert string_normal_form(rose2t, parse_word_string(rose2t, "e ~e e ~e")) != "0"
+    # a walk from a vertex with no steps is the vertex alone
+    lonely = parse_graph("vertex w\n", allow_isolated=True)
+    assert random_walk_word(lonely, random.Random(0), 5) == ["w"]
+    assert string_normal_form(lonely, ["w"]) == "(w) | w"
 
 
 def test_string_algorithm_noncomposable_is_zero(fim2):
@@ -71,7 +77,7 @@ def test_rewrite_equiv_examples(rose2f):
     assert evaluate(rose2f, e, Level.SEPARATED) != evaluate(rose2f, f, Level.SEPARATED)
 
 
-def test_rewrite_equiv_zero_pairs(rose2t, fim2):
+def test_rewrite_equiv_zero_pairs(rose2t, fim2, mixed):
     # both sides collapse to zero: connected
     a = parse_word_string(rose2t, "~e f")
     b = parse_word_string(rose2t, "~f e")
@@ -80,6 +86,11 @@ def test_rewrite_equiv_zero_pairs(rose2t, fim2):
     c = parse_word_string(fim2, "e1 e2")
     d = parse_word_string(fim2, "e1 f2")
     assert rewrite_equiv(fim2, c, d, 4) == CONNECTED
+    # one side not composable, the other composable: connected iff it is zero
+    e1 = parse_word_string(fim2, "e1")
+    assert rewrite_equiv(fim2, c, e1, 4) == rewrite_equiv(fim2, e1, c, 4) == UNKNOWN
+    ab, zero = parse_word_string(mixed, "a b"), parse_word_string(mixed, "~a b")
+    assert rewrite_equiv(mixed, ab, zero, 4) == rewrite_equiv(mixed, zero, ab, 4) == CONNECTED
 
 
 def test_rewrite_equiv_relation_four(rose2t):
@@ -181,6 +192,7 @@ def test_fim_embedding_never_zero():
 
 def test_crosscheck_report(rose2f):
     report = crosscheck(rose2f, samples=200, max_len=8, seed=3)
+    assert set(report) == {"samples", "agreements", "disagreements", "zero_words"}
     assert report["samples"] == 200
     assert report["agreements"] == 200
     assert report["disagreements"] == []

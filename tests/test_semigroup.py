@@ -162,7 +162,8 @@ def test_golden_word_free_level_keeps_carrier_leaf(rose2f):
 
 
 def test_zero_and_vertex_forms(rose2t):
-    assert normal_form(rose2t, ZERO) == "0"
+    assert normal_form(rose2t, ZERO) == "0" == repr(ZERO)
+    assert is_idempotent(ZERO)
     v = from_letter(rose2t, "v", Level.SEPARATED)
     assert normal_form(rose2t, v) == "(v) | v"
 
@@ -221,6 +222,7 @@ def test_natural_leq(rose2f):
     assert not natural_leq(rose2f, b, a)
     assert natural_leq(rose2f, a, a)
     assert natural_leq(rose2f, ZERO, a)
+    assert not natural_leq(rose2f, a, ZERO)
 
 
 def test_natural_leq_matches_defining_identity(rose2t, rose2f):

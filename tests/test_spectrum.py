@@ -215,7 +215,7 @@ def test_branch_extensions_against_definition(rose2f, rose2t, fim2, mixed, rose1
 
 def test_make_cylinder_validates(rose2f):
     I = lower_closure(rose2f, [Path("v", (E,))])
-    make_cylinder(rose2f, I, [Path("v", (E, F))])
+    assert repr(make_cylinder(rose2f, I, [Path("v", (E, F))])) == "Z({v, e} \\ {e f})"
     with pytest.raises(CylinderError):
         make_cylinder(rose2f, I, [Path("v", (E,))])  # inside the tree
     with pytest.raises(CylinderError):
