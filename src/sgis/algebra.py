@@ -21,7 +21,7 @@ from .paths import (
     Path,
     checked_path,
     extensions,
-    letter_key,
+    letter_ranks,
     path_key,
     positive_part,
     render_path,
@@ -64,7 +64,7 @@ def _carrier_key(graph: SeparatedGraph, c: Path):
 
 
 def _tree_key(graph: SeparatedGraph, tree: LowerSet):
-    return len(tree), tuple(zip(tree.parent[1:], [letter_key(graph, x) for x in tree.entered[1:]]))
+    return len(tree), tuple(zip(tree.parent[1:], map(letter_ranks(graph).__getitem__, tree.entered[1:])))
 
 
 class AlgebraElement:
@@ -173,9 +173,13 @@ def idempotent_of(graph: SeparatedGraph, I: LowerSet) -> AlgebraElement:
     come from outside, so it enters through `checked_tree`: a tree that
     breaks the block rule raises IncompatiblePathsError with two members
     that clash, as its idempotent is zero."""
-    tree = canonicalize(graph, checked_tree(graph, I))
-    el = Element(tree, vertex_path(tree.base), Level.SEPARATED)
-    return AlgebraElement.of(graph, el)
+    return _idempotent(graph, checked_tree(graph, I))
+
+
+def _idempotent(graph: SeparatedGraph, I: LowerSet) -> AlgebraElement:
+    """`idempotent_of` a tree that keeps the block rule, with no check."""
+    tree = canonicalize(graph, I)
+    return AlgebraElement.of(graph, Element(tree, vertex_path(tree.base), Level.SEPARATED))
 
 
 def path_element(graph: SeparatedGraph, p: Path) -> AlgebraElement:
@@ -337,7 +341,9 @@ def cover_refinement_check(
 
     Preconditions: head is a member of I, run is an inverse-letter word, and
     each extended path passes `checked_path`, lies outside I, and is
-    compatible with I.  I enters through `checked_tree`.
+    compatible with I.  I enters through `checked_tree`, once: the unions
+    with the extensions are trees the engine built from it, so their
+    idempotents are made unchecked.
     """
     if block.infinite:
         raise SgisError("refinement requires a finite block")
@@ -359,10 +365,10 @@ def cover_refinement_check(
     for w in extended:
         pe = path_element(graph, w)
         lhs_sum = lhs_sum + pe * pe.star()
-    lhs = idempotent_of(graph, I) * lhs_sum
+    lhs = _idempotent(graph, I) * lhs_sum
     rhs = AlgebraElement.zero(graph)
     for w in extended:
-        rhs = rhs + idempotent_of(graph, merge_tries(graph, I, chain_tree(w)))
+        rhs = rhs + _idempotent(graph, merge_tries(graph, I, chain_tree(w)))
     return lhs == rhs
 
 
@@ -381,29 +387,34 @@ def enumerate_basis(
     a chosen tip and is `compatible_with`.  Each tree is its parent in the
     search merged with the new tip's chain, from the vertex's own chain, so
     no tree is closed from its tips.  A tree's carriers are the listed paths
-    whose positive part is a member.  The budget pays a unit per path
-    listed, the vertex path included, and per node and carrier of each
-    tree.  The sort key's carrier part is made once per listed path and its
-    tree part once per tree."""
+    whose positive part is a member: the listed paths are grouped by their
+    positive part once per vertex, and a tree's carriers are its parent's
+    and those anchored at the prefixes of the new tip that the merge adds.
+    The budget pays a unit per path listed, the vertex path included, and
+    per node and carrier of each tree.  The sort key's carrier part is made
+    once per listed path and its tree part once per tree."""
     budget = budget or Budget(context="basis enumeration")
     keyed: list[tuple] = []  # (element_sort_key, element)
     for v in graph.vertices:
         every = extensions(graph, vertex_path(v), max_len, budget)
         tips = sorted_paths(graph, [p for p in every if p.letters and not p.letters[-1].inverse])
-        anchored = [(positive_part(c), c, _carrier_key(graph, c)) for c in every]
+        anchored: dict[tuple[Letter, ...], list] = {}  # a positive part's letters -> [(carrier, key)]
+        for c in every:
+            anchored.setdefault(positive_part(c).letters, []).append((c, _carrier_key(graph, c)))
 
-        def extend(start: int, tree: LowerSet) -> None:
-            carriers = [(c, key) for a, c, key in anchored if a in tree]
+        def extend(start: int, tree: LowerSet, carriers: list) -> None:
             budget.spend(len(tree) + len(carriers))
             size, trie = _tree_key(graph, tree)
             keyed.extend(((key, size, trie), Element(tree, c, Level.SEPARATED)) for c, key in carriers)
             for j in range(start, len(tips)):
                 p = tips[j]
                 # p sorts after the chosen tips: one is its prefix iff p stops at it, a leaf
-                n = tree.reach(p.letters)[0]
+                n, k = tree.reach(p.letters)
                 if (n == 0 or tree.children(n)) and compatible_with(graph, tree, p):
-                    extend(j + 1, merge_tries(graph, tree, chain_tree(p)))
+                    # the merge adds the prefixes of p longer than k, and their carriers
+                    added = [c for m in range(k + 1, len(p.letters) + 1) for c in anchored.get(p.letters[:m], ())]
+                    extend(j + 1, merge_tries(graph, tree, chain_tree(p)), carriers + added)
 
-        extend(0, chain_tree(vertex_path(v)))
+        extend(0, chain_tree(vertex_path(v)), anchored[()])
     keyed.sort(key=itemgetter(0))
     return [el for _, el in keyed]

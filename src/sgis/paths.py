@@ -10,10 +10,12 @@ is passed explicitly.
 Three primitives are shared across the layers.  `steps` is the one stepping
 rule on the double graph: which letters may follow a given one in a reduced
 separated path.  `sorted_paths` is the one path order (length-lexicographic,
-as fixed by `path_key`) used for trees, tips and enumerations.  `extensions`
-is the one walk of the double graph: from a path, breadth first over
-`steps`, by every letter (the basis, the cover search, `sgis cover`) or by
-inverse letters only (the spectrum's inverse tails and branch extensions).
+as fixed by `path_key`) used for trees, tips and enumerations; letters
+compare by their ranks in the graph's `letter_ranks` table, made once per
+graph.  `extensions` is the one walk of the double graph: from a path,
+breadth first over `steps`, by every letter (the basis, the cover search,
+`sgis cover`) or by inverse letters only (the spectrum's inverse tails and
+branch extensions).
 `word_from_atoms` is the one reader of words, and `parse_word_string` the
 command line's grammar for their atoms.  The reader reads a word through
 the graph's table of atom ends, made once per graph: one lookup of each
@@ -288,15 +290,27 @@ def compose(graph: SeparatedGraph, g: Path, h: Path) -> Path | None:
     return Path(g.base, reduce_letters(g.letters + h.letters))
 
 
-def letter_key(graph: SeparatedGraph, x: Letter) -> tuple[int, int]:
-    # positive letters before inverse ones; within a class, later-declared
-    # edges first (this tiebreak pins the published rendering order)
-    return (1 if x.inverse else 0, -graph.edge_index[x.edge])
+def letter_ranks(graph: SeparatedGraph) -> dict[Letter, int]:
+    """The graph's letter order as one dict from each interned letter to
+    its rank: positive letters before inverse ones, and within a class
+    later-declared edges first (this tiebreak pins the published rendering
+    order).  A graph is immutable, so its table is made on first use and
+    kept on the graph, as its table of atom ends is."""
+    ranks = graph.__dict__.get("_letter_ranks")
+    if ranks is None:
+        last = len(graph.edges) - 1
+        ranks = {}
+        for e, i in graph.edge_index.items():
+            x = Letter(e, False)
+            ranks[x] = last - i
+            ranks[~x] = 2 * last + 1 - i
+        graph._letter_ranks = ranks
+    return ranks
 
 
 def path_key(graph: SeparatedGraph, p: Path):
     """Length-lexicographic order; total on paths from a fixed vertex."""
-    return (len(p.letters), tuple(letter_key(graph, x) for x in p.letters))
+    return (len(p.letters), tuple(map(letter_ranks(graph).__getitem__, p.letters)))
 
 
 def sorted_paths(graph: SeparatedGraph, paths: Iterable[Path]) -> tuple[Path, ...]:

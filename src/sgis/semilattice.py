@@ -12,12 +12,15 @@ paths given from outside by `tree_word`.  The walk numbers the kept nodes
 and marks the tips (the nodes with no kept child) without building a path.
 Two trees are joined without a word: `merge_tries` walks both tries at
 once, breadth first, and gives their union, which is the meet of two
-idempotents (`meet`, and the engine's product of two idempotents).  The tree
-of one reduced path is a chain trie, one node per prefix, which `chain_tree`
-fills in directly; merged into a tree it adds that path and its prefixes,
-so the spectrum's and the algebra's trees are a tree merged with the chains
-of a few paths, and no word is walked.  `chain_unions` is the one walk over
-the unions of a tree with the chains of each subset of a family of paths.
+idempotents (`meet`, and the engine's product of two idempotents).  The
+merge marks where each node's children start, and a merged tree finds its
+tips from those marks on first use, as most unions only become keys of
+algebra terms.  The tree of one reduced path is a chain trie, one node per
+prefix, which `chain_tree` fills in directly; merged into a tree it adds
+that path and its prefixes, so the spectrum's and the algebra's trees are a
+tree merged with the chains of a few paths, and no word is walked.
+`chain_unions` is the one walk over the unions of a tree with the chains of
+each subset of a family of paths.
 The paths (`I.paths`) and the tip paths (`max_elements`) are built from the
 trie on first use and kept on the value, outside the fields;
 `I.tip_texts()` renders the tips without them.  `I.reach` is the one descent
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import IncompatiblePathsError, WordError
@@ -49,7 +53,7 @@ from .paths import (
     compatible,
     is_prefix,
     is_separated_path,
-    letter_key,
+    letter_ranks,
     path_range,
     render_path,
     sorted_paths,
@@ -68,11 +72,12 @@ class LowerSet:
     nondecreasing, so the children of a node are consecutive nodes.
 
     `LowerSet(base, paths)` builds the value from the members in
-    `sorted_paths` order.  When a tree is made, its tips (the nodes with no
-    child) and where each node's children start are marked; the paths and
-    the tip paths are built on first use.  All of these are kept on the
-    instance, outside the fields, so `==`, `hash` and `repr` read only the
-    trie."""
+    `sorted_paths` order.  When a tree is made, where each node's children
+    start is marked; the walk and a chain also mark its tips (the nodes
+    with no child), which any other tree reads off those marks on first
+    use.  The paths and the tip paths are built on first use.  All of these
+    are kept on the instance, outside the fields, so `==`, `hash` and
+    `repr` read only the trie."""
 
     base: str
     parent: tuple[int, ...]
@@ -96,10 +101,15 @@ class LowerSet:
         # node n's children are one run of the nondecreasing `parent`, from
         # first[n] to first[n + 1] - 1; a tip's run is empty
         first = tuple([bisect_left(parent, n, 1) for n in range(len(parent) + 1)])
-        tips = tuple([n for n in range(len(parent)) if first[n] == first[n + 1]])
-        self.__dict__.update(
-            base=base, parent=tuple(parent), entered=tuple(entered), _paths=paths, _first=first, _tip_ids=tips
-        )
+        self.__dict__.update(base=base, parent=tuple(parent), entered=tuple(entered), _paths=paths, _first=first)
+
+    @cached_property
+    def _tip_ids(self) -> tuple[int, ...]:
+        """The tips, the nodes whose run of children is empty: marked when
+        the walk or a chain makes the tree, else read off `_first` on first
+        use."""
+        first = self._first
+        return tuple([n for n in range(len(first) - 1) if first[n] == first[n + 1]])
 
     @property
     def paths(self) -> tuple[Path, ...]:
@@ -176,11 +186,15 @@ class LowerSet:
         return render_lower_set(self)
 
 
-def _trie(base: str, parent: tuple, entered: tuple, first: tuple, tips: tuple) -> LowerSet:
+def _trie(base: str, parent: tuple, entered: tuple, first: tuple, tips: tuple | None = None) -> LowerSet:
     """The one maker of a trie value from its arrays, all tuples: the two
-    fields, where each node's children start, and the tips."""
+    fields, where each node's children start, and the tips when the maker
+    has them; else `_tip_ids` reads them off `_first` on first use."""
     tree = object.__new__(LowerSet)
-    tree.__dict__.update(base=base, parent=parent, entered=entered, _first=first, _tip_ids=tips)
+    cache = tree.__dict__
+    cache.update(base=base, parent=parent, entered=entered, _first=first)
+    if tips is not None:
+        cache["_tip_ids"] = tips
     return tree
 
 
@@ -281,8 +295,7 @@ def munn_tree(
             order += kids.values()
             up.append(i)
         else:
-            kids = sorted(kids.values(), key=lambda c: letter_key(graph, entered[c]))
-            order += kids
+            order += map(kids.__getitem__, sorted(kids, key=letter_ranks(graph).__getitem__))
             up += [i] * len(kids)
     first.append(len(order))
     tree = _trie(base, tuple(up), tuple(map(entered.__getitem__, order)), tuple(first), tuple(tips))
@@ -461,7 +474,7 @@ def merge_tries(
     cursor in each trie and numbers the union's nodes as it goes, so each
     cursor's parent already has its number in the union: the node whose
     parent comes first is next, and under one parent the node whose letter
-    comes first by `letter_key`.  A node of both tries (one parent, one
+    comes first by `letter_ranks`.  A node of both tries (one parent, one
     letter) is taken once.  With `separated`, a positive letter of J taken
     under a node of I whose children hold a different positive edge of its
     block gives None: each tree keeps the block rule on its own, and a node
@@ -472,8 +485,10 @@ def merge_tries(
     parents arrive in nondecreasing order, so a node appended under a parent
     p whose children have not started yet is p's first child, and the first
     of every unmarked node before p, which has none.  After the walk the
-    nodes still unmarked start at the length, and the tips are the nodes
-    whose run of children is empty."""
+    nodes still unmarked start at the length.  The tips are not marked: most
+    unions only become keys of algebra terms, and `_tip_ids` reads them off
+    the marks on first use."""
+    rank = letter_ranks(graph)
     parent1, entered1 = I.parent, I.entered
     parent2, entered2 = J.parent, J.entered
     end1, end2 = len(parent1), len(parent2)
@@ -496,7 +511,7 @@ def merge_tries(
             j += 1
             mine = True
         else:
-            mine = letter_key(graph, entered1[i]) < letter_key(graph, entered2[j])
+            mine = rank[entered1[i]] < rank[entered2[j]]
         if mine:
             x = entered1[i]
             at1[i] = n
@@ -516,8 +531,7 @@ def merge_tries(
         entered.append(x)
     n = len(parent)
     first += [n] * (n + 1 - marked)
-    tips = tuple([m for m in range(n) if first[m] == first[m + 1]])
-    return _trie(I.base, tuple(parent), tuple(entered), tuple(first), tips)
+    return _trie(I.base, tuple(parent), tuple(entered), tuple(first))
 
 
 def meet(graph: SeparatedGraph, I: LowerSet, J: LowerSet) -> LowerSet | None:

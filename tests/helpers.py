@@ -192,6 +192,12 @@ def evaluate_tokens(graph: SeparatedGraph, text: str, level: Level = Level.SEPAR
     return evaluate(graph, parse_word_string(graph, text), level)
 
 
+def letter_key_by_pair(graph: SeparatedGraph, x: Letter) -> tuple[bool, int]:
+    """Reference key of the letter order: positive letters before inverse
+    ones, and within a class later-declared edges first."""
+    return (x.inverse, -graph.edge_index[x.edge])
+
+
 def prefixes(p: Path) -> list[Path]:
     """Every prefix of p, from the empty path at its base up."""
     return [Path(p.base, p.letters[:i]) for i in range(len(p.letters) + 1)]

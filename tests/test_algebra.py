@@ -34,6 +34,7 @@ from sgis.algebra import (
     render_algebra_element,
 )
 from conftest import load
+from sgis import algebra
 from sgis.errors import Budget, BudgetExceededError, IncompatiblePathsError, SgisError, WordError
 from sgis.graph import parse_graph
 from sgis.paths import Letter, Path, compatible, vertex_path
@@ -473,6 +474,18 @@ def test_cover_refinement_identity_basic(rose2t, fim2):
     assert cover_refinement_check(
         fim2, I, make_word(fim2, "v", (Letter("e1", False),)), (Letter("f1", True),), blk
     )
+
+
+def test_cover_refinement_checks_its_tree_once(mixed, monkeypatch):
+    """I passes `checked_tree` once, at the door; the idempotents of I and of
+    its unions with the extensions are made unchecked."""
+    seen = []
+    door = algebra.checked_tree
+    monkeypatch.setattr(algebra, "checked_tree", lambda graph, I: seen.append(I) or door(graph, I))
+    root = chain_tree(vertex_path("v"))
+    vab = next(b for b in mixed.blocks if b.name == "VAB")
+    assert cover_refinement_check(mixed, root, vertex_path("v"), (), vab)
+    assert seen == [root]
 
 
 def test_cover_refinement_precondition_errors(fim2, fim2inf):

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import load
-from helpers import composable_letter_words, make_word, read_atom_by_atom, separated_paths
+from helpers import (
+    composable_letter_words,
+    letter_key_by_pair,
+    make_word,
+    random_separated_graph,
+    read_atom_by_atom,
+    separated_paths,
+)
 from sgis.errors import Budget, BudgetExceededError, WordError
 from sgis.paths import (
     Letter,
@@ -25,8 +32,10 @@ from sgis.paths import (
     is_reduced,
     is_separated_path,
     letter_range,
+    letter_ranks,
     parse_word_string,
     path_inverse,
+    path_key,
     path_range,
     positive_part,
     reduce_letters,
@@ -371,6 +380,50 @@ def test_atom_ends_table_is_kept_on_its_graph():
     assert _atom_ends(graph) is table
     assert _atom_ends(twin) is not table and _atom_ends(twin) == table
     assert _atom_ends(load("fim2")) != table
+
+
+ALL_GRAPHS = ("rose1t", "rose2t", "rose2f", "fim2", "fim2inf", "mixed")
+
+
+def _ranks_keep_the_pair_order(graph) -> int:
+    """On every pair of the graph's letters, `letter_ranks` orders them as
+    the reference pair key does.  Returns how many pairs were compared."""
+    rank = letter_ranks(graph)
+    letters = [Letter(e, inverse) for e in graph.edge_index for inverse in (False, True)]
+    for a, b in itertools.product(letters, repeat=2):
+        got = rank[a] < rank[b], rank[a] == rank[b]
+        want = letter_key_by_pair(graph, a) < letter_key_by_pair(graph, b), a is b
+        assert got == want, (a, b)
+    return len(letters) ** 2
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_letter_ranks_keep_the_pair_order(name):
+    """The rank table orders letters as (inverse, -edge index) does, and so
+    `path_key` orders the separated paths up to length 3 at each vertex as
+    the length and the letters' pair keys do."""
+    graph = load(name)
+    assert _ranks_keep_the_pair_order(graph) > 0
+    for v in graph.vertices:
+        paths = separated_paths(graph, v, 3)
+        want = sorted(paths, key=lambda p: (len(p.letters), [letter_key_by_pair(graph, x) for x in p.letters]))
+        assert sorted(paths, key=lambda p: path_key(graph, p)) == want
+
+
+def test_letter_ranks_keep_the_pair_order_on_generated_graphs():
+    """As above on 60 generated graphs (graph seeds 0..59)."""
+    pairs = sum(_ranks_keep_the_pair_order(random_separated_graph(random.Random(i), 4)) for i in range(60))
+    assert pairs > 1000
+
+
+def test_letter_ranks_are_kept_on_their_graph():
+    """The rank table is made on first use and kept on its graph; another
+    graph parsed from the same file gets an equal table of its own."""
+    graph, twin = load("mixed"), load("mixed")
+    table = letter_ranks(graph)
+    assert letter_ranks(graph) is table
+    assert letter_ranks(twin) is not table and letter_ranks(twin) == table
+    assert sorted(table.values()) == list(range(2 * len(graph.edges)))
 
 
 def test_make_word_raises_on_what_the_reader_rejects(rose2f, fim2):

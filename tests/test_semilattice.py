@@ -544,21 +544,26 @@ def test_meet_merges_as_the_walk_on_generated_graphs():
 
 
 def _merge_marks_at_the_edges(graph, rng: random.Random) -> int:
-    """`merge_tries` marks where each node's children start and the tips as
-    it walks; at each vertex they must be the marks `LowerSet` makes from
-    the union's members.  The cases: a root-only tree with itself; seeded
-    trees I with themselves; a chain one letter past I's last node (a tip,
-    as the last node has no child), either way round; the tree of every
-    reduced step past that tip, so J's new nodes all hang under it; and a
-    chain merged without the rule, as the ladder of `cylinder_difference`
-    merges.  Returns how many unions were compared."""
+    """`merge_tries` marks where each node's children start as it walks, and
+    a merged trie reads its tips off those marks on first use; at each
+    vertex they must be the marks `LowerSet` makes from the union's members,
+    and the tips must not be on the union until they are read.  The cases:
+    a root-only tree with itself; seeded trees I with themselves; a chain
+    one letter past I's last node (a tip, as the last node has no child),
+    either way round; the tree of every reduced step past that tip, so J's
+    new nodes all hang under it; and a chain merged without the rule, as the
+    ladder of `cylinder_difference` merges.  Returns how many unions were
+    compared."""
     compared = 0
 
     def check(I, J, separated):
         nonlocal compared
         got = merge_tries(graph, I, J, separated=separated)
         if got is not None:
-            assert trie_fields(got) == trie_fields(LowerSet(I.base, got.paths)), (I, J, separated)
+            assert "_tip_ids" not in got.__dict__
+            made = LowerSet(I.base, got.paths)
+            assert got._tip_ids == made._tip_ids, (I, J, separated)
+            assert trie_fields(got) == trie_fields(made), (I, J, separated)
             compared += 1
 
     for v in graph.vertices:
