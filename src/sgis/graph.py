@@ -7,17 +7,18 @@ edges, but spectrum/algebra operations treat it as genuinely infinite.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import GraphError, GraphParseError
 
-FORBIDDEN_ID_CHARS = set("~()|,#")
+# one or more characters, none of them whitespace or one of ~()|,#
+_IDENTIFIER = re.compile(r"[^\s~()|,#]+")
 
 
 def _check_identifier(name: str, what: str, line_no: int | None = None) -> None:
-    bad = (not name) or any(c.isspace() or c in FORBIDDEN_ID_CHARS for c in name)
-    if bad:
+    if not _IDENTIFIER.fullmatch(name):
         msg = f"invalid {what} identifier {name!r}"
         if line_no is not None:
             raise GraphParseError(line_no, msg)
@@ -56,17 +57,20 @@ class SeparatedGraph:
         self.edge_index = {e: i for i, (e, _, _) in enumerate(self.edges)}
         self.source_of = {e: s for e, s, _ in self.edges}
         self.range_of = {e: r for e, _, r in self.edges}
-        self.out_edges: dict[str, tuple[str, ...]] = {v: () for v in self.vertices}
-        self.in_edges: dict[str, tuple[str, ...]] = {v: () for v in self.vertices}
+        out_edges: dict[str, list[str]] = {v: [] for v in self.vertices}
+        in_edges: dict[str, list[str]] = {v: [] for v in self.vertices}
         for e, s, r in self.edges:
-            if s in self.out_edges:
-                self.out_edges[s] += (e,)
-            if r in self.in_edges:
-                self.in_edges[r] += (e,)
-        self.blocks_at: dict[str, tuple[Block, ...]] = {v: () for v in self.vertices}
+            if s in out_edges:
+                out_edges[s].append(e)
+            if r in in_edges:
+                in_edges[r].append(e)
+        blocks_at: dict[str, list[Block]] = {v: [] for v in self.vertices}
         for b in self.blocks:
-            if b.source in self.blocks_at:
-                self.blocks_at[b.source] += (b,)
+            if b.source in blocks_at:
+                blocks_at[b.source].append(b)
+        self.out_edges: dict[str, tuple[str, ...]] = {v: tuple(es) for v, es in out_edges.items()}
+        self.in_edges: dict[str, tuple[str, ...]] = {v: tuple(es) for v, es in in_edges.items()}
+        self.blocks_at: dict[str, tuple[Block, ...]] = {v: tuple(bs) for v, bs in blocks_at.items()}
         self.block_of: dict[str, Block] = {}
         for b in self.blocks:
             for e in b.edges:
@@ -203,6 +207,7 @@ def parse_graph(text: str, allow_isolated: bool = False) -> SeparatedGraph:
     blocks: list[Block] = []
     separation_mode: str | None = None
     seen_names: set[str] = set()
+    source_of: dict[str, str] = {}  # each edge read so far -> its source
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -226,6 +231,7 @@ def parse_graph(text: str, allow_isolated: bool = False) -> SeparatedGraph:
             if name in seen_names:
                 raise GraphParseError(line_no, f"duplicate identifier {name!r}")
             seen_names.add(name)
+            source_of[name] = src
             edges.append((name, src, rng))
         elif kind == "block":
             if separation_mode is not None:
@@ -238,10 +244,10 @@ def parse_graph(text: str, allow_isolated: bool = False) -> SeparatedGraph:
                 )
             _check_identifier(args[0], "block", line_no)
             edge_names = tuple(args[2:])
-            sources = {s for e, s, _ in edges if e in edge_names}
-            unknown = [e for e in edge_names if e not in {n for n, _, _ in edges}]
-            if unknown:
-                raise GraphParseError(line_no, f"unknown edge {unknown[0]!r}")
+            unknown = next((e for e in edge_names if e not in source_of), None)
+            if unknown is not None:
+                raise GraphParseError(line_no, f"unknown edge {unknown!r}")
+            sources = {source_of[e] for e in edge_names}
             if len(sources) != 1:
                 raise GraphParseError(
                     line_no, f"block {args[0]!r} mixes sources {sorted(sources)}"

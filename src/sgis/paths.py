@@ -16,13 +16,17 @@ graph.  `extensions` is the one walk of the double graph: from a path,
 breadth first over `steps`, by every letter (the basis, the cover search,
 `sgis cover`) or by inverse letters only (the spectrum's inverse tails and
 branch extensions).
-`word_from_atoms` is the one reader of words, and `parse_word_string` the
-command line's grammar for their atoms.  The reader reads a word through
-the graph's table of atom ends, made once per graph: one lookup of each
-atom's source and one of its range, and one comparison of the two lists for
-composability, with no loop in Python.
-`checked_path` is the one check of a path given from outside: read by that
-reader, then reduced and separated; nothing built from it is checked again.
+`word_from_atoms` is the reader of paths, and `parse_word_string` the
+command line's grammar for their atoms.  It reads a sequence of atoms
+through the graph's table of atom ends (`_atom_ends`), made once per graph:
+one lookup of each atom's source and one of its range, and one comparison
+of the two lists for composability, with no loop in Python.  `evaluate`'s
+words are not read here: the Munn walk (`semilattice.munn_tree` with no
+base) reads them through the same table as it goes, and compares an atom's
+source with the running vertex only where it makes a node.
+`checked_path` is the one check of a path given from outside: read by
+`word_from_atoms`, then reduced and separated; nothing built from it is
+checked again.
 `reduced_path` is its first half, for paths that need not be separated.
 A path renders as its letters' `text`s.  `Letter`, `Path` and the engine's
 `Element` are `Frozen`: slotted values whose slots are set once.
@@ -363,7 +367,8 @@ def _atom_ends(graph: SeparatedGraph) -> tuple[dict, dict]:
     """The graph's table of atom ends: from each vertex name and each
     interned letter of its edges, one dict to the atom's source and one to
     its range, v to v for a vertex v.  A graph is immutable, so its table
-    is made on the first read of a word on it and kept on the graph."""
+    is made on the first read of a word on it and kept on the graph; the
+    reader of paths and the walk of `evaluate`'s words share it."""
     table = graph.__dict__.get("_atom_ends")
     if table is None:
         sources = {v: v for v in graph.vertices}
@@ -379,7 +384,7 @@ def _atom_ends(graph: SeparatedGraph) -> tuple[dict, dict]:
 def word_from_atoms(
     graph: SeparatedGraph, atoms: Sequence[str | Letter]
 ) -> Path | None:
-    """The one reader of words: a sequence of atoms (vertices and letters)
+    """The reader of paths: a sequence of atoms (vertices and letters)
     as a path from the first atom's source, or None when consecutive atoms
     do not compose (the zero of the path semigroup).  A vertex atom adds no
     letter but must be the running vertex.
@@ -396,7 +401,7 @@ def word_from_atoms(
     try:
         sources = list(map(sources_of.__getitem__, atoms))
     except KeyError:
-        raise _unknown_atom(sources_of, atoms) from None
+        raise _unknown_atom(next(a for a in atoms if a not in sources_of)) from None
     ranges = list(map(ranges_of.__getitem__, atoms))
     if sources[1:] != ranges[:-1]:
         return None
@@ -421,7 +426,6 @@ def checked_path(graph: SeparatedGraph, p: Path) -> Path:
     return p
 
 
-def _unknown_atom(known: dict, atoms: Sequence[str | Letter]) -> WordError:
-    """The error naming the first atom that is not a key of `known`."""
-    a = next(a for a in atoms if a not in known)
+def _unknown_atom(a: str | Letter) -> WordError:
+    """The error naming an atom the graph does not have."""
     return WordError(f"unknown vertex {a!r}" if isinstance(a, str) else f"unknown edge {a.edge!r}")

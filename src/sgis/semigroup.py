@@ -13,12 +13,16 @@ inverse walks the formal inverse of one.  An automorphism's image
 (`apply_automorphism`) walks that word with every letter relabelled.  Raw
 tree data (`make_element`) is walked as `tree_word` reads it, and a
 translated tree (`act_on_tree`) as the translation followed by the tree's
-tour.  `evaluate` reads its word once, through `paths.word_from_atoms`, and
-the normal form is read off the trie: `render_element` climbs from each tip
-to the root and joins the letters' texts, building no path.  A tree and a
-carrier from outside enter by one door, `make_element`; a walk always keeps
-its end's anchor, so the operations trust the elements they build.  Each
-level adds one rule to the one below it:
+tour.  `evaluate` and `from_letter` read their atoms once, inside a walk
+with no base: a step back to the parent or to a child already made
+composes by construction, so an atom's source is compared with the running
+vertex only where the walk makes a node.  The engine's own walks are given
+their base and read nothing.  The normal form is read off the trie:
+`render_element` climbs from each tip to the root and joins the letters'
+texts, building no path.  A tree and a carrier from outside enter by one
+door, `make_element`; a walk always keeps its end's anchor, so the
+operations trust the elements they build.  Each level adds one rule to the
+one below it:
 
 * FREE       -- plain Munn trees: any finite lower set containing the full
                 carrier path; no separation constraints.
@@ -66,7 +70,6 @@ from .paths import (
     reduced_path,
     render_path,
     star,
-    word_from_atoms,
 )
 from .semilattice import (
     LowerSet,
@@ -175,8 +178,7 @@ def make_element(graph: SeparatedGraph, tree_paths: Iterable[Path], carrier: Pat
 
 def from_letter(graph: SeparatedGraph, atom: "str | Letter", level: Level) -> Element:
     """Generator images: a vertex, an edge, or an inverse edge."""
-    word = word_from_atoms(graph, [atom])
-    return Element(*_walk(graph, word.base, word.letters, level), level)
+    return Element(*_walk(graph, None, [atom], level), level)
 
 
 def _word(a: Element) -> list[Letter]:
@@ -185,9 +187,10 @@ def _word(a: Element) -> list[Letter]:
     return a.tree.tour() + list(a.carrier.letters)
 
 
-def _walk(graph: SeparatedGraph, base: str, word: Sequence[Letter], level: Level):
+def _walk(graph: SeparatedGraph, base: str | None, word: Sequence, level: Level):
     """`munn_tree` under the level's rules: the block rule at the separated
-    level, the canonical pruning above the free level."""
+    level, the canonical pruning above the free level.  With no base the
+    walk reads the word's atoms as it goes."""
     return munn_tree(
         graph, base, word, separated=level is Level.SEPARATED, canonical=level is not Level.FREE
     )
@@ -229,18 +232,16 @@ def is_idempotent(a) -> bool:
 
 
 def evaluate(graph: SeparatedGraph, atoms: Sequence["str | Letter"], level: Level = Level.SEPARATED):
-    """The element of a word, built in one walk over its reduced prefixes.
+    """The element of a word, built in one walk over its reduced prefixes
+    that reads the atoms as it goes (`semilattice.munn_tree` with no base).
 
-    `paths.word_from_atoms` reads the word and checks every atom: an unknown
-    vertex or edge raises WordError wherever it stands, also after a part of
-    the word that is already zero.  A word whose letters do not compose is
-    zero; at the separated level so is a word whose tree breaks the block
-    rule of `semilattice.munn_tree`.
+    The walk compares an atom's source with the running vertex only where
+    it makes a node: a word whose atoms do not compose is zero, and so, at
+    the separated level, is a word whose tree breaks the block rule.  An
+    unknown vertex or edge raises WordError wherever it stands, also after
+    a part of the word that is already zero.
     """
-    word = word_from_atoms(graph, atoms)
-    if word is None:
-        return ZERO
-    tree, end = _walk(graph, word.base, word.letters, level)
+    tree, end = _walk(graph, None, atoms, level)
     return ZERO if tree is None else Element(tree, end, level)
 
 

@@ -3,11 +3,13 @@
 A `LowerSet` is the trie of a prefix-closed family of paths from one vertex:
 per node its parent's index and the letter that enters it, the nodes
 numbered in the global length-lexicographic order.  The encoding is
-canonical, so equality and hashing compare two tuples, and a tree of n
-nodes holds n letters, not one path per node; `_trie` is the one maker of
-such a value from its arrays.  Trees are built from words by one walk,
-`munn_tree`, over a trie of a word's reduced prefixes.  A tree is spelled by
-its tour (`I.tour()`, each trie edge down and back up), and a family of
+canonical, so equality and hashing compare two tuples, and a tree of n nodes
+holds n letters, not one path per node; `_trie` is the one maker of such a
+value from its arrays.  Trees are built from words by one walk, `munn_tree`,
+over a trie of a word's reduced prefixes; with no base it reads a word from
+outside as it goes, checking an atom only where it makes a node, and the
+engine's own words, walked from their base, are not read.  A tree is spelled
+by its tour (`I.tour()`, each trie edge down and back up), and a family of
 paths given from outside by `tree_word`.  The walk numbers the kept nodes
 and marks the tips (the nodes with no kept child) without building a path.
 Two trees are joined without a word: `merge_tries` walks both tries at
@@ -49,6 +51,8 @@ from .graph import SeparatedGraph
 from .paths import (
     Letter,
     Path,
+    _atom_ends,
+    _unknown_atom,
     checked_path,
     compatible,
     is_prefix,
@@ -224,8 +228,8 @@ def tree_word(paths: Iterable[Path]) -> list[Letter]:
 
 def munn_tree(
     graph: SeparatedGraph,
-    base: str,
-    word: Sequence[Letter],
+    base: str | None,
+    word: Sequence[Letter | str],
     *,
     separated: bool = False,
     canonical: bool = False,
@@ -233,16 +237,33 @@ def munn_tree(
     """The Munn tree of a composable word from `base` and the path where its
     walk ends, as `(LowerSet, Path)`.
 
-    Nodes of the trie are ints; node 0 is the empty path at `base`.  Three
+    Nodes of the trie are ints; node 0 is the empty path at `base`.  Four
     per-node arrays hold the trie: each node's `parent`, the letter it was
-    `entered` by, and its `children` by letter.  A letter cancelling the one
-    that entered the current node moves to its parent, any other letter to a
-    child.  The visited nodes are the tree.  With `separated`, the positive
-    letters leaving a node, plus e for a node entered by ~e, use at most one
-    edge per block: the local form of "every member separated and all
-    pairwise compatible", checked by `block_clash` as a positive letter adds
-    a child, against the node's children and the letter back.  A violation
-    gives `(None, None)`; `block_rule_break` names the two members that clash.
+    `entered` by, the letter back to its parent (in `backs`, None at the
+    root), and its `children` by letter.  The letter back moves to the
+    parent, any other letter to a child.  The visited nodes are the tree.
+    With `separated`, the positive letters leaving a node, plus e for a node
+    entered by ~e, use at most one edge per block: the local form of "every
+    member separated and all pairwise compatible", checked by `block_clash`
+    as a positive letter adds a child, against the node's children and the
+    letter back.  A violation gives `(None, None)`; `block_rule_break` names
+    the two members that clash.
+
+    A missing base marks a word from outside, `evaluate`'s atoms (vertices
+    and letters), which the walk reads as it goes: the base is the first
+    atom's source, and each node keeps its vertex.  A step back to the
+    parent or to a child the walk made composes by construction: the letter
+    back starts where the node's letter ends, and a child's letter was
+    checked when the child was made.  So only the branch that makes a node
+    compares the atom's source, read from the graph's table of atom ends
+    (`paths._atom_ends`), with the running vertex.  A vertex atom is never
+    the letter back nor a child's letter, so it lands there too; it adds no
+    node.  A word that stops composing, or breaks the block rule, is zero
+    once the rest of it holds no unknown atom: an unknown vertex or edge
+    raises WordError naming the first, wherever it stands.  A walk given its
+    base reads nothing and checks nothing of the kind: the engine walks
+    words it built.
+
     With `canonical`, only the root and the ancestors-or-self of positively
     entered nodes are kept: the canonical form of the tree.  A parent's id is
     below its children's, so one pass from the last node back marks them and
@@ -250,25 +271,43 @@ def munn_tree(
     order gives the tree its two arrays, and marks the nodes with no kept
     child as its tips; it builds no path.
     """
+    reading = base is None
+    atoms = iter(word)
+    if reading:
+        if not word:
+            raise WordError("empty word")
+        sources, ranges = _atom_ends(graph)
+        if word[0] not in sources:
+            raise _unknown_atom(word[0])
+        base = sources[word[0]]
+        vertex = [base]  # each node's vertex
     parent = [0]
     entered: list[Letter | None] = [None]
     children: list[dict[Letter, int]] = [{}]
+    backs: list[Letter | None] = [None]  # each node's letter back to its parent
     at = 0
-    for x in word:
-        if entered[at] is x._inverted:
+    for x in atoms:
+        if backs[at] is x:
             at = parent[at]
             continue
-        child = children[at].get(x)
+        kids = children[at]
+        child = kids.get(x)
         if child is None:
+            if reading:
+                if sources.get(x) != vertex[at]:
+                    return _zero(sources, (x, *atoms))
+                if x.__class__ is str:  # a vertex atom at the running vertex
+                    continue
+                vertex.append(ranges[x])
             if separated and not x.inverse:
-                around = (*children[at], entered[at]._inverted) if at else children[at]
-                if block_clash(graph, around, x) is not None:
-                    return None, None
+                if block_clash(graph, (*kids, backs[at]) if at else kids, x) is not None:
+                    return _zero(sources, atoms) if reading else (None, None)
             child = len(parent)
             parent.append(at)
             entered.append(x)
+            backs.append(x._inverted)
             children.append({})
-            children[at][x] = child
+            kids[x] = child
         at = child
 
     if canonical:
@@ -300,6 +339,15 @@ def munn_tree(
     first.append(len(order))
     tree = _trie(base, tuple(up), tuple(map(entered.__getitem__, order)), tuple(first), tuple(tips))
     return tree, Path(base, _climb(parent, entered, at))
+
+
+def _zero(known: dict, rest: Iterable) -> tuple[None, None]:
+    """A read word's zero, `(None, None)`, once no atom of the rest of it is
+    unknown; else a WordError names the first that is."""
+    for a in rest:
+        if a not in known:
+            raise _unknown_atom(a)
+    return None, None
 
 
 def chain_tree(p: Path) -> LowerSet:

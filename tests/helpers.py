@@ -127,10 +127,11 @@ def brute_force_automorphisms(graph: SeparatedGraph) -> list[GraphAutomorphism]:
 
 
 def read_atom_by_atom(graph: SeparatedGraph, atoms) -> Path | None:
-    """Second route to `word_from_atoms`, kept for cross-checks: one atom at
-    a time, each checked against the graph's tables as it is read, with no
-    engine.  The running vertex follows the atoms, and the word is None once
-    an atom does not start there."""
+    """Second route to `word_from_atoms` and to the reading walk of
+    `evaluate`, kept for cross-checks: one atom at a time, each checked
+    against the graph's tables as it is read, with no engine.  The running
+    vertex follows the atoms, and the word is None once an atom does not
+    start there."""
     if not atoms:
         raise WordError("empty word")
     letters: list[Letter] = []

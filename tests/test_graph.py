@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from sgis.errors import GraphError, GraphParseError
@@ -201,3 +204,26 @@ def test_constructor_rejects_a_bad_graph(vertices, edges, blocks, why):
     repeat an edge or take one from another source."""
     with pytest.raises(GraphError, match=why):
         SeparatedGraph(vertices, edges, blocks)
+
+
+def test_a_graph_of_ten_thousand_vertices_parses_in_linear_time():
+    """A generated graph of 10^4 vertices, each with three out-edges to
+    random vertices in a two-edge and a one-edge block, parses in under 5 s
+    (the reader keeps one dict from edge name to source) and equals the
+    graph built through `SeparatedGraph` directly."""
+    n = 10_000
+    rng = random.Random("ten-thousand")
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [(f"e{i}_{k}", f"v{i}", f"v{rng.randrange(n)}") for i in range(n) for k in range(3)]
+    blocks = []
+    for i in range(n):
+        blocks += [Block(f"A{i}", f"v{i}", (f"e{i}_0", f"e{i}_1")), Block(f"B{i}", f"v{i}", (f"e{i}_2",))]
+    text = "\n".join(
+        [f"vertex {v}" for v in vertices]
+        + [f"edge {e} {s} {r}" for e, s, r in edges]
+        + [f"block {b.name} finite {' '.join(b.edges)}" for b in blocks]
+    )
+    start = time.perf_counter()
+    parsed = parse_graph(text)
+    assert time.perf_counter() - start < 5
+    assert vars(parsed) == vars(SeparatedGraph(vertices, edges, blocks))

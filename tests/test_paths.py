@@ -46,7 +46,7 @@ from sgis.paths import (
     vertex_path,
     word_from_atoms,
 )
-from sgis.semigroup import evaluate, grading
+from sgis.semigroup import ZERO, Element, Level, _walk, evaluate, grading
 
 E = Letter("e", False)
 Ei = Letter("e", True)
@@ -508,14 +508,34 @@ def _read(read, graph, atoms):
         return ("WordError", str(err))
 
 
+def _evaluate_at(level):
+    return lambda graph, atoms: evaluate(graph, atoms, level)
+
+
+def _read_then_walk(level):
+    """The reference for `evaluate`: the word read atom by atom, then the
+    walk of the path read from its base, which checks nothing."""
+
+    def read(graph, atoms):
+        p = read_atom_by_atom(graph, atoms)
+        if p is None:
+            return ZERO
+        tree, end = _walk(graph, p.base, p.letters, level)
+        return ZERO if tree is None else Element(tree, end, level)
+
+    return read
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_reader_matches_the_atom_by_atom_reference(name):
     """`word_from_atoms` reads as the reference that checks one atom at a
     time: the same path, the same zero, or the same WordError naming the
-    first unknown atom.  The words are walks on the double graph with
-    vertex atoms (at the running vertex or elsewhere), letters of edges
-    the graph lacks, unknown vertex names and non-composing pairs mixed in,
-    also after the word has stopped composing."""
+    first unknown atom.  `evaluate`, whose walk reads the atoms as it goes,
+    gives at each level what the reference's path walks to: the same
+    element, zero, or the same WordError.  The words are walks on the double
+    graph with vertex atoms (at the running vertex or elsewhere), letters of
+    edges the graph lacks, unknown vertex names and non-composing pairs
+    mixed in, also after the word has stopped composing."""
     graph = load(name)
     others = [load(n) for n in BUNDLED if n != name]
     foreign = sorted({e for g in others for e in g.edge_index} - set(graph.edge_index)) + ["ghost"]
@@ -542,6 +562,9 @@ def test_reader_matches_the_atom_by_atom_reference(name):
                     atoms.append(x)
         got, want = _read(word_from_atoms, graph, atoms), _read(read_atom_by_atom, graph, atoms)
         assert got == want, atoms
+        for level in Level:
+            engine = _read(_evaluate_at(level), graph, atoms)
+            assert engine == _read(_read_then_walk(level), graph, atoms), (level, atoms)
         if isinstance(want, tuple):
             assert got[1].startswith(("unknown vertex", "unknown edge", "empty word"))
             seen["error"] += 1

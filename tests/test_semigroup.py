@@ -596,6 +596,35 @@ def test_tour_routes_match_the_tip_word_routes(name, request):
 
 
 @pytest.mark.parametrize("name", ("rose2t", "rose2f", "mixed"))
+def test_the_engines_own_walks_read_no_atom(name, request, monkeypatch):
+    """Only `evaluate`'s walk, which has no base, reads atoms through the
+    graph's table of atom ends.  With that fetch made to raise, `multiply`,
+    `inverse`, `canonicalize`, `act_on_tree` and `apply_automorphism` of
+    elements built beforehand give the same elements as without it."""
+    graph = request.getfixturevalue(name)
+    rng = random.Random(f"no-reading:{name}")
+    phi = graph_automorphisms(graph)[-1]
+    cases = []
+    for level in Level:
+        els = _long_walks(graph, rng, level, (12, 100, 400))
+        for a in els:
+            meeting = [b for b in els if b.carrier.base == path_range(graph, a.carrier)]
+            cases += [(multiply, a, b) for b in [inverse(graph, a), *meeting[:2]]]
+            cases += [(inverse, a), (apply_automorphism, phi, a), (canonicalize, a.tree)]
+            if level is not Level.FREE:
+                cases.append((act_on_tree, path_inverse(graph, a.carrier), a.tree))
+    want = [op(graph, *args) for op, *args in cases]
+
+    def no_table(graph):
+        raise AssertionError("a trusted walk read the table of atom ends")
+
+    monkeypatch.setattr("sgis.semilattice._atom_ends", no_table)
+    with pytest.raises(AssertionError, match="atom ends"):
+        evaluate(graph, [graph.vertices[0]])
+    assert [op(graph, *args) for op, *args in cases] == want
+
+
+@pytest.mark.parametrize("name", ("rose2t", "rose2f", "mixed"))
 def test_an_element_is_walked_as_its_tour_and_carrier(name, request):
     """The word a product or an inverse walks for an element has
     2(|T| - 1) + |c| letters, linear in the tree, on seeded walks of up to
@@ -613,9 +642,10 @@ def test_long_chain_matches_string_oracle(rose2f):
 
 
 def test_unknown_atom_raises_after_a_zero(rose2t, mixed):
-    """The engine, the string oracle, the rewriting oracle and the reader
-    they share all raise WordError naming an unknown atom: after a part of
-    the word that is zero or does not compose, and standing alone."""
+    """The engine's reading walk, the string oracle, the rewriting oracle
+    and the reader of paths the oracles share all raise WordError naming an
+    unknown atom: after a part of the word that is zero or does not
+    compose, and standing alone."""
     A = Letter("a", False)
     readers = (
         evaluate,
