@@ -34,7 +34,6 @@ from .semigroup import (
     Level,
     from_letter,
     inverse,
-    make_element,
     multiply,
     render_element,
 )
@@ -183,22 +182,24 @@ def _idempotent(graph: SeparatedGraph, I: LowerSet) -> AlgebraElement:
 
 
 def path_element(graph: SeparatedGraph, p: Path) -> AlgebraElement:
-    """The image of a separated path as a single partial isometry; p is
-    checked by `make_element`'s `checked_path`."""
-    el = make_element(graph, [p], p, Level.SEPARATED)
-    return AlgebraElement.of(graph, el)
+    """The image of a separated path p as a single partial isometry: p
+    enters through `checked_path`, and the element's tree is the chain of
+    p's positive part, which keeps the block rule."""
+    tree = chain_tree(positive_part(checked_path(graph, p)))
+    return AlgebraElement.of(graph, Element(tree, p, Level.SEPARATED))
 
 
 def branch_gap(graph: SeparatedGraph, head: Path, tail_letters: Sequence[Letter]) -> AlgebraElement:
     """head*head^star minus the longer projection head.tail (tail an inverse
     run closed by one positive edge); the defect of one branch extension.
-    The extended path is checked by `checked_path`, and with it the head."""
+    The extended path is checked by `checked_path`, and with it the head, so
+    both chains keep the block rule and their idempotents are made unchecked."""
     if not tail_letters or tail_letters[-1].inverse or not all(
         x.inverse for x in tail_letters[:-1]
     ):
         raise WordError("tail must be an inverse run closed by one positive edge")
     whole = checked_path(graph, Path(head.base, head.letters + tuple(tail_letters)))
-    return idempotent_of(graph, chain_tree(head)) - idempotent_of(graph, chain_tree(whole))
+    return _idempotent(graph, chain_tree(head)) - _idempotent(graph, chain_tree(whole))
 
 
 def cylinder_idempotent(graph: SeparatedGraph, B) -> AlgebraElement:
@@ -226,12 +227,12 @@ def cylinder_idempotent(graph: SeparatedGraph, B) -> AlgebraElement:
 
 
 def block_complement(graph: SeparatedGraph, block: Block) -> AlgebraElement:
-    """v minus the sum of the range projections of a finite block."""
+    """v minus the range projections of a finite block, the idempotents of its edges' chains."""
     if block.infinite:
         raise SgisError(f"block {block.name!r} is infinite; its complement is not an element")
     acc = AlgebraElement.of(graph, from_letter(graph, block.source, Level.SEPARATED))
     for e in block.edges:
-        acc = acc - idempotent_of(graph, chain_tree(Path(block.source, (Letter(e, False),))))
+        acc = acc - _idempotent(graph, chain_tree(Path(block.source, (Letter(e, False),))))
     return acc
 
 
@@ -343,7 +344,8 @@ def cover_refinement_check(
     each extended path passes `checked_path`, lies outside I, and is
     compatible with I.  I enters through `checked_tree`, once: the unions
     with the extensions are trees the engine built from it, so their
-    idempotents are made unchecked.
+    idempotents are made unchecked.  Each extension ends positively, so its
+    element's tree is its chain, made as in `path_element` with no second read.
     """
     if block.infinite:
         raise SgisError("refinement requires a finite block")
@@ -361,15 +363,13 @@ def cover_refinement_check(
             raise SgisError(f"extension {render_path(whole)!r} is incompatible with the tree")
         extended.append(whole)
 
-    lhs_sum = AlgebraElement.zero(graph)
+    lhs_sum = rhs = AlgebraElement.zero(graph)
     for w in extended:
-        pe = path_element(graph, w)
+        chain = chain_tree(w)
+        pe = AlgebraElement.of(graph, Element(chain, w, Level.SEPARATED))
         lhs_sum = lhs_sum + pe * pe.star()
-    lhs = _idempotent(graph, I) * lhs_sum
-    rhs = AlgebraElement.zero(graph)
-    for w in extended:
-        rhs = rhs + _idempotent(graph, merge_tries(graph, I, chain_tree(w)))
-    return lhs == rhs
+        rhs = rhs + _idempotent(graph, merge_tries(graph, I, chain))
+    return _idempotent(graph, I) * lhs_sum == rhs
 
 
 # -- basis enumeration -----------------------------------------------------------

@@ -26,7 +26,6 @@ from .graph import (
 from .paths import (
     Letter,
     Path,
-    checked_path,
     extensions,
     parse_word_string,
     positive_part,
@@ -81,10 +80,11 @@ POSITIVE = _int_at_least(1)
 
 
 def _parse_path(graph: SeparatedGraph, text: str):
+    """The path a word spells, read once; the door it goes into checks it."""
     word = word_from_atoms(graph, parse_word_string(graph, text))
     if word is None:
         raise SgisError(f"word {text!r} is not composable")
-    return checked_path(graph, word)
+    return word
 
 
 def _parse_path_set(graph: SeparatedGraph, text: str):

@@ -282,16 +282,16 @@ def grading(a) -> FreeGroupWord:
 
 def action_domain_contains(graph: SeparatedGraph, g: Path, tree: LowerSet) -> bool:
     """Membership in the domain ideal indexed by g, a path read by
-    `reduced_path`: the tree sits at the source of g and contains g's
-    positive part."""
-    return reduced_path(graph, g).base == tree.base and positive_part(g) in tree
+    `reduced_path`: the tree contains g's positive part, so it sits at the
+    source of g."""
+    return positive_part(reduced_path(graph, g)) in tree
 
 
 def act_on_tree(graph: SeparatedGraph, g: Path, tree: LowerSet) -> LowerSet:
-    """Translate a canonical tree by g, a path read by `reduced_path`;
-    defined when the tree lies in the domain of the inverse direction."""
+    """Translate a canonical tree by g, a path read once by `reduced_path`;
+    defined when the tree holds the positive part of g's inverse."""
     g_inv = path_inverse(graph, reduced_path(graph, g))
-    if not action_domain_contains(graph, g_inv, tree):
+    if positive_part(g_inv) not in tree:
         raise ActionDomainError(
             f"tree {tree!r} is outside the domain of translation by {g!r}"
         )

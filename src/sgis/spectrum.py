@@ -12,7 +12,7 @@ quantifies over the named edges only and the certificate records that caveat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import Budget, CylinderError, IncompatiblePathsError, SgisError, WordError
 from .graph import Block, SeparatedGraph, isolated_vertices
@@ -123,9 +123,8 @@ def is_finite_maximal_config(graph: SeparatedGraph, config: LocalConfig) -> bool
     return _is_complete(graph, config, [b for b in graph.blocks_at[config.at] if not b.infinite])
 
 
-def _certify(graph: SeparatedGraph, Z: Truncation, kind: str) -> Certificate:
+def _certify(graph: SeparatedGraph, Z: Truncation, is_complete: Callable) -> Certificate:
     """Shared body of the two certificates, on the untrimmed picture."""
-    is_complete = is_finite_maximal_config if kind == "tight" else is_maximal_config
     caveats = []
     if any(b.infinite for b in graph.blocks):
         caveats.append("infinite blocks quantified over named edges only")
@@ -141,12 +140,12 @@ def _certify(graph: SeparatedGraph, Z: Truncation, kind: str) -> Certificate:
 def certify_maximal(graph: SeparatedGraph, Z: Truncation) -> Certificate:
     """Every member below depth must see one edge per block plus all
     incoming inverse letters (the untrimmed ultrafilter picture)."""
-    return _certify(graph, Z, "ultra")
+    return _certify(graph, Z, is_maximal_config)
 
 
 def certify_finite_maximal(graph: SeparatedGraph, Z: Truncation) -> Certificate:
     """Like certify_maximal but only finite blocks need a representative."""
-    return _certify(graph, Z, "tight")
+    return _certify(graph, Z, is_finite_maximal_config)
 
 
 def trim_inverse_tails(graph: SeparatedGraph, Z: Truncation) -> Truncation:

@@ -187,20 +187,35 @@ def test_spectrum_cylinder_ops(capsys):
     assert code == 0 and out == "EMPTY\n"
 
 
+BAD_PATHS = [
+    (ROSE2F, "e ~e", "path 'e ~e' is not reduced"),
+    (ROSE2T, "~e f", "path '~e f' is not separated"),
+    (FIM2, "e1 ~f2", "word 'e1 ~f2' is not composable"),
+]
+# the spectrum flags that take paths, each in a command with the text at {}
+PATH_FLAGS = {
+    "--i1": ["--op", "intersect", "--i1", "{}", "--i2", "v"],
+    "--f1": ["--op", "intersect", "--i1", "v", "--f1", "{}", "--i2", "v"],
+    "--set": ["--op", "member", "--i1", "v", "--set", "{}"],
+}
+DOOR_CASES = [(*case, flag) for case in BAD_PATHS for flag in PATH_FLAGS]
+DOOR_CASES.append((ROSE2F, " , ", "empty path set", "--i1"))
+
+
 @pytest.mark.parametrize(
-    "graph, text, err",
-    [
-        (ROSE2F, "e ~e", "path 'e ~e' is not reduced"),
-        (ROSE2T, "~e f", "path '~e f' is not separated"),
-        (FIM2, "e1 ~f2", "word 'e1 ~f2' is not composable"),
-        (ROSE2F, " , ", "empty path set"),
-    ],
+    "graph, text, err, flag",
+    # a case through --i1 is named without its flag
+    [pytest.param(*c, id="-".join(c if c[3] != "--i1" else c[:3])) for c in DOOR_CASES],
 )
-def test_spectrum_rejects_a_path_at_the_door(capsys, graph, text, err):
-    """A path given on the command line is checked once, by `checked_path`,
-    after the word is read; a word that does not compose keeps its own
-    message."""
-    got = run(capsys, "spectrum", graph, "cylinder", "--op", "intersect", "--i1", text, "--i2", "v")
+def test_spectrum_rejects_a_path_at_the_door(capsys, graph, text, err, flag):
+    """A path given on the command line is read once, and checked once by
+    the door it goes into: `lower_closure` for a tree (--i1),
+    `make_cylinder` for an excluded path (--f1, a CylinderError with the
+    same words) and `make_truncation` for a truncation (--set).  A word
+    that does not compose keeps its own message, and so does an empty
+    tree."""
+    argv = [text if a == "{}" else a for a in PATH_FLAGS[flag]]
+    got = run(capsys, "spectrum", graph, "cylinder", *argv)
     assert got == (2, "", f"error: {err}\n")
 
 

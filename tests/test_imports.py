@@ -75,7 +75,9 @@ ONLY_TESTS = {
     "algebra.block_complement": "paper API: v minus a finite block's range projections",
     "algebra.branch_gap": "paper API: the defect of one branch extension; second route to cylinder_idempotent",
     "algebra.cover_refinement_check": "paper API: the refinement identity, criterion 08",
+    "algebra.idempotent_of": "paper API: the idempotent of a tree from outside; the library's own trees use _idempotent",
     "algebra.or_join": "paper API: or_join",
+    "algebra.path_element": "paper API: a separated path as a partial isometry; the library builds its own from chains",
     "oracle.equivalence_components": "oracle: bounded rewriting classes, criterion 03",
     "oracle.fim_embed": "oracle: the free inverse monoid embedding, criterion 04",
     "oracle.fim_graph": "oracle: the graph of the embedding, criterion 04",
@@ -83,8 +85,10 @@ ONLY_TESTS = {
     "paths.compatible_by_reduction": "second route to compatible",
     "paths.render_free_word": "criterion 01 renders gradings with it",
     "semigroup.act_on_tree": "paper API: the partial translation action",
+    "semigroup.action_domain_contains": "paper API: the domain of the partial translation action",
     "semigroup.apply_automorphism": "paper API: automorphisms on elements, criterion 11",
     "semigroup.grading": "paper API: the grading by the free group, criterion 01",
+    "semigroup.make_element": "paper API: an element from raw tree data; the engine builds its own by walks",
     "semigroup.natural_leq": "paper API: the natural partial order",
     "semilattice.canonicalize_by_stripping": "second route to canonicalize",
     "semilattice.class_eq": "paper API: the congruence on trees, criterion 06",
@@ -142,31 +146,61 @@ def test_dead_code_guard_examples():
 
 
 def callers_of(source: str, name: str) -> set[str]:
-    """The top-level definitions that call `name`, as a name or as an
-    attribute; a call outside every definition counts as `<module>`."""
+    """The top-level definitions that call `name` as an attribute, or refer
+    to it as a name, so that a door picked by a condition and called later
+    counts; a use outside every definition counts as `<module>`."""
     out = set()
     for top in ast.parse(source).body:
         for node in ast.walk(top):
-            if isinstance(node, ast.Call):
-                f = node.func
-                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
-                    out.add(getattr(top, "name", "<module>"))
+            f = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(node, ast.Name) and node.id == name) or getattr(f, "attr", None) == name:
+                out.add(getattr(top, "name", "<module>"))
     return out
 
 
 def test_a_tree_from_outside_is_checked_at_one_door():
     """In the package only `semilattice.checked_tree` reads the block rule of
-    a whole tree (`block_rule_break`); nothing calls `meet`, the door for two
-    trees from outside, as the engine joins its own trees by `merge_tries`;
-    and no module defines `_checked`, a re-check of elements the engine
-    built."""
+    a whole tree (`block_rule_break`); the doors for paths and trees from
+    outside (`checked_path`, `reduced_path`, `checked_tree`) are called by
+    exactly the functions that take such values, and by no function that
+    passes on a value it has checked or built; nothing calls `meet`, the
+    door for two trees from outside, as the engine joins its own trees by
+    `merge_tries`, nor `idempotent_of`, `make_element`, `path_element` or
+    `action_domain_contains`, which read what they are given again; and no
+    module defines `_checked`, a re-check of elements the engine built."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
 
     def callers(name):
         return {f"{module}.{d}" for module, text in sources.items() for d in callers_of(text, name)}
 
     assert callers("block_rule_break") == {"semilattice.checked_tree"}
-    assert callers("meet") == set()
+    assert callers("checked_path") == {
+        "algebra.branch_gap",
+        "algebra.cover_refinement_check",
+        "algebra.path_element",
+        "semigroup.make_element",
+        "semilattice.lower_closure",
+        "spectrum.make_cylinder",
+    }
+    assert callers("reduced_path") == {
+        "paths.checked_path",
+        "semigroup.act_on_tree",
+        "semigroup.action_domain_contains",
+        "semigroup.make_element",
+    }
+    assert callers("checked_tree") == {
+        "algebra.bounded_cover_check",
+        "algebra.cover_refinement_check",
+        "algebra.cover_witness",
+        "algebra.idempotent_of",
+        "semigroup.make_element",
+        "semilattice.lower_closure",
+        "semilattice.meet",
+        "spectrum.branch_extensions",
+        "spectrum.make_cylinder",
+    }
+    for name in ("meet", "idempotent_of", "make_element", "path_element", "action_domain_contains"):
+        assert callers(name) == set(), name
     defined = [
         module
         for module, text in sources.items()
@@ -181,3 +215,5 @@ def test_door_guard_examples():
     assert callers_of(source, "h") == {"f", "C", "<module>"}
     assert callers_of(source, "g") == {"f"}
     assert callers_of(source, "k") == set()
+    source = "def f(x):\n    read = g if x else h\n    return read(x)\n"
+    assert callers_of(source, "g") == callers_of(source, "h") == {"f"}
