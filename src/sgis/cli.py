@@ -33,7 +33,7 @@ from .paths import (
     vertex_path,
     word_from_atoms,
 )
-from .semilattice import LowerSet, canonicalize, chain_tree, lower_closure, render_lower_set
+from .semilattice import canonicalize, chain_tree, lower_closure, render_lower_set
 from .semigroup import Level, evaluate, normal_form
 from .spectrum import (
     branch_extensions,
@@ -88,15 +88,12 @@ def _parse_path(graph: SeparatedGraph, text: str):
 
 
 def _parse_path_set(graph: SeparatedGraph, text: str):
-    parts = [p.strip() for p in text.split(",")]
-    return [_parse_path(graph, p) for p in parts if p]
-
-
-def _parse_lower_set(graph: SeparatedGraph, text: str) -> LowerSet:
-    paths = _parse_path_set(graph, text)
+    """The paths of a comma-separated list, each read by `_parse_path`; a
+    list that names no path is an input error, whatever flag gave it."""
+    paths = [_parse_path(graph, p) for p in map(str.strip, text.split(",")) if p]
     if not paths:
         raise SgisError("empty path set")
-    return lower_closure(graph, paths)
+    return paths
 
 
 def cmd_validate(args) -> int:
@@ -185,7 +182,7 @@ def cmd_spectrum(args) -> int:
 
 def _cmd_cylinder(graph: SeparatedGraph, args) -> int:
     def build(tree_text, excl_text):
-        tree = canonicalize(graph, _parse_lower_set(graph, tree_text))
+        tree = canonicalize(graph, lower_closure(graph, _parse_path_set(graph, tree_text)))
         excl = _parse_path_set(graph, excl_text) if excl_text else []
         return make_cylinder(graph, tree, excl)
 

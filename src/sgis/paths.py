@@ -12,10 +12,15 @@ rule on the double graph: which letters may follow a given one in a reduced
 separated path.  `sorted_paths` is the one path order (length-lexicographic,
 as fixed by `path_key`) used for trees, tips and enumerations; letters
 compare by their ranks in the graph's `letter_ranks` table, made once per
-graph.  `extensions` is the one walk of the double graph: from a path,
-breadth first over `steps`, by every letter (the basis, the cover search,
-`sgis cover`) or by inverse letters only (the spectrum's inverse tails and
-branch extensions).
+graph.  The graph's `letter_rivals` table, also made once per graph, lists
+for each positive letter of a block with two or more named edges the other
+letters of that block: the only letters that can break the block rule.
+`semilattice.block_clash` reads it, and the Munn walk and the merge of two
+tries fetch it once per call and ask `block_clash` only about a letter in
+it, since a letter without rivals clashes with nothing.  `extensions` is
+the one walk of the double graph: from a path, breadth first over `steps`,
+by every letter (the basis, the cover search, `sgis cover`) or by inverse
+letters only (the spectrum's inverse tails and branch extensions).
 `word_from_atoms` is the reader of paths, and `parse_word_string` the
 command line's grammar for their atoms.  It reads a sequence of atoms
 through the graph's table of atom ends (`_atom_ends`), made once per graph:
@@ -310,6 +315,25 @@ def letter_ranks(graph: SeparatedGraph) -> dict[Letter, int]:
             ranks[~x] = 2 * last + 1 - i
         graph._letter_ranks = ranks
     return ranks
+
+
+def letter_rivals(graph: SeparatedGraph) -> dict[Letter, frozenset[Letter]]:
+    """The graph's rivals table: each positive letter whose block names
+    another edge, to the other positive letters of that block.  Only these
+    letters can break the block rule; a letter of a one-edge block, and
+    every inverse letter, is absent.  An infinite-flagged block counts its
+    named edges.  Made on first use and kept on the graph, as its letter
+    ranks are."""
+    rivals = graph.__dict__.get("_letter_rivals")
+    if rivals is None:
+        rivals = {}
+        for b in graph.blocks:
+            if len(b.edges) > 1:
+                block = [Letter(e, False) for e in b.edges]
+                for x in block:
+                    rivals[x] = frozenset(y for y in block if y is not x)
+        graph._letter_rivals = rivals
+    return rivals
 
 
 def path_key(graph: SeparatedGraph, p: Path):

@@ -31,7 +31,12 @@ configuration at node n.
 Compatibility is the per-node block rule, `block_clash`: the walk checks it
 as it adds a node, the merge across the two tries (`meet` gives None), and
 `compatible_with`, the one test of a path against a tree, at the node where
-the path leaves it.  A tree from outside enters through one door,
+the path leaves it.  Two edges clash only inside one block, so only a
+positive letter of a block with two or more named edges can break the rule:
+`block_clash` reads that letter's rivals in the graph's table
+(`paths.letter_rivals`), and the walk and the merge fetch the table once per
+call and never ask about a letter without rivals, such as every letter of a
+freely separated graph.  A tree from outside enters through one door,
 `checked_tree`, which reads the rule at every node (`block_rule_break`) and
 names the first two members that clash; the engine's own unions call
 `merge_tries` on trees it checked or built, and check nothing again.
@@ -58,6 +63,7 @@ from .paths import (
     is_prefix,
     is_separated_path,
     letter_ranks,
+    letter_rivals,
     path_range,
     render_path,
     sorted_paths,
@@ -246,7 +252,10 @@ def munn_tree(
     entered by ~e, use at most one edge per block: the local form of "every
     member separated and all pairwise compatible", checked by `block_clash`
     as a positive letter adds a child, against the node's children and the
-    letter back.  A violation gives `(None, None)`; `block_rule_break` names
+    letter back.  The walk fetches the graph's `letter_rivals` table once
+    and asks `block_clash` only about a letter in it: a letter without
+    rivals clashes with nothing, so on a freely separated graph no node is
+    checked.  A violation gives `(None, None)`; `block_rule_break` names
     the two members that clash.
 
     A missing base marks a word from outside, `evaluate`'s atoms (vertices
@@ -269,7 +278,9 @@ def munn_tree(
     below its children's, so one pass from the last node back marks them and
     unlinks the rest.  The pass that numbers the kept nodes in `sorted_paths`
     order gives the tree its two arrays, and marks the nodes with no kept
-    child as its tips; it builds no path.
+    child as its tips; it builds no path.  It sorts only the children of a
+    node with several, by `letter_ranks`, fetched once, at the first such
+    node.
     """
     reading = base is None
     atoms = iter(word)
@@ -281,6 +292,10 @@ def munn_tree(
             raise _unknown_atom(word[0])
         base = sources[word[0]]
         vertex = [base]  # each node's vertex
+    # the letters that can break the block rule, none below the separated
+    # level; the letter order, fetched at the first node with two children
+    rivals = letter_rivals(graph) if separated else None
+    rank = None
     parent = [0]
     entered: list[Letter | None] = [None]
     children: list[dict[Letter, int]] = [{}]
@@ -299,7 +314,7 @@ def munn_tree(
                 if x.__class__ is str:  # a vertex atom at the running vertex
                     continue
                 vertex.append(ranges[x])
-            if separated and not x.inverse:
+            if rivals and x in rivals:
                 if block_clash(graph, (*kids, backs[at]) if at else kids, x) is not None:
                     return _zero(sources, atoms) if reading else (None, None)
             child = len(parent)
@@ -334,7 +349,9 @@ def munn_tree(
             order += kids.values()
             up.append(i)
         else:
-            order += map(kids.__getitem__, sorted(kids, key=letter_ranks(graph).__getitem__))
+            if rank is None:
+                rank = letter_ranks(graph)
+            order += map(kids.__getitem__, sorted(kids, key=rank.__getitem__))
             up += [i] * len(kids)
     first.append(len(order))
     tree = _trie(base, tuple(up), tuple(map(entered.__getitem__, order)), tuple(first), tuple(tips))
@@ -391,12 +408,15 @@ def checked_tree(graph: SeparatedGraph, I: LowerSet) -> LowerSet:
 
 def block_clash(graph: SeparatedGraph, letters: Iterable[Letter], x: Letter) -> str | None:
     """The block rule at one node: the edge of x's block that another
-    positive letter among `letters` already uses, or None.  An inverse x
-    clashes with nothing."""
-    block_of = graph.block_of
-    if not x.inverse:
+    positive letter among `letters` already uses, or None.  The rule's one
+    home.  It reads x's rivals in the graph's `letter_rivals` table: a
+    letter without rivals (an inverse letter, or the one named edge of its
+    block) clashes with nothing and gives None at once; otherwise the first
+    of `letters` that is a rival is the clash."""
+    rivals = letter_rivals(graph).get(x)
+    if rivals:
         for y in letters:
-            if not y.inverse and y is not x and block_of[y.edge] is block_of[x.edge]:
+            if y in rivals:
                 return y.edge
     return None
 
@@ -527,7 +547,10 @@ def merge_tries(
     under a node of I whose children hold a different positive edge of its
     block gives None: each tree keeps the block rule on its own, and a node
     of both is entered by the same letter in both, so this cross check is
-    the whole rule.  A union of canonical trees is canonical.
+    the whole rule.  The merge fetches the graph's `letter_rivals` table
+    once and asks `block_clash` only about a letter of J in it, since a
+    letter without rivals clashes with nothing.  A union of canonical trees
+    is canonical.
 
     Where each node's children start is marked on the way.  The union's
     parents arrive in nondecreasing order, so a node appended under a parent
@@ -537,6 +560,7 @@ def merge_tries(
     unions only become keys of algebra terms, and `_tip_ids` reads them off
     the marks on first use."""
     rank = letter_ranks(graph)
+    rivals = letter_rivals(graph) if separated else None
     parent1, entered1 = I.parent, I.entered
     parent2, entered2 = J.parent, J.entered
     end1, end2 = len(parent1), len(parent2)
@@ -567,8 +591,9 @@ def merge_tries(
             i += 1
         else:
             x, p = entered2[j], q
-            if separated and (k := of1[q]) >= 0 and block_clash(graph, I.children(k), x) is not None:
-                return None
+            if rivals and x in rivals and (k := of1[q]) >= 0:
+                if block_clash(graph, I.children(k), x) is not None:
+                    return None
             at2[j] = n
             of1.append(-1)
             j += 1

@@ -194,12 +194,15 @@ BAD_PATHS = [
 ]
 # the spectrum flags that take paths, each in a command with the text at {}
 PATH_FLAGS = {
-    "--i1": ["--op", "intersect", "--i1", "{}", "--i2", "v"],
-    "--f1": ["--op", "intersect", "--i1", "v", "--f1", "{}", "--i2", "v"],
-    "--set": ["--op", "member", "--i1", "v", "--set", "{}"],
+    "--i1": ["cylinder", "--op", "intersect", "--i1", "{}", "--i2", "v"],
+    "--i2": ["cylinder", "--op", "intersect", "--i1", "v", "--i2", "{}"],
+    "--f1": ["cylinder", "--op", "intersect", "--i1", "v", "--f1", "{}", "--i2", "v"],
+    "--f2": ["cylinder", "--op", "diff", "--i1", "v", "--i2", "v", "--f2", "{}"],
+    "--set": ["cylinder", "--op", "member", "--i1", "v", "--set", "{}"],
+    "--check --set": ["--check", "ultra", "--set", "{}"],
 }
-DOOR_CASES = [(*case, flag) for case in BAD_PATHS for flag in PATH_FLAGS]
-DOOR_CASES.append((ROSE2F, " , ", "empty path set", "--i1"))
+NO_PATHS = (ROSE2F, " , ", "empty path set")
+DOOR_CASES = [(*case, flag) for case in [*BAD_PATHS, NO_PATHS] for flag in PATH_FLAGS]
 
 
 @pytest.mark.parametrize(
@@ -209,14 +212,22 @@ DOOR_CASES.append((ROSE2F, " , ", "empty path set", "--i1"))
 )
 def test_spectrum_rejects_a_path_at_the_door(capsys, graph, text, err, flag):
     """A path given on the command line is read once, and checked once by
-    the door it goes into: `lower_closure` for a tree (--i1),
-    `make_cylinder` for an excluded path (--f1, a CylinderError with the
-    same words) and `make_truncation` for a truncation (--set).  A word
-    that does not compose keeps its own message, and so does an empty
-    tree."""
+    the door it goes into: `lower_closure` for a tree (--i1, --i2),
+    `make_cylinder` for an excluded path (--f1, --f2, a CylinderError with
+    the same words) and `make_truncation` for a truncation (--set, in the
+    cylinder mode and under --check).  A word that does not compose keeps
+    its own message.  A list that names no path is rejected by one parser,
+    `cli._parse_path_set`, with the same message for every flag."""
     argv = [text if a == "{}" else a for a in PATH_FLAGS[flag]]
-    got = run(capsys, "spectrum", graph, "cylinder", *argv)
+    got = run(capsys, "spectrum", graph, *argv)
     assert got == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("flag", ["--f1", "--f2"])
+def test_spectrum_empty_exclusions_exclude_nothing(capsys, flag):
+    """An omitted or empty --f1 or --f2 means no excluded paths."""
+    argv = ["spectrum", ROSE2F, "cylinder", "--op", "intersect", "--i1", "e", "--i2", "v"]
+    assert run(capsys, *argv, flag, "") == run(capsys, *argv) == (0, "Z({v, e} \\ {})\n", "")
 
 
 @pytest.mark.parametrize(

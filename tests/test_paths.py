@@ -33,6 +33,7 @@ from sgis.paths import (
     is_separated_path,
     letter_range,
     letter_ranks,
+    letter_rivals,
     parse_word_string,
     path_inverse,
     path_key,
@@ -47,6 +48,7 @@ from sgis.paths import (
     word_from_atoms,
 )
 from sgis.semigroup import ZERO, Element, Level, _walk, evaluate, grading
+from sgis.semilattice import block_clash
 
 E = Letter("e", False)
 Ei = Letter("e", True)
@@ -424,6 +426,53 @@ def test_letter_ranks_are_kept_on_their_graph():
     assert letter_ranks(graph) is table
     assert letter_ranks(twin) is not table and letter_ranks(twin) == table
     assert sorted(table.values()) == list(range(2 * len(graph.edges)))
+
+
+def _rivals_keep_the_block_rule(graph) -> int:
+    """A letter has rivals iff it is positive and its block names another
+    edge, and its rivals are the other edges of that block, read off
+    `block_of` (an infinite-flagged block by its named edges); and
+    `block_clash` of each letter against each one letter is the rule's
+    reference: another positive letter of x's block.  Returns how many
+    letters have rivals."""
+    rivals = letter_rivals(graph)
+    letters = [Letter(e, inverse) for e in graph.edge_index for inverse in (False, True)]
+    assert set(rivals) <= set(letters)
+    for x in letters:
+        block = graph.block_of[x.edge]
+        others = frozenset(Letter(e) for e in block.edges if e != x.edge)
+        assert rivals.get(x) == (others if others and not x.inverse else None), x
+        for y in letters:
+            same = not x.inverse and not y.inverse and y is not x and graph.block_of[y.edge] is block
+            assert block_clash(graph, (y,), x) == (y.edge if same else None), (x, y)
+    return len(rivals)
+
+
+@pytest.mark.parametrize("name, contested", [
+    ("rose1t", 0), ("rose2t", 2), ("rose2f", 0), ("fim2", 0), ("fim2inf", 0), ("mixed", 2)
+])
+def test_letter_rivals_are_the_block_rule(name, contested):
+    """On the six graphs, the rivals table lists the letters of the two-edge
+    blocks, rose2t's B1 and mixed's VAB, and no other."""
+    assert _rivals_keep_the_block_rule(load(name)) == contested
+
+
+def test_letter_rivals_are_the_block_rule_on_generated_graphs():
+    """As above on 60 generated graphs (graph seeds 0..59), trivial, free
+    and mixed separations with infinite-flagged blocks among them."""
+    graphs = [random_separated_graph(random.Random(i), 4) for i in range(60)]
+    counts = [_rivals_keep_the_block_rule(graph) for graph in graphs]
+    assert 0 in counts and sum(counts) > 30
+    assert any(b.infinite and len(b.edges) > 1 for graph in graphs for b in graph.blocks)
+
+
+def test_letter_rivals_are_kept_on_their_graph():
+    """The rivals table is made on first use and kept on its graph; another
+    graph parsed from the same file gets an equal table of its own."""
+    graph, twin = load("mixed"), load("mixed")
+    table = letter_rivals(graph)
+    assert letter_rivals(graph) is table
+    assert letter_rivals(twin) is not table and letter_rivals(twin) == table
 
 
 def test_make_word_raises_on_what_the_reader_rejects(rose2f, fim2):

@@ -13,6 +13,7 @@ from helpers import (
     closure_tree,
     compatible_with_every_member,
     config_letters_at,
+    evaluate_tokens,
     grow_maximal_truncation,
     longest_prefix_in,
     make_word,
@@ -380,6 +381,29 @@ def test_block_clash_examples(rose2t, rose2f, mixed):
     a, b, c = Letter("a"), Letter("b"), Letter("c")
     assert block_clash(mixed, (c, b), a) == "b"
     assert block_clash(mixed, (c, Letter("d", True)), a) is None
+
+
+def test_each_clash_is_still_found(rose2t, mixed):
+    """The walk and the merge ask the rule only about letters with rivals,
+    and every clash still gives the zero: two children at rose2t's root,
+    the letter back to the parent on mixed (read from outside and in the
+    engine's product), and two chains merged by `meet`.  A letter of a
+    one-edge block after the same back letter clashes with nothing, and
+    `block_rule_break` names the same pairs as the two-lookup rule did."""
+    assert normal_form(rose2t, evaluate_tokens(rose2t, "e ~e f ~f")) == "0"
+    assert normal_form(mixed, evaluate_tokens(mixed, "~a b")) == "0"
+    assert multiply(mixed, evaluate_tokens(mixed, "~a"), evaluate_tokens(mixed, "b")) is ZERO
+    assert normal_form(mixed, evaluate_tokens(mixed, "~a c")) == "(~a c) | ~a c"
+    a, b = Letter("a"), Letter("b")
+    assert meet(mixed, chain_tree(Path("v", (a,))), chain_tree(Path("v", (b,)))) is None
+    assert multiply(mixed, evaluate_tokens(mixed, "a ~a"), evaluate_tokens(mixed, "b ~b")) is ZERO
+    cases = [
+        (rose2t, LowerSet("v", [Path("v"), Path("v", (F,)), Path("v", (E,))]), "(f, e)"),
+        (mixed, LowerSet("w", [Path("w"), Path("w", (~a,)), Path("w", (~a, b))]), "(~a, ~a b)"),
+        (mixed, LowerSet("v", [Path("v"), Path("v", (b,)), Path("v", (a,))]), "(b, a)"),
+    ]
+    for graph, T, pair in cases:
+        assert repr(block_rule_break(graph, T)) == pair
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
