@@ -21,7 +21,6 @@ from .paths import (
     Path,
     checked_path,
     extensions,
-    letter_ranks,
     path_key,
     positive_part,
     render_path,
@@ -63,7 +62,7 @@ def _carrier_key(graph: SeparatedGraph, c: Path):
 
 
 def _tree_key(graph: SeparatedGraph, tree: LowerSet):
-    return len(tree), tuple(zip(tree.parent[1:], map(letter_ranks(graph).__getitem__, tree.entered[1:])))
+    return len(tree), tuple(zip(tree.parent[1:], map(graph.letter_rank.__getitem__, tree.entered[1:])))
 
 
 class AlgebraElement:

@@ -3,15 +3,25 @@
 The partition blocks ("separation") drive every orthogonality rule downstream.
 A block may be flagged infinite: it is then described by finitely many named
 edges, but spectrum/algebra operations treat it as genuinely infinite.
+
+The letters of the inverse semigroup are the edges of the double graph: each
+edge and its formal inverse, one interned `Letter` each.  A graph fixes its
+alphabet, so `SeparatedGraph` builds the tables every layer reads off its
+letters when it is made: their order (`letter_rank`), the rivals that can
+break the block rule (`letter_rivals`), and the ends of each atom
+(`atom_source`, `atom_range`).  Nothing is added to a graph afterwards.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import threading
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Sequence
 
 from .errors import GraphError, GraphParseError
+
+_INTERNING = threading.Lock()
 
 # one or more characters, none of them whitespace or one of ~()|,#
 _IDENTIFIER = re.compile(r"[^\s~()|,#]+")
@@ -23,6 +33,59 @@ def _check_identifier(name: str, what: str, line_no: int | None = None) -> None:
         if line_no is not None:
             raise GraphParseError(line_no, msg)
         raise GraphError(msg)
+
+
+class Frozen:
+    """Base of the slotted immutable values: a subclass sets its slots once,
+    through their member descriptors, and assigning or deleting any
+    attribute afterwards raises FrozenInstanceError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Letter(Frozen):
+    """An edge, or its formal inverse.
+
+    Letters are interned: `Letter(e, inverse)` returns the one shared
+    instance for the pair, made together with its inverse.  Equality and
+    hashing therefore go by identity, and `~x` is a stored lookup, as is the
+    rendered `text` (`e` or `~e`).  Letters are immutable, and copying or
+    pickling one gives back the same instance.
+    """
+
+    __slots__ = ("edge", "inverse", "_inverted", "text")
+    _interned: dict[tuple[str, bool], "Letter"] = {}
+
+    def __new__(cls, edge: str, inverse: bool = False) -> "Letter":
+        try:
+            return cls._interned[edge, inverse]
+        except KeyError:
+            pass
+        with _INTERNING:  # two threads must not each make the pair
+            if (edge, inverse) not in cls._interned:
+                x, y = object.__new__(cls), object.__new__(cls)
+                for a, inv, b in ((x, bool(inverse), y), (y, not inverse, x)):
+                    object.__setattr__(a, "edge", edge)
+                    object.__setattr__(a, "inverse", inv)
+                    object.__setattr__(a, "_inverted", b)
+                    object.__setattr__(a, "text", f"~{edge}" if inv else edge)
+                    cls._interned[edge, inv] = a
+            return cls._interned[edge, inverse]
+
+    def __reduce__(self):
+        return Letter, (self.edge, self.inverse)
+
+    def __invert__(self) -> "Letter":
+        return self._inverted
+
+    def __repr__(self) -> str:
+        return self.text
 
 
 @dataclass(frozen=True)
@@ -40,6 +103,17 @@ class SeparatedGraph:
 
     Vertices and edges keep their declaration order, which fixes the global
     deterministic ordering used by every rendering routine.
+
+    Once the graph is validated, its letter tables are built:
+    `letter_rank` maps each letter to its rank in the letter order,
+    positive letters before inverse ones and within a class later-declared
+    edges first (this tiebreak pins the published rendering order);
+    `letter_rivals` maps each positive letter whose block names another
+    edge to the other positive letters of that block, the only letters
+    that can break the block rule (an infinite-flagged block counts its
+    named edges); and `atom_source` and `atom_range` map each vertex name
+    and each letter, the atoms of a word, to its source and its range, v
+    to v for a vertex v.
     """
 
     def __init__(
@@ -77,6 +151,27 @@ class SeparatedGraph:
                 self.block_of[e] = b
 
         self._validate(allow_isolated)
+
+        last = len(self.edges) - 1
+        rank: dict[Letter, int] = {}
+        sources: dict[str | Letter, str] = {v: v for v in self.vertices}
+        ranges = dict(sources)
+        for i, (e, s, r) in enumerate(self.edges):
+            x = Letter(e, False)
+            rank[x] = last - i
+            rank[~x] = 2 * last + 1 - i
+            sources[x] = ranges[~x] = s
+            ranges[x] = sources[~x] = r
+        rivals: dict[Letter, frozenset[Letter]] = {}
+        for b in self.blocks:
+            if len(b.edges) > 1:
+                block = [Letter(e, False) for e in b.edges]
+                for x in block:
+                    rivals[x] = frozenset(y for y in block if y is not x)
+        self.letter_rank = rank
+        self.letter_rivals = rivals
+        self.atom_source = sources
+        self.atom_range = ranges
 
     def _validate(self, allow_isolated: bool) -> None:
         seen: set[str] = set()

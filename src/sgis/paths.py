@@ -2,33 +2,34 @@
 
 A `Path` is a source vertex plus a composable sequence of letters (edges or
 formal inverses), a slotted immutable value.  Length-0 paths at different
-vertices are distinct values.  Letters are interned, one instance per edge
-and direction, so they compare and hash by identity and `~x` is a lookup:
-`star` and `steps` build no new letter.  All functions are pure; the graph
-is passed explicitly.
+vertices are distinct values.  Letters (`graph.Letter`, re-exported here)
+are interned, one instance per edge and direction, so they compare and hash
+by identity and `~x` is a lookup: `star` and `steps` build no new letter.
+All functions are pure; the graph is passed explicitly.
 
 Three primitives are shared across the layers.  `steps` is the one stepping
 rule on the double graph: which letters may follow a given one in a reduced
 separated path.  `sorted_paths` is the one path order (length-lexicographic,
 as fixed by `path_key`) used for trees, tips and enumerations; letters
-compare by their ranks in the graph's `letter_ranks` table, made once per
-graph.  The graph's `letter_rivals` table, also made once per graph, lists
-for each positive letter of a block with two or more named edges the other
-letters of that block: the only letters that can break the block rule.
-`semilattice.block_clash` reads it, and the Munn walk and the merge of two
-tries fetch it once per call and ask `block_clash` only about a letter in
-it, since a letter without rivals clashes with nothing.  `extensions` is
-the one walk of the double graph: from a path, breadth first over `steps`,
-by every letter (the basis, the cover search, `sgis cover`) or by inverse
-letters only (the spectrum's inverse tails and branch extensions).
+compare by their ranks in the graph's `letter_rank` table.  The graph's
+`letter_rivals` table lists for each positive letter of a block with two or
+more named edges the other letters of that block: the only letters that can
+break the block rule.  `semilattice.block_clash` reads it, and the Munn
+walk, the merge of two tries and the check of a tree from outside ask
+`block_clash` only about a letter in it, since a letter without rivals
+clashes with nothing.  `extensions` is the one walk of the double graph:
+from a path, breadth first over `steps`, by every letter (the basis, the
+cover search, `sgis cover`) or by inverse letters only (the spectrum's
+inverse tails and branch extensions).
 `word_from_atoms` is the reader of paths, and `parse_word_string` the
 command line's grammar for their atoms.  It reads a sequence of atoms
-through the graph's table of atom ends (`_atom_ends`), made once per graph:
-one lookup of each atom's source and one of its range, and one comparison
-of the two lists for composability, with no loop in Python.  `evaluate`'s
+through the graph's tables of atom ends (`atom_source`, `atom_range`): one
+lookup of each atom's source and one of its range, and one comparison of
+the two lists for composability, with no loop in Python.  `evaluate`'s
 words are not read here: the Munn walk (`semilattice.munn_tree` with no
-base) reads them through the same table as it goes, and compares an atom's
+base) reads them through the same tables as it goes, and compares an atom's
 source with the running vertex only where it makes a node.
+The graph builds all of these tables when it is made.
 `checked_path` is the one check of a path given from outside: read by
 `word_from_atoms`, then reduced and separated; nothing built from it is
 checked again.
@@ -39,69 +40,12 @@ A path renders as its letters' `text`s.  `Letter`, `Path` and the engine's
 
 from __future__ import annotations
 
-import threading
-from dataclasses import FrozenInstanceError
 from itertools import filterfalse
 from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import Budget, WordError
-from .graph import SeparatedGraph
-
-_INTERNING = threading.Lock()
-
-
-class Frozen:
-    """Base of the slotted immutable values: a subclass sets its slots once,
-    through their member descriptors, and assigning or deleting any
-    attribute afterwards raises FrozenInstanceError."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-class Letter(Frozen):
-    """An edge, or its formal inverse.
-
-    Letters are interned: `Letter(e, inverse)` returns the one shared
-    instance for the pair, made together with its inverse.  Equality and
-    hashing therefore go by identity, and `~x` is a stored lookup, as is the
-    rendered `text` (`e` or `~e`).  Letters are immutable, and copying or
-    pickling one gives back the same instance.
-    """
-
-    __slots__ = ("edge", "inverse", "_inverted", "text")
-    _interned: dict[tuple[str, bool], "Letter"] = {}
-
-    def __new__(cls, edge: str, inverse: bool = False) -> "Letter":
-        try:
-            return cls._interned[edge, inverse]
-        except KeyError:
-            pass
-        with _INTERNING:  # two threads must not each make the pair
-            if (edge, inverse) not in cls._interned:
-                x, y = object.__new__(cls), object.__new__(cls)
-                for a, inv, b in ((x, bool(inverse), y), (y, not inverse, x)):
-                    object.__setattr__(a, "edge", edge)
-                    object.__setattr__(a, "inverse", inv)
-                    object.__setattr__(a, "_inverted", b)
-                    object.__setattr__(a, "text", f"~{edge}" if inv else edge)
-                    cls._interned[edge, inv] = a
-            return cls._interned[edge, inverse]
-
-    def __reduce__(self):
-        return Letter, (self.edge, self.inverse)
-
-    def __invert__(self) -> "Letter":
-        return self._inverted
-
-    def __repr__(self) -> str:
-        return self.text
+from .graph import Frozen, Letter, SeparatedGraph
 
 
 class Path(Frozen):
@@ -144,7 +88,7 @@ FreeGroupWord = tuple[Letter, ...]
 
 
 def letter_range(graph: SeparatedGraph, x: Letter) -> str:
-    return graph.source_of[x.edge] if x.inverse else graph.range_of[x.edge]
+    return graph.atom_range[x]
 
 
 def path_range(graph: SeparatedGraph, p: Path) -> str:
@@ -299,46 +243,9 @@ def compose(graph: SeparatedGraph, g: Path, h: Path) -> Path | None:
     return Path(g.base, reduce_letters(g.letters + h.letters))
 
 
-def letter_ranks(graph: SeparatedGraph) -> dict[Letter, int]:
-    """The graph's letter order as one dict from each interned letter to
-    its rank: positive letters before inverse ones, and within a class
-    later-declared edges first (this tiebreak pins the published rendering
-    order).  A graph is immutable, so its table is made on first use and
-    kept on the graph, as its table of atom ends is."""
-    ranks = graph.__dict__.get("_letter_ranks")
-    if ranks is None:
-        last = len(graph.edges) - 1
-        ranks = {}
-        for e, i in graph.edge_index.items():
-            x = Letter(e, False)
-            ranks[x] = last - i
-            ranks[~x] = 2 * last + 1 - i
-        graph._letter_ranks = ranks
-    return ranks
-
-
-def letter_rivals(graph: SeparatedGraph) -> dict[Letter, frozenset[Letter]]:
-    """The graph's rivals table: each positive letter whose block names
-    another edge, to the other positive letters of that block.  Only these
-    letters can break the block rule; a letter of a one-edge block, and
-    every inverse letter, is absent.  An infinite-flagged block counts its
-    named edges.  Made on first use and kept on the graph, as its letter
-    ranks are."""
-    rivals = graph.__dict__.get("_letter_rivals")
-    if rivals is None:
-        rivals = {}
-        for b in graph.blocks:
-            if len(b.edges) > 1:
-                block = [Letter(e, False) for e in b.edges]
-                for x in block:
-                    rivals[x] = frozenset(y for y in block if y is not x)
-        graph._letter_rivals = rivals
-    return rivals
-
-
 def path_key(graph: SeparatedGraph, p: Path):
     """Length-lexicographic order; total on paths from a fixed vertex."""
-    return (len(p.letters), tuple(map(letter_ranks(graph).__getitem__, p.letters)))
+    return (len(p.letters), tuple(map(graph.letter_rank.__getitem__, p.letters)))
 
 
 def sorted_paths(graph: SeparatedGraph, paths: Iterable[Path]) -> tuple[Path, ...]:
@@ -387,24 +294,6 @@ def parse_word_string(graph: SeparatedGraph, text: str) -> list[str | Letter]:
     return atoms
 
 
-def _atom_ends(graph: SeparatedGraph) -> tuple[dict, dict]:
-    """The graph's table of atom ends: from each vertex name and each
-    interned letter of its edges, one dict to the atom's source and one to
-    its range, v to v for a vertex v.  A graph is immutable, so its table
-    is made on the first read of a word on it and kept on the graph; the
-    reader of paths and the walk of `evaluate`'s words share it."""
-    table = graph.__dict__.get("_atom_ends")
-    if table is None:
-        sources = {v: v for v in graph.vertices}
-        ranges = dict(sources)
-        for e, s, r in graph.edges:
-            x = Letter(e, False)
-            sources[x] = ranges[~x] = s
-            ranges[x] = sources[~x] = r
-        table = graph._atom_ends = (sources, ranges)
-    return table
-
-
 def word_from_atoms(
     graph: SeparatedGraph, atoms: Sequence[str | Letter]
 ) -> Path | None:
@@ -413,7 +302,7 @@ def word_from_atoms(
     do not compose (the zero of the path semigroup).  A vertex atom adds no
     letter but must be the running vertex.
 
-    The word is read through the graph's table of atom ends, with no loop in
+    The word is read through the graph's tables of atom ends, with no loop in
     Python: one lookup of each atom's source and one of its range, then one
     comparison of the sources from the second atom on with the ranges up to
     the last.  An unknown vertex or edge raises WordError naming the first
@@ -421,7 +310,7 @@ def word_from_atoms(
     composing."""
     if not atoms:
         raise WordError("empty word")
-    sources_of, ranges_of = _atom_ends(graph)
+    sources_of, ranges_of = graph.atom_source, graph.atom_range
     try:
         sources = list(map(sources_of.__getitem__, atoms))
     except KeyError:

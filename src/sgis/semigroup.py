@@ -34,7 +34,7 @@ one below it:
                 compatible; the walk checks this node by node and the
                 element is zero when it fails.
 
-An `Element` is a `paths.Frozen` value, as `paths.Path` is: its slots
+An `Element` is a `graph.Frozen` value, as `paths.Path` is: its slots
 are set once, assigning one raises FrozenInstanceError, and copies and
 pickles are equal to it.  Equality of elements is structural equality of
 (level, carrier, canonical tree), the level compared by identity; normal-form
@@ -56,10 +56,9 @@ from .errors import (
     SgisError,
     WordError,
 )
-from .graph import SeparatedGraph
+from .graph import Frozen, SeparatedGraph
 from .paths import (
     FreeGroupWord,
-    Frozen,
     Letter,
     Path,
     checked_path,

@@ -34,9 +34,9 @@ as it adds a node, the merge across the two tries (`meet` gives None), and
 the path leaves it.  Two edges clash only inside one block, so only a
 positive letter of a block with two or more named edges can break the rule:
 `block_clash` reads that letter's rivals in the graph's table
-(`paths.letter_rivals`), and the walk and the merge fetch the table once per
-call and never ask about a letter without rivals, such as every letter of a
-freely separated graph.  A tree from outside enters through one door,
+(`graph.letter_rivals`), and the walk, the merge and `block_rule_break`
+never ask about a letter without rivals, such as every letter of a freely
+separated graph.  A tree from outside enters through one door,
 `checked_tree`, which reads the rule at every node (`block_rule_break`) and
 names the first two members that clash; the engine's own unions call
 `merge_tries` on trees it checked or built, and check nothing again.
@@ -56,14 +56,11 @@ from .graph import SeparatedGraph
 from .paths import (
     Letter,
     Path,
-    _atom_ends,
     _unknown_atom,
     checked_path,
     compatible,
     is_prefix,
     is_separated_path,
-    letter_ranks,
-    letter_rivals,
     path_range,
     render_path,
     sorted_paths,
@@ -252,11 +249,11 @@ def munn_tree(
     entered by ~e, use at most one edge per block: the local form of "every
     member separated and all pairwise compatible", checked by `block_clash`
     as a positive letter adds a child, against the node's children and the
-    letter back.  The walk fetches the graph's `letter_rivals` table once
-    and asks `block_clash` only about a letter in it: a letter without
-    rivals clashes with nothing, so on a freely separated graph no node is
-    checked.  A violation gives `(None, None)`; `block_rule_break` names
-    the two members that clash.
+    letter back.  The walk asks `block_clash` only about a letter in the
+    graph's `letter_rivals` table: a letter without rivals clashes with
+    nothing, so on a freely separated graph no node is checked.  A
+    violation gives `(None, None)`; `block_rule_break` names the two
+    members that clash.
 
     A missing base marks a word from outside, `evaluate`'s atoms (vertices
     and letters), which the walk reads as it goes: the base is the first
@@ -265,7 +262,7 @@ def munn_tree(
     back starts where the node's letter ends, and a child's letter was
     checked when the child was made.  So only the branch that makes a node
     compares the atom's source, read from the graph's table of atom ends
-    (`paths._atom_ends`), with the running vertex.  A vertex atom is never
+    (`graph.atom_source`), with the running vertex.  A vertex atom is never
     the letter back nor a child's letter, so it lands there too; it adds no
     node.  A word that stops composing, or breaks the block rule, is zero
     once the rest of it holds no unknown atom: an unknown vertex or edge
@@ -279,23 +276,20 @@ def munn_tree(
     unlinks the rest.  The pass that numbers the kept nodes in `sorted_paths`
     order gives the tree its two arrays, and marks the nodes with no kept
     child as its tips; it builds no path.  It sorts only the children of a
-    node with several, by `letter_ranks`, fetched once, at the first such
-    node.
+    node with several, by the graph's `letter_rank`.
     """
     reading = base is None
     atoms = iter(word)
     if reading:
         if not word:
             raise WordError("empty word")
-        sources, ranges = _atom_ends(graph)
+        sources, ranges = graph.atom_source, graph.atom_range
         if word[0] not in sources:
             raise _unknown_atom(word[0])
         base = sources[word[0]]
         vertex = [base]  # each node's vertex
-    # the letters that can break the block rule, none below the separated
-    # level; the letter order, fetched at the first node with two children
-    rivals = letter_rivals(graph) if separated else None
-    rank = None
+    # the letters that can break the block rule, none below the separated level
+    rivals = graph.letter_rivals if separated else None
     parent = [0]
     entered: list[Letter | None] = [None]
     children: list[dict[Letter, int]] = [{}]
@@ -349,9 +343,7 @@ def munn_tree(
             order += kids.values()
             up.append(i)
         else:
-            if rank is None:
-                rank = letter_ranks(graph)
-            order += map(kids.__getitem__, sorted(kids, key=rank.__getitem__))
+            order += map(kids.__getitem__, sorted(kids, key=graph.letter_rank.__getitem__))
             up += [i] * len(kids)
     first.append(len(order))
     tree = _trie(base, tuple(up), tuple(map(entered.__getitem__, order)), tuple(first), tuple(tips))
@@ -378,14 +370,19 @@ def chain_tree(p: Path) -> LowerSet:
 def block_rule_break(graph: SeparatedGraph, I: LowerSet) -> tuple[Path, Path] | None:
     """The first two members of I that break the block rule, in
     `sorted_paths` order, or None: `block_clash` at every node's
-    `configuration`.  The letter found first to clash is a child's, as the
+    `configuration`, asked only about a letter in the graph's
+    `letter_rivals` table, since a letter without rivals clashes with
+    nothing.  The letter found first to clash is a child's, as the
     configuration lists the children first; the other member is the node
     itself when the letter back to its parent uses the block, else a later
     child."""
     parent, entered, first = I.parent, I.entered, I._first
+    rivals = graph.letter_rivals
     for n in range(len(I)):
         config = I.configuration(n)
         for k, x in enumerate(config):
+            if x not in rivals:
+                continue
             e = block_clash(graph, config, x)
             if e is None:
                 continue
@@ -413,7 +410,7 @@ def block_clash(graph: SeparatedGraph, letters: Iterable[Letter], x: Letter) -> 
     letter without rivals (an inverse letter, or the one named edge of its
     block) clashes with nothing and gives None at once; otherwise the first
     of `letters` that is a rival is the clash."""
-    rivals = letter_rivals(graph).get(x)
+    rivals = graph.letter_rivals.get(x)
     if rivals:
         for y in letters:
             if y in rivals:
@@ -542,15 +539,15 @@ def merge_tries(
     cursor in each trie and numbers the union's nodes as it goes, so each
     cursor's parent already has its number in the union: the node whose
     parent comes first is next, and under one parent the node whose letter
-    comes first by `letter_ranks`.  A node of both tries (one parent, one
-    letter) is taken once.  With `separated`, a positive letter of J taken
-    under a node of I whose children hold a different positive edge of its
-    block gives None: each tree keeps the block rule on its own, and a node
-    of both is entered by the same letter in both, so this cross check is
-    the whole rule.  The merge fetches the graph's `letter_rivals` table
-    once and asks `block_clash` only about a letter of J in it, since a
-    letter without rivals clashes with nothing.  A union of canonical trees
-    is canonical.
+    comes first by the graph's `letter_rank`.  A node of both tries (one
+    parent, one letter) is taken once.  With `separated`, a positive letter
+    of J taken under a node of I whose children hold a different positive
+    edge of its block gives None: each tree keeps the block rule on its
+    own, and a node of both is entered by the same letter in both, so this
+    cross check is the whole rule.  The merge asks `block_clash` only about
+    a letter of J in the graph's `letter_rivals` table, since a letter
+    without rivals clashes with nothing.  A union of canonical trees is
+    canonical.
 
     Where each node's children start is marked on the way.  The union's
     parents arrive in nondecreasing order, so a node appended under a parent
@@ -559,8 +556,8 @@ def merge_tries(
     nodes still unmarked start at the length.  The tips are not marked: most
     unions only become keys of algebra terms, and `_tip_ids` reads them off
     the marks on first use."""
-    rank = letter_ranks(graph)
-    rivals = letter_rivals(graph) if separated else None
+    rank = graph.letter_rank
+    rivals = graph.letter_rivals if separated else None
     parent1, entered1 = I.parent, I.entered
     parent2, entered2 = J.parent, J.entered
     end1, end2 = len(parent1), len(parent2)

@@ -32,6 +32,7 @@ from sgis.paths import (
 from sgis.semigroup import ZERO, Element, GraphAutomorphism, Level, evaluate, from_letter, make_element
 from sgis.semilattice import (
     LowerSet,
+    block_clash,
     block_rule_break,
     canonicalize,
     canonicalize_by_stripping,
@@ -385,6 +386,25 @@ def checked_closure_tree(graph: SeparatedGraph, paths) -> LowerSet:
         if not compatible(graph, p, q):
             raise IncompatiblePathsError(p, q)
     return tree
+
+
+def block_rule_break_by_scan(graph: SeparatedGraph, I: LowerSet) -> tuple[Path, Path] | None:
+    """Scan route to `block_rule_break`: `block_clash` asked about every
+    letter of every node's configuration, with or without rivals, and the
+    pair read off `I.paths`."""
+    entered, first = I.entered, I._first
+    for n in range(len(I)):
+        config = I.configuration(n)
+        for k, x in enumerate(config):
+            e = block_clash(graph, config, x)
+            if e is None:
+                continue
+            if entered[n] is Letter(e, True):
+                pair = (n, first[n] + k)
+            else:
+                pair = (first[n] + k, entered.index(Letter(e), first[n], first[n + 1]))
+            return tuple(I.paths[m] for m in pair)
+    return None
 
 
 def chain_unions_by_sets(graph: SeparatedGraph, I: LowerSet, paths) -> list[tuple[tuple[int, ...], LowerSet]]:

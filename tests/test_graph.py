@@ -14,6 +14,9 @@ from sgis.graph import (
     parse_graph,
     trivial_separation,
 )
+from sgis.oracle import string_normal_form
+from sgis.paths import Letter
+from sgis.semigroup import evaluate, normal_form
 
 ROSE2_SKELETON = (["v"], [("e", "v", "v"), ("f", "v", "v")])
 
@@ -208,9 +211,11 @@ def test_constructor_rejects_a_bad_graph(vertices, edges, blocks, why):
 
 def test_a_graph_of_ten_thousand_vertices_parses_in_linear_time():
     """A generated graph of 10^4 vertices, each with three out-edges to
-    random vertices in a two-edge and a one-edge block, parses in under 5 s
-    (the reader keeps one dict from edge name to source) and equals the
-    graph built through `SeparatedGraph` directly."""
+    random vertices in a two-edge and a one-edge block, parses and
+    evaluates its first word in under 5 s together (the reader keeps one
+    dict from edge name to source, and the graph builds its letter tables
+    once, in linear time) and equals the graph built through
+    `SeparatedGraph` directly, letter tables included."""
     n = 10_000
     rng = random.Random("ten-thousand")
     vertices = [f"v{i}" for i in range(n)]
@@ -223,7 +228,11 @@ def test_a_graph_of_ten_thousand_vertices_parses_in_linear_time():
         + [f"edge {e} {s} {r}" for e, s, r in edges]
         + [f"block {b.name} finite {' '.join(b.edges)}" for b in blocks]
     )
+    e, f = Letter("e0_0"), Letter("e0_2")
+    word = [e, ~e, f]
     start = time.perf_counter()
     parsed = parse_graph(text)
+    first = evaluate(parsed, word)
     assert time.perf_counter() - start < 5
+    assert normal_form(parsed, first) == string_normal_form(parsed, word) == "(e0_2)(e0_0) | e0_2"
     assert vars(parsed) == vars(SeparatedGraph(vertices, edges, blocks))

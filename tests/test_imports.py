@@ -217,3 +217,53 @@ def test_door_guard_examples():
     assert callers_of(source, "k") == set()
     source = "def f(x):\n    read = g if x else h\n    return read(x)\n"
     assert callers_of(source, "g") == callers_of(source, "h") == {"f"}
+
+
+def graph_writes(source: str) -> list[str]:
+    """Each place the source writes onto a graph or reads a graph's
+    `__dict__`: an attribute of a graph assigned or deleted, its `__dict__`
+    or `vars`, or `setattr`, `delattr` or a `__setattr__` called on it.  A
+    graph is a name `graph` or a parameter annotated `SeparatedGraph`."""
+    tree = ast.parse(source)
+    graphs = {"graph"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            if "SeparatedGraph" in ast.unparse(node.annotation):
+                graphs.add(node.arg)
+
+    def is_graph(node):
+        return isinstance(node, ast.Name) and node.id in graphs
+
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and is_graph(node.value):
+            hit = not isinstance(node.ctx, ast.Load) or node.attr == "__dict__"
+        elif isinstance(node, ast.Call) and node.args and is_graph(node.args[0]):
+            f = node.func
+            hit = getattr(f, "id", None) in ("setattr", "delattr", "vars") or getattr(f, "attr", None) == "__setattr__"
+        else:
+            hit = False
+        if hit:
+            out.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return out
+
+
+def test_only_the_graph_module_writes_onto_a_graph():
+    """A graph builds its letter tables when it is made: no module of the
+    package but `graph.py` sets an attribute on a graph or reads its
+    `__dict__`."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "graph.py":
+            assert graph_writes(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_graph_write_guard_examples():
+    assert graph_writes("def f(graph):\n    graph._t = {}\n") == ["line 2: graph._t"]
+    assert graph_writes("def f(graph):\n    del graph.t\n") == ["line 2: graph.t"]
+    assert graph_writes("def f(g: SeparatedGraph):\n    g.__dict__.get('t')\n") == ["line 2: g.__dict__"]
+    assert graph_writes("def f(g: 'SeparatedGraph'):\n    setattr(g, 't', 1)\n") == ["line 2: setattr(g, 't', 1)"]
+    assert graph_writes("def f(graph):\n    object.__setattr__(graph, 't', 1)\n") == [
+        "line 2: object.__setattr__(graph, 't', 1)"
+    ]
+    assert graph_writes("def f(graph):\n    return vars(graph)\n") == ["line 2: vars(graph)"]
+    assert graph_writes("def f(graph, tree):\n    tree.t = graph.letter_rank\n    vars(tree)\n") == []

@@ -19,9 +19,10 @@ from helpers import (
     separated_paths,
 )
 from sgis.errors import Budget, BudgetExceededError, WordError
+from sgis.graph import SeparatedGraph, free_separation, trivial_separation
+from sgis.oracle import fim_graph
 from sgis.paths import (
     Letter,
-    _atom_ends,
     Path,
     checked_path,
     compatible,
@@ -32,8 +33,6 @@ from sgis.paths import (
     is_reduced,
     is_separated_path,
     letter_range,
-    letter_ranks,
-    letter_rivals,
     parse_word_string,
     path_inverse,
     path_key,
@@ -372,25 +371,14 @@ def test_word_tokens(rose2f, fim2):
             parse_word_string(rose2f, text)
 
 
-def test_atom_ends_table_is_kept_on_its_graph():
-    """The reader's table of atom ends is made on the first word read on a
-    graph and kept there: a second read finds the same table, and another
-    graph, even one parsed from the same file, gets its own."""
-    graph, twin = load("rose2f"), load("rose2f")
-    table = _atom_ends(graph)
-    assert word_from_atoms(graph, [E, "v", F]) == w(graph, E, F)
-    assert _atom_ends(graph) is table
-    assert _atom_ends(twin) is not table and _atom_ends(twin) == table
-    assert _atom_ends(load("fim2")) != table
-
-
 ALL_GRAPHS = ("rose1t", "rose2t", "rose2f", "fim2", "fim2inf", "mixed")
 
 
 def _ranks_keep_the_pair_order(graph) -> int:
-    """On every pair of the graph's letters, `letter_ranks` orders them as
-    the reference pair key does.  Returns how many pairs were compared."""
-    rank = letter_ranks(graph)
+    """On every pair of the graph's letters, its `letter_rank` table orders
+    them as the reference pair key does.  Returns how many pairs were
+    compared."""
+    rank = graph.letter_rank
     letters = [Letter(e, inverse) for e in graph.edge_index for inverse in (False, True)]
     for a, b in itertools.product(letters, repeat=2):
         got = rank[a] < rank[b], rank[a] == rank[b]
@@ -418,16 +406,6 @@ def test_letter_ranks_keep_the_pair_order_on_generated_graphs():
     assert pairs > 1000
 
 
-def test_letter_ranks_are_kept_on_their_graph():
-    """The rank table is made on first use and kept on its graph; another
-    graph parsed from the same file gets an equal table of its own."""
-    graph, twin = load("mixed"), load("mixed")
-    table = letter_ranks(graph)
-    assert letter_ranks(graph) is table
-    assert letter_ranks(twin) is not table and letter_ranks(twin) == table
-    assert sorted(table.values()) == list(range(2 * len(graph.edges)))
-
-
 def _rivals_keep_the_block_rule(graph) -> int:
     """A letter has rivals iff it is positive and its block names another
     edge, and its rivals are the other edges of that block, read off
@@ -435,7 +413,7 @@ def _rivals_keep_the_block_rule(graph) -> int:
     `block_clash` of each letter against each one letter is the rule's
     reference: another positive letter of x's block.  Returns how many
     letters have rivals."""
-    rivals = letter_rivals(graph)
+    rivals = graph.letter_rivals
     letters = [Letter(e, inverse) for e in graph.edge_index for inverse in (False, True)]
     assert set(rivals) <= set(letters)
     for x in letters:
@@ -466,13 +444,50 @@ def test_letter_rivals_are_the_block_rule_on_generated_graphs():
     assert any(b.infinite and len(b.edges) > 1 for graph in graphs for b in graph.blocks)
 
 
-def test_letter_rivals_are_kept_on_their_graph():
-    """The rivals table is made on first use and kept on its graph; another
-    graph parsed from the same file gets an equal table of its own."""
+def _atom_ends_keep_the_edge_ends(graph) -> None:
+    """The graph's tables of atom ends, read off `source_of` and `range_of`:
+    a vertex runs from itself to itself, an edge e from its source to its
+    range and ~e back, and nothing else is listed."""
+    sources, ranges = graph.atom_source, graph.atom_range
+    for v in graph.vertices:
+        assert sources[v] == ranges[v] == v, v
+    for e in graph.edge_index:
+        x, s, r = Letter(e), graph.source_of[e], graph.range_of[e]
+        assert (sources[x], ranges[x], sources[~x], ranges[~x]) == (s, r, r, s), e
+    assert len(sources) == len(ranges) == len(graph.vertices) + 2 * len(graph.edges)
+
+
+def _every_maker(graph):
+    """The graph again from each maker of a graph: built directly, and with
+    its vertices and edges under the trivial and the free separations."""
+    return [
+        graph,
+        SeparatedGraph(graph.vertices, graph.edges, graph.blocks, allow_isolated=True),
+        trivial_separation(graph.vertices, graph.edges, allow_isolated=True),
+        free_separation(graph.vertices, graph.edges, allow_isolated=True),
+    ]
+
+
+def test_every_graph_carries_its_letter_tables():
+    """Every maker of a graph (`parse_graph`, direct construction,
+    `trivial_separation`, `free_separation` and `oracle.fim_graph`) gives
+    it its letter tables, on the six graphs and 60 generated graphs (seeds
+    0..59): the ranks are 0 .. 2|E| - 1 in the reference pair order, the
+    rivals keep the block rule, and the atom ends are the edges' ends.
+    Twins parsed from one file get equal tables that are distinct
+    objects."""
+    graphs = [fim_graph(["a", "b"])]
+    for graph in [*map(load, ALL_GRAPHS), *(random_separated_graph(random.Random(i), 4) for i in range(60))]:
+        graphs += _every_maker(graph)
+    for graph in graphs:
+        assert sorted(graph.letter_rank.values()) == list(range(2 * len(graph.edges)))
+        _ranks_keep_the_pair_order(graph)
+        _rivals_keep_the_block_rule(graph)
+        _atom_ends_keep_the_edge_ends(graph)
     graph, twin = load("mixed"), load("mixed")
-    table = letter_rivals(graph)
-    assert letter_rivals(graph) is table
-    assert letter_rivals(twin) is not table and letter_rivals(twin) == table
+    for name in ("letter_rank", "letter_rivals", "atom_source", "atom_range"):
+        table = getattr(graph, name)
+        assert getattr(twin, name) == table and getattr(twin, name) is not table, name
 
 
 def test_make_word_raises_on_what_the_reader_rejects(rose2f, fim2):

@@ -597,10 +597,11 @@ def test_tour_routes_match_the_tip_word_routes(name, request):
 
 @pytest.mark.parametrize("name", ("rose2t", "rose2f", "mixed"))
 def test_the_engines_own_walks_read_no_atom(name, request, monkeypatch):
-    """Only `evaluate`'s walk, which has no base, reads atoms through the
-    graph's table of atom ends.  With that fetch made to raise, `multiply`,
-    `inverse`, `canonicalize`, `act_on_tree` and `apply_automorphism` of
-    elements built beforehand give the same elements as without it."""
+    """Only `evaluate`'s walk reads atoms: it calls `munn_tree` with no
+    base.  With `munn_tree` wrapped where `semigroup` and `semilattice` call
+    it, every walk of `multiply`, `inverse`, `canonicalize`, `act_on_tree`
+    and `apply_automorphism` on elements built beforehand is given its base,
+    and the results are the same as unwrapped."""
     graph = request.getfixturevalue(name)
     rng = random.Random(f"no-reading:{name}")
     phi = graph_automorphisms(graph)[-1]
@@ -615,13 +616,19 @@ def test_the_engines_own_walks_read_no_atom(name, request, monkeypatch):
                 cases.append((act_on_tree, path_inverse(graph, a.carrier), a.tree))
     want = [op(graph, *args) for op, *args in cases]
 
-    def no_table(graph):
-        raise AssertionError("a trusted walk read the table of atom ends")
+    bases = []
 
-    monkeypatch.setattr("sgis.semilattice._atom_ends", no_table)
-    with pytest.raises(AssertionError, match="atom ends"):
-        evaluate(graph, [graph.vertices[0]])
+    def recording(graph, base, word, **kwargs):
+        bases.append(base)
+        return munn_tree(graph, base, word, **kwargs)
+
+    monkeypatch.setattr("sgis.semigroup.munn_tree", recording)
+    monkeypatch.setattr("sgis.semilattice.munn_tree", recording)
     assert [op(graph, *args) for op, *args in cases] == want
+    assert len(bases) >= len(cases) // 2 and None not in bases
+    bases.clear()
+    evaluate(graph, [graph.vertices[0]])
+    assert bases == [None]
 
 
 @pytest.mark.parametrize("name", ("rose2t", "rose2f", "mixed"))

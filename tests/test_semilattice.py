@@ -6,7 +6,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import load
 from helpers import (
+    block_rule_break_by_scan,
     chain_unions_by_sets,
     checked_closure_tree,
     closure_element,
@@ -57,6 +59,7 @@ from sgis.semilattice import (
     block_clash,
     block_rule_break,
     chain_tree,
+    checked_tree,
     chain_unions,
     canonicalize,
     canonicalize_by_stripping,
@@ -406,6 +409,51 @@ def test_each_clash_is_still_found(rose2t, mixed):
         assert repr(block_rule_break(graph, T)) == pair
 
 
+def test_a_freely_separated_tree_is_checked_without_a_clash_test(rose2f, fim2, monkeypatch):
+    """`checked_tree` asks `block_clash` only about letters with rivals, so
+    on the freely separated rose2f and fim2 it checks seeded trees of up to
+    four-letter paths, canonical and not, without one call."""
+    calls = []
+
+    def counted(graph, letters, x):
+        calls.append(x)
+        return block_clash(graph, letters, x)
+
+    monkeypatch.setattr("sgis.semilattice.block_clash", counted)
+    rng = random.Random("free-check")
+    sizes = 0
+    for graph in (rose2f, fim2):
+        for _ in range(30):
+            I = closure_tree(graph, [random_separated_path(graph, "v", rng, 4) for _ in range(4)])
+            for T in (I, canonicalize(graph, I)):
+                assert checked_tree(graph, T) is T
+                sizes += len(T)
+    assert calls == [] and sizes > 300
+
+
+def test_block_rule_break_names_the_pair_of_the_full_scan():
+    """`block_rule_break`, which asks only about letters with rivals, names
+    the same pair as the scan of every letter (`helpers`), or None with it,
+    on seeded trees of the six graphs and of 60 generated graphs (seeds
+    0..59), closed from families of separated paths with no compatibility
+    filter."""
+    graphs = [load(name) for name in ALL_GRAPHS]
+    graphs += [random_separated_graph(random.Random(i), 4) for i in range(60)]
+    rng = random.Random("break-by-scan")
+    breaks = trees = 0
+    for graph in graphs:
+        for v in graph.vertices:
+            for _ in range(16):
+                fam = [random_separated_path(graph, v, rng, 4) for _ in range(rng.randint(1, 4))]
+                I = closure_tree(graph, fam)
+                for T in (I, canonicalize(graph, I)):
+                    want = block_rule_break_by_scan(graph, T)
+                    assert block_rule_break(graph, T) == want, T
+                    breaks += want is not None
+                    trees += 1
+    assert breaks > 100 and trees - breaks > 100, (breaks, trees)
+
+
 @pytest.mark.parametrize("name", ALL_GRAPHS)
 def test_reach_matches_the_longest_member_prefix(name, request):
     """`I.reach` stops at the node of the longest prefix among the members:
@@ -703,8 +751,6 @@ def test_semilattice_laws(rose2f, fim2):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**20))
 def test_meet_laws_hypothesis(seed):
-    from conftest import load
-
     graph = load("rose2t")
     rng = random.Random(seed)
     I = random_lower_set(graph, "v", rng, max_len=3)
